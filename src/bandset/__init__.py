@@ -35,13 +35,12 @@ from .band_solver import (
     EliminationOutcome,
     SolutionTable,
     back_substitute,
-    dense_rank_oracle,
     eliminate,
     solve,
     sort_rows,
     verify,
 )
-from .bitkit import BitVec, Block, CountingWords, dot_window, first_one, xor_window
+from .bitkit import BitVec, Block, dot_window, first_one, xor_window
 from .retrieval_chunked import (
     ChunkDirectory,
     ChunkedParams,
@@ -53,15 +52,7 @@ from .retrieval_chunked import (
     query_chunked,
     serialize,
 )
-from .retrieval_flat import (
-    ConstructError,
-    DuplicateKey,
-    FlatParams,
-    FlatRetrieval,
-    RetriesExhausted,
-    construct_flat,
-    query_flat,
-)
+from .retrieval_flat import ConstructError, DuplicateKey, RetriesExhausted
 from .row_gen import HashSeed, RowParams, chunk_for_key, hash128, map_to_range, row_for_key
 
 __version__ = "0.1.0"
@@ -76,11 +67,8 @@ __all__ = [
     "ChunkedParams",
     "ChunkedRetrieval",
     "ConstructError",
-    "CountingWords",
     "DuplicateKey",
     "EliminationOutcome",
-    "FlatParams",
-    "FlatRetrieval",
     "FormatError",
     "HashSeed",
     "KeyCellCoins",
@@ -95,10 +83,8 @@ __all__ = [
     "back_substitute",
     "chunk_for_key",
     "construct_chunked",
-    "construct_flat",
     "coupled_poissonised_runs",
     "coupled_replay",
-    "dense_rank_oracle",
     "deserialize",
     "dot_window",
     "draw_poissonised_input",
@@ -113,7 +99,6 @@ __all__ = [
     "overhead",
     "poissonised_cfrh",
     "query_chunked",
-    "query_flat",
     "row_for_key",
     "run_cfrh",
     "sample_poisson",

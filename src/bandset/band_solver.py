@@ -13,9 +13,9 @@ simultaneous ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .bitkit import BitVec, Block, dot_window
+from .bitkit import BitVec, Block, _dot_raw, dot_window
 
 DENSE_ORACLE_MAX_COLS = 64
 
@@ -58,8 +58,9 @@ class BandSystem:
 
 @dataclass(slots=True)
 class EliminationOutcome:
-    """Forward-phase result: pivots (0 marks the failed row), transformed
-    rows, the row-addition count, and optionally per-row coin transcripts.
+    """Forward-phase result, all in start-sorted row order: starts, pivots
+    (0 marks the failed row), the transformed patterns and right-hand sides,
+    the row-addition count, and optionally per-row coin transcripts.
 
     A transcript lists the bits of row i scanned at window columns that were
     not already pivots, in column order, cut right after the first 1; a row
@@ -68,7 +69,8 @@ class EliminationOutcome:
 
     starts: list[int]
     pivots: list[int]
-    rows: list[BandRow]
+    patterns: list[int]
+    rhs: list[int]
     additions: int
     failed_row: int | None = None
     coin_transcripts: list[list[int]] | None = None
@@ -84,7 +86,6 @@ class SolutionTable:
 
     z: list[BitVec]
     pivots: list[int]
-    seed_hint: object = field(default=None)
 
 
 def sort_rows(sys: BandSystem) -> BandSystem:
@@ -164,13 +165,11 @@ def eliminate(sys: BandSystem, record_coins: bool = False) -> EliminationOutcome
                 additions += 1
             i2 += 1
 
-    out_rows = [
-        BandRow(starts[i], Block(patts[i], L), rhss[i]) for i in range(m)
-    ]
     return EliminationOutcome(
         starts=starts,
         pivots=pivots,
-        rows=out_rows,
+        patterns=patts,
+        rhs=rhss,
         additions=additions,
         failed_row=failed_row,
         coin_transcripts=transcripts,
@@ -187,14 +186,13 @@ def back_substitute(out: EliminationOutcome, n: int, L: int, r: int) -> Solution
         raise ValueError("cannot back-substitute a failed elimination")
     width = n + L - 1
     planes = [BitVec(width) for _ in range(r)]
-    for i in range(len(out.rows) - 1, -1, -1):
-        row = out.rows[i]
-        piv = out.pivots[i]
-        offset = row.start - 1
+    for i in range(len(out.starts) - 1, -1, -1):
+        offset = out.starts[i] - 1
+        bits = out.patterns[i]
+        rhs = out.rhs[i]
         for t in range(r):
-            bit = dot_window(planes[t], offset, row.pattern) ^ ((row.rhs >> t) & 1)
-            if bit:
-                planes[t].set_bit(piv - 1)
+            if _dot_raw(planes[t], offset, bits, L) ^ ((rhs >> t) & 1):
+                planes[t].set_bit(out.pivots[i] - 1)
     return SolutionTable(z=planes, pivots=list(out.pivots))
 
 

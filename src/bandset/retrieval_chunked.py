@@ -1,5 +1,6 @@
-"""Partitioned retrieval: first-level hash to chunks, one flat structure per
-chunk, concatenated bit-planes plus an offsets/seeds directory.
+"""Partitioned retrieval: first-level hash to chunks, one band system per
+chunk, concatenated bit-planes plus an offsets/seeds directory. With C >= m
+there is one chunk, which is the unpartitioned structure.
 
 Chunks are built independently (optionally on a thread pool) and merged in
 chunk order, so the output is a pure function of the key/value set and the
@@ -17,13 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .bitkit import BitVec, Block, _dot_raw, xor_window
-from .retrieval_flat import (
-    FlatParams,
-    FlatRetrieval,
-    RetriesExhausted,
-    construct_flat,
-    normalize_pairs,
-)
+from .retrieval_flat import RetriesExhausted, construct_flat, normalize_pairs
 from .row_gen import _STREAM_CHUNK, HashSeed, _hash128_raw, _row_raw, chunk_for_key
 
 __all__ = [
@@ -72,16 +67,6 @@ class ChunkedParams:
         if not 1 <= self.max_retries <= (1 << 16):
             raise ValueError("max_retries must be in [1, 65536]")
 
-    def flat_params(self) -> FlatParams:
-        return FlatParams(
-            epsilon=self.epsilon,
-            L=self.L,
-            r=self.r,
-            max_retries=self.max_retries,
-            base_seed=self.base_seed,
-            force_leading_one=self.force_leading_one,
-        )
-
 
 @dataclass(slots=True)
 class ChunkDirectory:
@@ -128,7 +113,7 @@ def num_chunks_for(m: int, C: int) -> int:
 
 
 def construct_chunked(pairs, params: ChunkedParams, threads: int = 1) -> ChunkedRetrieval:
-    """Partition, build each chunk as a flat structure, concatenate.
+    """Normalize once, partition, solve each chunk, concatenate.
 
     RetriesExhausted is re-raised with the failing chunk index attached.
     """
@@ -140,32 +125,27 @@ def construct_chunked(pairs, params: ChunkedParams, threads: int = 1) -> Chunked
     for key, value in mapping.items():
         buckets[chunk_for_key(key, part_seed, num_chunks)].append((key, value))
 
-    fp = params.flat_params()
-
-    def build(k: int) -> FlatRetrieval:
+    def build(k: int) -> tuple[int, int, list[BitVec]]:
         try:
-            return construct_flat(buckets[k], fp)
+            return construct_flat(buckets[k], params)
         except RetriesExhausted as exc:
             raise RetriesExhausted(exc.retries, chunk=k) from None
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            flats = list(pool.map(build, range(num_chunks)))
+            chunks = list(pool.map(build, range(num_chunks)))
     else:
-        flats = [build(k) for k in range(num_chunks)]
+        chunks = [build(k) for k in range(num_chunks)]
 
     offsets = [0]
-    for flat in flats:
-        offsets.append(offsets[-1] + flat.table_bits)
-    seeds = [flat.seed.retry for flat in flats]
-    directory = ChunkDirectory.from_parts(offsets, seeds)
+    for _, n, _ in chunks:
+        offsets.append(offsets[-1] + n + params.L - 1)
+    directory = ChunkDirectory.from_parts(offsets, [retry for retry, _, _ in chunks])
 
-    total_bits = offsets[-1]
-    planes = [BitVec(total_bits) for _ in range(params.r)]
-    for k, flat in enumerate(flats):
-        for t in range(params.r):
-            chunk_bits = flat.table[t].to_int()
-            xor_window(planes[t], offsets[k], Block(chunk_bits, flat.table_bits))
+    planes = [BitVec(offsets[-1]) for _ in range(params.r)]
+    for k, (_, _, chunk_planes) in enumerate(chunks):
+        for plane, chunk_plane in zip(planes, chunk_planes):
+            xor_window(plane, offsets[k], Block(chunk_plane.to_int(), chunk_plane.length))
     return ChunkedRetrieval(params, directory, planes, m)
 
 
@@ -202,10 +182,9 @@ def serialize(ds: ChunkedRetrieval) -> bytes:
     num_chunks = ds.directory.num_chunks
     out.append(struct.pack(f"<{num_chunks}H", *ds.directory.seeds))
     out.append(struct.pack(f"<{num_chunks + 1}Q", *ds.directory.offsets))
-    plane_bits = ds.plane_bits
-    nbytes = ((plane_bits + 63) // 64) * 8
+    nwords = len(ds.tables[0].words)
     for plane in ds.tables:
-        out.append(plane.to_int().to_bytes(nbytes, "little"))
+        out.append(struct.pack(f"<{nwords}Q", *plane.words))
     return b"".join(out)
 
 
@@ -249,32 +228,29 @@ def deserialize(data: bytes) -> ChunkedRetrieval:
         raise FormatError("table too large for 48-bit offsets")
 
     plane_bits = offsets[-1]
-    nbytes = ((plane_bits + 63) // 64) * 8
-    if len(data) != pos + r * nbytes:
+    nwords = (plane_bits + 63) // 64
+    if len(data) != pos + r * nwords * 8:
         raise FormatError("plane payload length mismatch")
+    tail_bits = plane_bits - (nwords - 1) * 64
     planes = []
-    for t in range(r):
-        value = int.from_bytes(data[pos : pos + nbytes], "little")
-        try:
-            planes.append(BitVec.from_int(value, plane_bits))
-        except ValueError:
-            raise FormatError("nonzero padding bits in plane") from None
-        pos += nbytes
+    for _ in range(r):
+        words = list(struct.unpack_from(f"<{nwords}Q", data, pos))
+        if words[-1] >> tail_bits:
+            raise FormatError("nonzero padding bits in plane")
+        planes.append(BitVec(plane_bits, words))
+        pos += nwords * 8
     directory = ChunkDirectory.from_parts(offsets, seeds)
     return ChunkedRetrieval(params, directory, planes, m)
 
 
-def overhead(ds: ChunkedRetrieval | FlatRetrieval) -> float:
+def overhead(ds: ChunkedRetrieval) -> float:
     """Stored bits per key-bit beyond the information minimum, N/(m r) - 1.
 
-    Counts solution planes plus (for chunked structures) the offsets and
-    seeds directory; the fixed-size header is excluded.
+    Counts the solution planes plus the offsets and seeds directory; the
+    fixed-size header is excluded.
     """
     if ds.m == 0:
         raise ValueError("overhead undefined for empty structure")
-    if isinstance(ds, FlatRetrieval):
-        bits = ds.params.r * ds.table_bits
-        return bits / (ds.m * ds.params.r) - 1.0
     num_chunks = ds.directory.num_chunks
     bits = ds.params.r * ds.plane_bits + 64 * (num_chunks + 1) + 16 * num_chunks
     return bits / (ds.m * ds.params.r) - 1.0

@@ -1,19 +1,24 @@
-"""Unpartitioned retrieval structure: one band system over the whole key set.
+"""One band system per chunk: the per-chunk builder of the retrieval
+structure, plus input normalization and the construction errors.
 
-Construction hashes every key to a row, solves the resulting system, and
-keeps only the solution bit-planes plus the winning seed. A query is one
-row hash and one windowed dot product per value bit. Keys outside the
-constructed set return arbitrary bits by design.
+Construction hashes every key of a chunk to a row, solves the resulting
+system, and keeps only the solution bit-planes plus the winning retry.
+A structure with C >= m has one chunk and so solves one system over the
+whole key set.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from typing import TYPE_CHECKING
 
 from .band_solver import BandRow, BandSystem, solve
-from .bitkit import BitVec, _dot_raw
-from .row_gen import HashSeed, RowParams, _row_raw, row_for_key
+from .bitkit import BitVec
+from .row_gen import HashSeed, RowParams, row_for_key
+
+if TYPE_CHECKING:
+    from .retrieval_chunked import ChunkedParams
 
 
 class ConstructError(Exception):
@@ -34,39 +39,6 @@ class RetriesExhausted(ConstructError):
         self.chunk = chunk
 
 
-@dataclass(slots=True)
-class FlatParams:
-    epsilon: float
-    L: int = 64
-    r: int = 1
-    max_retries: int = 64
-    base_seed: int = 0
-    force_leading_one: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must be in (0, 1)")
-        if self.L < 1 or self.r < 1:
-            raise ValueError("L and r must be >= 1")
-        if not 1 <= self.max_retries <= (1 << 16):
-            raise ValueError("max_retries must be in [1, 65536]")
-
-
-@dataclass(slots=True)
-class FlatRetrieval:
-    """Solved table plus the seed needed to re-derive rows at query time."""
-
-    params: FlatParams
-    n: int
-    seed: HashSeed
-    table: list[BitVec]
-    m: int = 0
-
-    @property
-    def table_bits(self) -> int:
-        return self.n + self.params.L - 1
-
-
 def normalize_pairs(pairs, r: int) -> dict[bytes, int]:
     """Dedup (key, value) pairs; equal keys must agree on the value."""
     out: dict[bytes, int] = {}
@@ -75,6 +47,10 @@ def normalize_pairs(pairs, r: int) -> dict[bytes, int]:
         if not isinstance(key, (bytes, bytearray)):
             raise TypeError("keys must be byte strings")
         key = bytes(key)
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise TypeError(f"value {value!r} is not an integer") from None
         if not 0 <= value < limit:
             raise ValueError(f"value {value} does not fit in {r} bits")
         old = out.get(key)
@@ -108,39 +84,25 @@ def _build_rows(
     return [t[3] for t in rows]
 
 
-def construct_flat(pairs, params: FlatParams) -> FlatRetrieval:
-    """Retry seeds until the band system solves; record the winning retry.
+def construct_flat(
+    items: list[tuple[bytes, int]], params: ChunkedParams
+) -> tuple[int, int, list[BitVec]]:
+    """Solve one chunk: retry seeds until its band system solves.
 
-    Raises RetriesExhausted when every retry produced a dependent system,
-    DuplicateKey on contradictory input.
+    ``items`` are the chunk's (key, value) pairs, already normalized.
+    Returns (winning retry, n, planes); each of the r planes is n + L - 1
+    bits long. Raises RetriesExhausted when every retry produced a
+    dependent system.
     """
-    mapping = normalize_pairs(pairs, params.r)
-    m = len(mapping)
-    n = positions_for(m, params.epsilon)
-    if m == 0:
-        planes = [BitVec(n + params.L - 1) for _ in range(params.r)]
-        return FlatRetrieval(params, n, HashSeed(params.base_seed, 0), planes, 0)
+    n = positions_for(len(items), params.epsilon)
+    if not items:
+        return 0, n, [BitVec(n + params.L - 1) for _ in range(params.r)]
 
-    items = list(mapping.items())
     rp = RowParams(n, params.L)
     for retry in range(params.max_retries):
         seed = HashSeed(params.base_seed, retry)
         rows = _build_rows(items, seed, rp, params.force_leading_one)
         table = solve(BandSystem(n, params.L, params.r, rows))
         if table is not None:
-            table.seed_hint = seed
-            return FlatRetrieval(params, n, seed, table.z, m)
+            return retry, n, table.z
     raise RetriesExhausted(params.max_retries)
-
-
-def query_flat(ds: FlatRetrieval, key: bytes) -> int:
-    """r-bit value for the key; arbitrary (but crash-free) outside the set."""
-    L = ds.params.L
-    start, bits = _row_raw(
-        key, ds.seed.base_seed, ds.seed.retry, ds.n, L, ds.params.force_leading_one
-    )
-    offset = start - 1
-    value = 0
-    for t, plane in enumerate(ds.table):
-        value |= _dot_raw(plane, offset, bits, L) << t
-    return value

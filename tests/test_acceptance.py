@@ -30,7 +30,6 @@ from bandset.retrieval_chunked import (
     query_chunked,
     serialize,
 )
-from bandset.retrieval_flat import FlatParams, construct_flat
 
 from conftest import make_pairs, random_band_system
 
@@ -256,9 +255,9 @@ def test_criterion_11_first_seed_success_rate():
     wins = 0
     for seed in range(50):
         pairs = make_pairs(10_000, tag=f"whp{seed}")
-        ds = construct_flat(
-            pairs, FlatParams(epsilon=0.1, L=64, max_retries=8, base_seed=seed)
+        ds = construct_chunked(
+            pairs, ChunkedParams(epsilon=0.1, L=64, C=10_000, max_retries=8, base_seed=seed)
         )
-        wins += ds.seed.retry == 0
+        wins += ds.directory.seeds[0] == 0
     ok = wins >= 45
     report(11, "first-seed construction success rate", ok, f"{wins}/50 at retry 0")

@@ -63,8 +63,8 @@ def test_eliminate_hand_case():
     out = eliminate(sys_)
     assert out.pivots == [1, 2]
     assert out.additions == 1
-    assert out.rows[1].pattern.to_string() == "01"
-    assert out.rows[1].rhs == 0
+    assert Block(out.patterns[1], 2).to_string() == "01"
+    assert out.rhs[1] == 0
 
 
 def test_eliminate_zero_pattern_row_fails():
@@ -159,11 +159,11 @@ def test_pivot_bounds_and_no_proliferation():
             continue
         checked += 1
         assert len(set(out.pivots)) == len(out.pivots)
-        for s, piv, row in zip(out.starts, out.pivots, out.rows):
+        for s, piv, bits in zip(out.starts, out.pivots, out.patterns):
             assert s <= piv <= s + sys_.L - 1
             # support stays inside the original window by representation,
             # plus everything below the pivot is eliminated
-            assert row.pattern.bits < (1 << sys_.L)
+            assert bits < (1 << sys_.L)
 
 
 def test_addition_bound_by_heights():
@@ -231,10 +231,10 @@ def test_eliminate_matches_dense_replay_and_stays_in_window():
             continue
         compared += 1
         starts, dense = replay
-        for s, row, full in zip(starts, out.rows, dense):
+        for s, bits, full in zip(starts, out.patterns, dense):
             window_mask = ((1 << sys_.L) - 1) << (s - 1)
             assert full & ~window_mask == 0  # no spill outside the window
-            assert row.pattern.bits << (s - 1) == full
+            assert bits << (s - 1) == full
 
 
 def test_dense_rank_oracle_cases():

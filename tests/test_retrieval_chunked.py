@@ -1,11 +1,15 @@
+import hashlib
 import math
 import random
+import time
 
 import pytest
 
-from bandset.bitkit import CountingWords
+from bandset.bitkit import BitVec, CountingWords
 from bandset.retrieval_chunked import (
+    ChunkDirectory,
     ChunkedParams,
+    ChunkedRetrieval,
     FormatError,
     construct_chunked,
     deserialize,
@@ -13,12 +17,7 @@ from bandset.retrieval_chunked import (
     query_chunked,
     serialize,
 )
-from bandset.retrieval_flat import (
-    FlatParams,
-    RetriesExhausted,
-    construct_flat,
-    query_flat,
-)
+from bandset.retrieval_flat import DuplicateKey, RetriesExhausted
 from bandset.row_gen import HashSeed, chunk_for_key
 
 from conftest import make_pairs
@@ -33,16 +32,94 @@ def build(m, **kw):
     return pairs, construct_chunked(pairs, params)
 
 
-def test_single_chunk_is_flat_embedded():
-    pairs = make_pairs(1500)
-    params = ChunkedParams(epsilon=0.1, L=64, C=10_000, base_seed=9)
-    ds = construct_chunked(pairs, params)
-    flat = construct_flat(pairs, params.flat_params())
+def one_chunk(pairs, **kw):
+    """Build with C >= m: one chunk, the unpartitioned band system."""
+    ds = construct_chunked(pairs, ChunkedParams(**kw))
     assert ds.directory.num_chunks == 1
-    assert ds.directory.seeds == [flat.seed.retry]
-    assert ds.tables[0].words == flat.table[0].words
-    for key, v in pairs[:200]:
-        assert query_chunked(ds, key) == query_flat(flat, key) == v
+    return ds
+
+
+def test_empty_input_queries_do_not_fault():
+    ds = one_chunk([], epsilon=0.1)
+    assert ds.m == 0
+    assert ds.plane_bits == 64  # n = 1
+    assert query_chunked(ds, b"whatever") in (0, 1)
+
+
+def test_single_key():
+    ds = one_chunk([(b"only", 1)], epsilon=0.5, L=16, base_seed=5)
+    assert query_chunked(ds, b"only") == 1
+    assert ds.plane_bits == 2 + 16 - 1  # n = ceil(1 / 0.5)
+
+
+def test_end_to_end_10k_keys():
+    pairs = make_pairs(10_000)
+    ds = one_chunk(pairs, epsilon=0.1, L=64, base_seed=99)
+    assert all(query_chunked(ds, k) == v for k, v in pairs)
+
+
+def test_space_formula_exact():
+    # the (1+2eps)m bound is a small-eps statement: at eps=1/2 the series
+    # 1/(1-eps) meets 1+2*eps exactly and the additive L-1 tips it over
+    for m, eps, L in [(10_000, 0.05, 64), (777, 0.25, 32), (50, 0.5, 8)]:
+        ds = one_chunk(make_pairs(m), epsilon=eps, L=L, base_seed=3)
+        expect = math.ceil(m / (1 - eps)) + L - 1
+        assert ds.plane_bits == expect
+        if m >= L / eps and eps <= 0.25:
+            assert expect < (1 + 2 * eps) * m
+
+
+def test_multibit_values():
+    pairs = make_pairs(3000, r=8)
+    ds = one_chunk(pairs, epsilon=0.15, L=64, r=8, base_seed=21)
+    assert all(query_chunked(ds, k) == v for k, v in pairs)
+
+
+def test_duplicate_keys_dedup_and_conflict():
+    ds = one_chunk([(b"a", 1), (b"a", 1), (b"b", 0)], epsilon=0.3, L=16, base_seed=1)
+    assert ds.m == 2
+    with pytest.raises(DuplicateKey):
+        one_chunk([(b"a", 1), (b"a", 0)], epsilon=0.3, L=16)
+
+
+def test_value_out_of_range_rejected():
+    with pytest.raises(ValueError):
+        one_chunk([(b"a", 2)], epsilon=0.3, L=16, r=1)
+
+
+def test_non_integer_value_rejected():
+    with pytest.raises(TypeError, match="0.5"):
+        construct_chunked([(b"a", 0.5)], ChunkedParams(epsilon=0.3, L=16))
+
+
+def test_non_bytes_key_rejected():
+    with pytest.raises(TypeError):
+        one_chunk([("text", 0)], epsilon=0.3, L=16)
+
+
+def test_unknown_keys_return_bits_without_fault():
+    ds = one_chunk(make_pairs(500), epsilon=0.2, base_seed=11)
+    for i in range(200):
+        assert query_chunked(ds, f"stranger-{i}".encode()) in (0, 1)
+
+
+def test_query_determinism():
+    ds = one_chunk(make_pairs(100), epsilon=0.2, base_seed=2)
+    assert [query_chunked(ds, b"p")] * 5 == [query_chunked(ds, b"p") for _ in range(5)]
+
+
+def test_retry_zero_mostly_wins():
+    ok_at_zero = 0
+    for seed in range(10):
+        ds = one_chunk(make_pairs(2000, tag=f"s{seed}"), epsilon=0.1, L=64, base_seed=seed)
+        ok_at_zero += ds.directory.seeds[0] == 0
+    assert ok_at_zero >= 9
+
+
+def test_force_leading_one_structure_still_correct():
+    pairs = make_pairs(3000)
+    ds = one_chunk(pairs, epsilon=0.1, L=64, base_seed=31, force_leading_one=True)
+    assert all(query_chunked(ds, k) == v for k, v in pairs)
 
 
 def test_spec_scale_overhead_and_correctness():
@@ -172,13 +249,6 @@ def test_query_word_budget():
             assert sorted(set(c.reads)) == list(range(min(c.reads), max(c.reads) + 1))
 
 
-def test_overhead_flat_formula():
-    ds = construct_flat(make_pairs(10_000), FlatParams(epsilon=0.05, L=64, base_seed=77))
-    expect = (math.ceil(10_000 / 0.95) + 63) / 10_000 - 1
-    assert overhead(ds) == pytest.approx(expect)
-    assert overhead(ds) == pytest.approx(0.059, abs=0.001)
-
-
 def test_overhead_counts_directory_and_r_scales_it():
     pairs1, ds1 = build(8_000, epsilon=0.05, C=1_000, r=1, base_seed=13)
     pairs2, ds2 = build(8_000, epsilon=0.05, C=1_000, r=2, base_seed=13)
@@ -209,3 +279,35 @@ def test_retries_exhausted_reports_chunk():
     with pytest.raises(RetriesExhausted) as exc_info:
         construct_chunked(pairs, params)
     assert exc_info.value.chunk is not None
+
+
+def _round_trip_seconds(plane_bits: int) -> float:
+    rnd = random.Random(plane_bits)
+    plane = BitVec(plane_bits, [rnd.getrandbits(64) for _ in range((plane_bits + 63) // 64)])
+    ds = ChunkedRetrieval(
+        ChunkedParams(epsilon=0.05), ChunkDirectory.from_parts([0, plane_bits], [0]), [plane], 1
+    )
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        ds2 = deserialize(serialize(ds))
+        best = min(best, time.perf_counter() - t0)
+    assert ds2.tables[0] == plane
+    return best
+
+
+def test_save_load_time_is_linear_in_plane_bits():
+    # 16x the bits: linear code takes ~16x the time, a big-int path > 100x
+    assert _round_trip_seconds(1 << 22) < 40 * _round_trip_seconds(1 << 18)
+
+
+@pytest.mark.parametrize("eps, L, base_seed, digest", [
+    # chunk 4 retries once in this configuration
+    (0.03, 64, 2028, "60a09b3658855a22899485a978d90aed990a0cc7c87fc470b8d37a99f977229a"),
+    (0.05, 80, 2026, "356415c40ecf1f482da1ea1ce1eeb28671c9fb44020fc772db9e7fa920cf647c"),
+])
+def test_format_v1_golden_digest(eps, L, base_seed, digest):
+    # pins the v1 bytes; a deliberate format change updates these digests
+    pairs = make_pairs(20_000, r=3, tag="golden")
+    params = ChunkedParams(epsilon=eps, L=L, r=3, C=2_500, base_seed=base_seed)
+    assert hashlib.sha256(serialize(construct_chunked(pairs, params))).hexdigest() == digest
