@@ -33,14 +33,13 @@ from .band_solver import (
     BandRow,
     BandSystem,
     EliminationOutcome,
-    SolutionTable,
     back_substitute,
     eliminate,
     solve,
     sort_rows,
     verify,
 )
-from .bitkit import BitVec, Block, dot_window, first_one, xor_window
+from .bitkit import BitVec, Block, dot_window, xor_window
 from .retrieval_chunked import (
     ChunkDirectory,
     ChunkedParams,
@@ -53,7 +52,7 @@ from .retrieval_chunked import (
     serialize,
 )
 from .retrieval_flat import ConstructError, DuplicateKey, RetriesExhausted
-from .row_gen import HashSeed, RowParams, chunk_for_key, hash128, map_to_range, row_for_key
+from .row_gen import chunk_for_key, row_for_key
 
 __version__ = "0.1.0"
 
@@ -70,14 +69,11 @@ __all__ = [
     "DuplicateKey",
     "EliminationOutcome",
     "FormatError",
-    "HashSeed",
     "KeyCellCoins",
     "PoissonisedInput",
     "QueueTrace",
     "RandomCoins",
     "RetriesExhausted",
-    "RowParams",
-    "SolutionTable",
     "TranscriptCoins",
     "TranscriptExhausted",
     "back_substitute",
@@ -89,12 +85,9 @@ __all__ = [
     "dot_window",
     "draw_poissonised_input",
     "eliminate",
-    "first_one",
     "fit_tail_rate",
-    "hash128",
     "heights_from_pivots",
     "make_rng",
-    "map_to_range",
     "mdone_mean",
     "overhead",
     "poissonised_cfrh",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .band_solver import BandSystem, EliminationOutcome, eliminate
+from .band_solver import BandSystem, EliminationOutcome, eliminate, sort_rows
 
 MASK64 = (1 << 64) - 1
 
@@ -191,7 +191,7 @@ def coupled_replay(sys: BandSystem) -> tuple[EliminationOutcome, CFRHTrace] | No
     the Robin Hood insertion. On success the placement positions coincide
     with the pivots; returns None when elimination fails.
     """
-    out = eliminate(sys, record_coins=True)
+    out = eliminate(*sort_rows(sys), sys.L, record_coins=True)
     if not out.success:
         return None
     trace = run_cfrh(out.starts, TranscriptCoins(out.coin_transcripts), sys.L, n=sys.n)

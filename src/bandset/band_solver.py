@@ -6,16 +6,18 @@ forward elimination pass solves without ever creating a 1 outside a row's
 original window. Failure (a row cancelling to zero) signals linear
 dependence and is reported as a value, not an exception.
 
-Patterns and right-hand sides are plain ints: bit j of ``pattern`` is
-column ``start + j``, bit t of ``rhs`` is right-hand side t of the r
-simultaneous ones.
+The solver works on start-sorted parallel lists of plain ints: starts,
+patterns (bit j is column ``start + j``) and right-hand sides (bit t is
+right-hand side t of the r simultaneous ones). ``BandRow``/``BandSystem``
+are the hand-built input type of tests and analysis; ``sort_rows`` turns
+one into the lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitkit import BitVec, Block, _dot_raw, dot_window
+from .bitkit import BitVec, Block, dot_window
 
 DENSE_ORACLE_MAX_COLS = 64
 
@@ -80,53 +82,37 @@ class EliminationOutcome:
         return self.failed_row is None
 
 
-@dataclass(slots=True)
-class SolutionTable:
-    """r bit-planes of length n+L-1 satisfying every row equation."""
-
-    z: list[BitVec]
-    pivots: list[int]
-
-
-def sort_rows(sys: BandSystem) -> BandSystem:
-    """Stable counting sort of the rows by start column, O(m + n)."""
-    counts = [0] * (sys.n + 1)
-    for row in sys.rows:
-        counts[row.start] += 1
-    pos = [0] * (sys.n + 1)
-    total = 0
-    for s in range(1, sys.n + 1):
-        pos[s] = total
-        total += counts[s]
-    out: list[BandRow | None] = [None] * len(sys.rows)
-    for row in sys.rows:
-        out[pos[row.start]] = row
-        pos[row.start] += 1
-    return BandSystem(sys.n, sys.L, sys.r, out)  # type: ignore[arg-type]
+def sort_rows(sys: BandSystem) -> tuple[list[int], list[int], list[int]]:
+    """The rows as start-sorted parallel lists (starts, patterns, rhs);
+    rows with equal starts keep their input order."""
+    rows = sorted(sys.rows, key=lambda row: row.start)
+    return (
+        [row.start for row in rows],
+        [row.pattern.bits for row in rows],
+        [row.rhs for row in rows],
+    )
 
 
-def eliminate(sys: BandSystem, record_coins: bool = False) -> EliminationOutcome:
-    """Forward elimination on the start-sorted system.
+def eliminate(
+    starts: list[int], patterns: list[int], rhs: list[int], L: int, record_coins: bool = False
+) -> EliminationOutcome:
+    """Forward elimination on start-sorted rows, in place.
 
     Row i's pivot is the leftmost 1 in its current window; the row is then
     XORed into every later row that starts at or before the pivot and has a
     1 in the pivot column. Proliferation outside original windows cannot
-    happen, so patterns stay L-bit ints throughout.
+    happen, so patterns stay L-bit ints throughout. ``patterns`` and
+    ``rhs`` end up transformed and are the outcome's lists.
     """
-    sorted_sys = sort_rows(sys)
-    L = sys.L
-    m = len(sorted_sys.rows)
-    starts = [row.start for row in sorted_sys.rows]
-    patts = [row.pattern.bits for row in sorted_sys.rows]
-    rhss = [row.rhs for row in sorted_sys.rows]
+    m = len(starts)
     pivots = [0] * m
     additions = 0
     failed_row: int | None = None
     transcripts: list[list[int]] | None = [] if record_coins else None
-    is_pivot = bytearray(sys.num_cols + 2) if record_coins else None
+    is_pivot = bytearray(starts[-1] + L if starts else 0) if record_coins else None
 
     for i in range(m):
-        w = patts[i]
+        w = patterns[i]
         s_i = starts[i]
         if record_coins:
             bits: list[int] = []
@@ -152,32 +138,32 @@ def eliminate(sys: BandSystem, record_coins: bool = False) -> EliminationOutcome
             piv = s_i + ((w & -w).bit_length() - 1)
         pivots[i] = piv
 
-        patt_i = patts[i]
-        rhs_i = rhss[i]
+        rhs_i = rhs[i]
         i2 = i + 1
         while i2 < m:
             s2 = starts[i2]
             if s2 > piv:
                 break
-            if (patts[i2] >> (piv - s2)) & 1:
-                patts[i2] ^= patt_i >> (s2 - s_i)
-                rhss[i2] ^= rhs_i
+            if (patterns[i2] >> (piv - s2)) & 1:
+                patterns[i2] ^= w >> (s2 - s_i)
+                rhs[i2] ^= rhs_i
                 additions += 1
             i2 += 1
 
     return EliminationOutcome(
         starts=starts,
         pivots=pivots,
-        patterns=patts,
-        rhs=rhss,
+        patterns=patterns,
+        rhs=rhs,
         additions=additions,
         failed_row=failed_row,
         coin_transcripts=transcripts,
     )
 
 
-def back_substitute(out: EliminationOutcome, n: int, L: int, r: int) -> SolutionTable:
-    """Solve for z from a successful elimination, last pivot first.
+def back_substitute(out: EliminationOutcome, n: int, L: int, r: int) -> list[BitVec]:
+    """Solve for the r planes z from a successful elimination, last pivot
+    first.
 
     Every non-pivot position stays 0; each pivot position gets the window
     dot of the already-filled suffix XOR the row's right-hand side.
@@ -191,31 +177,35 @@ def back_substitute(out: EliminationOutcome, n: int, L: int, r: int) -> Solution
         bits = out.patterns[i]
         rhs = out.rhs[i]
         for t in range(r):
-            if _dot_raw(planes[t], offset, bits, L) ^ ((rhs >> t) & 1):
+            if dot_window(planes[t], offset, bits, L) ^ ((rhs >> t) & 1):
                 planes[t].set_bit(out.pivots[i] - 1)
-    return SolutionTable(z=planes, pivots=list(out.pivots))
+    return planes
 
 
-def solve(sys: BandSystem) -> SolutionTable | None:
-    """Sort, eliminate, back-substitute. None when the rows are dependent."""
-    out = eliminate(sys)
+def solve(
+    n: int, L: int, r: int, starts: list[int], patterns: list[int], rhs: list[int]
+) -> list[BitVec] | None:
+    """Eliminate the start-sorted rows, then back-substitute: the r planes,
+    or None when the rows are dependent. ``patterns`` and ``rhs`` are
+    transformed in place."""
+    out = eliminate(starts, patterns, rhs, L)
     if not out.success:
         return None
-    return back_substitute(out, sys.n, sys.L, sys.r)
+    return back_substitute(out, n, L, r)
 
 
-def verify(original: BandSystem, table: SolutionTable) -> bool:
+def verify(original: BandSystem, planes: list[BitVec]) -> bool:
     """Check A*z = b for every row and bit-plane of the original system."""
-    if len(table.z) != original.r:
+    if len(planes) != original.r:
         raise ValueError("plane count does not match system r")
     width = original.num_cols
-    for plane in table.z:
+    for plane in planes:
         if plane.length != width:
             raise ValueError("plane length does not match system columns")
     for row in original.rows:
         offset = row.start - 1
         for t in range(original.r):
-            if dot_window(table.z[t], offset, row.pattern) != ((row.rhs >> t) & 1):
+            if dot_window(planes[t], offset, row.pattern.bits, original.L) != ((row.rhs >> t) & 1):
                 return False
     return True
 

@@ -64,22 +64,6 @@ class BitVec:
         self.length = length
         self.words = words
 
-    @classmethod
-    def from_int(cls, value: int, length: int) -> "BitVec":
-        if value < 0 or value >> length:
-            raise ValueError("value does not fit in length bits")
-        bv = cls(length)
-        w = bv.words
-        for k in range(len(w)):
-            w[k] = (value >> (k * WORD_BITS)) & WORD_MASK
-        return bv
-
-    def to_int(self) -> int:
-        acc = 0
-        for k, w in enumerate(self.words):
-            acc |= w << (k * WORD_BITS)
-        return acc
-
     def get_bit(self, i: int) -> int:
         if not 0 <= i < self.length:
             raise IndexError("bit index out of range")
@@ -110,19 +94,34 @@ class BitVec:
         return f"BitVec({self.length}, {shown!r}{suffix})"
 
 
-def xor_window(dst: BitVec, offset: int, src: Block) -> None:
-    """XOR ``src`` into dst bits [offset, offset + src.length); rest untouched."""
+def xor_window(dst: BitVec, offset: int, src: BitVec) -> None:
+    """XOR ``src`` into dst bits [offset, offset + src.length); rest untouched.
+
+    Word by word: source word k lands on destination words wi + k and
+    wi + k + 1, so the cost is linear in ``src.length``. The second word is
+    touched only when bits land there, which keeps every write inside the
+    window (``src`` has zero padding).
+    """
     if offset < 0 or offset + src.length > dst.length:
         raise ValueError("window out of range")
     shift = offset & 63
     wi = offset >> 6
-    v = src.bits << shift
     words = dst.words
-    for k in range((shift + src.length + 63) >> 6):
-        words[wi + k] ^= (v >> (k * WORD_BITS)) & WORD_MASK
+    back = WORD_BITS - shift
+    for k, w in enumerate(src.words):
+        words[wi + k] ^= (w << shift) & WORD_MASK
+        high = w >> back
+        if high:
+            words[wi + k + 1] ^= high
 
 
-def _dot_raw(z: BitVec, offset: int, bits: int, L: int) -> int:
+def dot_window(z: BitVec, offset: int, bits: int, L: int) -> int:
+    """Parity of AND between z's window [offset, offset+L) and the L-bit
+    pattern ``bits``.
+
+    Reads only the ceil(L/64)+1 (at most) consecutive words covering the
+    window; parity comes from a popcount fold on the masked AND.
+    """
     if offset < 0 or offset + L > z.length:
         raise ValueError("window out of range")
     shift = offset & 63
@@ -133,29 +132,6 @@ def _dot_raw(z: BitVec, offset: int, bits: int, L: int) -> int:
         acc |= words[wi + k] << (k * WORD_BITS)
     window = (acc >> shift) & ((1 << L) - 1)
     return (window & bits).bit_count() & 1
-
-
-def dot_window(z: BitVec, offset: int, pattern: Block) -> int:
-    """Parity of AND between z's window [offset, offset+L) and pattern.
-
-    Reads only the ceil(L/64)+1 (at most) consecutive words covering the
-    window; parity comes from a popcount fold on the masked AND.
-    """
-    return _dot_raw(z, offset, pattern.bits, pattern.length)
-
-
-def first_one(b: Block, start: int = 0) -> int | None:
-    """Least index >= start holding a 1 in the block, or None.
-
-    Count-trailing-zeros on the packed bits, so runs of zero words cost
-    one arithmetic step each rather than a per-bit scan.
-    """
-    if not 0 <= start <= b.length:
-        raise ValueError("start offset out of block range")
-    x = b.bits >> start
-    if x == 0:
-        return None
-    return start + ((x & -x).bit_length() - 1)
 
 
 class CountingWords(list):

@@ -73,29 +73,6 @@ class BuildSpec:
         )
 
 
-@dataclass(slots=True)
-class BenchReport:
-    m: int
-    params: dict
-    overhead: float
-    construct_ns_per_key: float
-    query_ns_per_key: float
-    retries_histogram: dict[str, int]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "m": self.m,
-                "params": self.params,
-                "overhead": self.overhead,
-                "construct_ns_per_key": self.construct_ns_per_key,
-                "query_ns_per_key": self.query_ns_per_key,
-                "retries_histogram": self.retries_histogram,
-            },
-            sort_keys=True,
-        )
-
-
 class InputError(Exception):
     pass
 
@@ -189,23 +166,17 @@ def synthetic_pairs(m: int, r: int, seed: int) -> list[tuple[bytes, int]]:
     ]
 
 
-def _bench_structure(
-    ds: ChunkedRetrieval, pairs: list[tuple[bytes, int]], construct_seconds: float
-) -> BenchReport:
-    t0 = time.perf_counter()
-    for key, _ in pairs:
-        query_chunked(ds, key)
-    query_seconds = time.perf_counter() - t0
-    m = max(ds.m, 1)
+def _build_report(ds: ChunkedRetrieval, construct_seconds: float) -> dict:
+    """What `build` reports: size, parameters, overhead, build time and the
+    per-chunk retry histogram."""
     hist = Counter(ds.directory.seeds)
-    return BenchReport(
-        m=ds.m,
-        params=_params_dict(ds.params),
-        overhead=overhead(ds) if ds.m else float("nan"),
-        construct_ns_per_key=construct_seconds * 1e9 / m,
-        query_ns_per_key=query_seconds * 1e9 / m,
-        retries_histogram={str(k): v for k, v in sorted(hist.items())},
-    )
+    return {
+        "m": ds.m,
+        "params": _params_dict(ds.params),
+        "overhead": overhead(ds) if ds.m else float("nan"),
+        "construct_ns_per_key": construct_seconds * 1e9 / max(ds.m, 1),
+        "retries_histogram": {str(k): v for k, v in sorted(hist.items())},
+    }
 
 
 def cmd_build(spec: BuildSpec) -> int:
@@ -217,8 +188,7 @@ def cmd_build(spec: BuildSpec) -> int:
     construct_seconds = time.perf_counter() - t0
     with open(spec.output_path, "wb") as fh:
         fh.write(serialize(ds))
-    report = _bench_structure(ds, pairs, construct_seconds)
-    print(report.to_json())
+    print(json.dumps(_build_report(ds, construct_seconds), sort_keys=True))
     return EXIT_OK
 
 
@@ -236,12 +206,18 @@ def cmd_query(path: str, in_stream=None, out_stream=None) -> int:
 
 
 def cmd_bench(m: int, params: ChunkedParams, seed: int, threads: int = 1) -> int:
+    """The build report of a synthetic build plus the time of one query
+    per key."""
     pairs = synthetic_pairs(m, params.r, seed)
     t0 = time.perf_counter()
     ds = construct_chunked(pairs, params, threads=threads)
     construct_seconds = time.perf_counter() - t0
-    report = _bench_structure(ds, pairs, construct_seconds)
-    print(report.to_json())
+    report = _build_report(ds, construct_seconds)
+    t0 = time.perf_counter()
+    for key, _ in pairs:
+        query_chunked(ds, key)
+    report["query_ns_per_key"] = (time.perf_counter() - t0) * 1e9 / max(ds.m, 1)
+    print(json.dumps(report, sort_keys=True))
     return EXIT_OK
 
 

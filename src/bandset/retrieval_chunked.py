@@ -17,9 +17,9 @@ import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .bitkit import BitVec, Block, _dot_raw, xor_window
+from .bitkit import BitVec, dot_window, xor_window
 from .retrieval_flat import RetriesExhausted, construct_flat, normalize_pairs
-from .row_gen import _STREAM_CHUNK, HashSeed, _hash128_raw, _row_raw, chunk_for_key
+from .row_gen import MASK64, chunk_for_key, row_for_key
 
 __all__ = [
     "ChunkedParams",
@@ -66,6 +66,8 @@ class ChunkedParams:
             raise ValueError("L and r must fit in 16 bits")
         if not 1 <= self.max_retries <= (1 << 16):
             raise ValueError("max_retries must be in [1, 65536]")
+        if not 0 <= self.base_seed <= MASK64:
+            raise ValueError("base_seed must fit in 64 bits")
 
 
 @dataclass(slots=True)
@@ -121,9 +123,8 @@ def construct_chunked(pairs, params: ChunkedParams, threads: int = 1) -> Chunked
     m = len(mapping)
     num_chunks = num_chunks_for(m, params.C)
     buckets: list[list[tuple[bytes, int]]] = [[] for _ in range(num_chunks)]
-    part_seed = HashSeed(params.base_seed, 0)
     for key, value in mapping.items():
-        buckets[chunk_for_key(key, part_seed, num_chunks)].append((key, value))
+        buckets[chunk_for_key(key, params.base_seed, num_chunks)].append((key, value))
 
     def build(k: int) -> tuple[int, int, list[BitVec]]:
         try:
@@ -145,7 +146,7 @@ def construct_chunked(pairs, params: ChunkedParams, threads: int = 1) -> Chunked
     planes = [BitVec(offsets[-1]) for _ in range(params.r)]
     for k, (_, _, chunk_planes) in enumerate(chunks):
         for plane, chunk_plane in zip(planes, chunk_planes):
-            xor_window(plane, offsets[k], Block(chunk_plane.to_int(), chunk_plane.length))
+            xor_window(plane, offsets[k], chunk_plane)
     return ChunkedRetrieval(params, directory, planes, m)
 
 
@@ -154,19 +155,19 @@ def query_chunked(ds: ChunkedRetrieval, key: bytes) -> int:
     params = ds.params
     L = params.L
     base_seed = params.base_seed
-    num_chunks = ds.directory.num_chunks
-    chunk = ((_hash128_raw(key, base_seed, 0, _STREAM_CHUNK) >> 64) * num_chunks) >> 64
-    packed = ds.directory.packed
+    directory = ds.directory
+    chunk = chunk_for_key(key, base_seed, directory.num_chunks)
+    packed = directory.packed
     p0 = packed[chunk]
     p1 = packed[chunk + 1]
     offset = p0 & _OFFSET_MASK
     retry = p0 >> _OFFSET_BITS
     n_chunk = (p1 & _OFFSET_MASK) - offset - (L - 1)
-    start, bits = _row_raw(key, base_seed, retry, n_chunk, L, params.force_leading_one)
+    start, bits = row_for_key(key, base_seed, retry, n_chunk, L, params.force_leading_one)
     bit_offset = offset + start - 1
     value = 0
     for t, plane in enumerate(ds.tables):
-        value |= _dot_raw(plane, bit_offset, bits, L) << t
+        value |= dot_window(plane, bit_offset, bits, L) << t
     return value
 
 

@@ -13,9 +13,9 @@ import math
 import operator
 from typing import TYPE_CHECKING
 
-from .band_solver import BandRow, BandSystem, solve
+from .band_solver import solve
 from .bitkit import BitVec
-from .row_gen import HashSeed, RowParams, row_for_key
+from .row_gen import row_for_key
 
 if TYPE_CHECKING:
     from .retrieval_chunked import ChunkedParams
@@ -69,21 +69,6 @@ def positions_for(m: int, epsilon: float) -> int:
     return math.ceil(m / (1.0 - epsilon))
 
 
-def _build_rows(
-    items: list[tuple[bytes, int]],
-    seed: HashSeed,
-    rp: RowParams,
-    force_leading_one: bool,
-) -> list[BandRow]:
-    rows = []
-    for key, value in items:
-        start, pattern = row_for_key(key, seed, rp, force_leading_one)
-        rows.append((start, pattern.bits, key, BandRow(start, pattern, value)))
-    # Canonical order: input permutations must not change the solved table.
-    rows.sort(key=lambda t: t[:3])
-    return [t[3] for t in rows]
-
-
 def construct_flat(
     items: list[tuple[bytes, int]], params: ChunkedParams
 ) -> tuple[int, int, list[BitVec]]:
@@ -98,11 +83,16 @@ def construct_flat(
     if not items:
         return 0, n, [BitVec(n + params.L - 1) for _ in range(params.r)]
 
-    rp = RowParams(n, params.L)
+    L, r, base_seed, lead = params.L, params.r, params.base_seed, params.force_leading_one
     for retry in range(params.max_retries):
-        seed = HashSeed(params.base_seed, retry)
-        rows = _build_rows(items, seed, rp, params.force_leading_one)
-        table = solve(BandSystem(n, params.L, params.r, rows))
-        if table is not None:
-            return retry, n, table.z
+        rows = []
+        for key, value in items:
+            start, bits = row_for_key(key, base_seed, retry, n, L, lead)
+            rows.append((start, bits, key, value))
+        # Canonical order (start, pattern, key): input permutations must not
+        # change the solved table. Keys are distinct, so values never compare.
+        rows.sort()
+        planes = solve(n, L, r, [t[0] for t in rows], [t[1] for t in rows], [t[3] for t in rows])
+        if planes is not None:
+            return retry, n, planes
     raise RetriesExhausted(params.max_retries)

@@ -5,17 +5,16 @@ seed material as the MAC key), so replaying the same (key, seed) always
 reproduces the same row, bit-exact across platforms. Split convention:
 the high 64 hash bits pick the start position, the low bits fill the
 pattern; the chunk hash uses a separate stream so its bits are disjoint
-from the row bits.
+from the row bits. Start and chunk come from a multiply-high reduction of
+the high 64 bits onto their range. These two functions are the only place
+that knows the formulas; build and query both call them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
 from functools import lru_cache
-
-from .bitkit import Block
 
 MASK64 = (1 << 64) - 1
 
@@ -25,59 +24,29 @@ _STREAM_CHUNK = 1
 _STREAM_PATTERN_EXT = 2  # first of the extra-word streams for L > 64
 
 
-@dataclass(frozen=True, slots=True)
-class HashSeed:
-    """A 64-bit base seed plus the retry counter selecting the hash function."""
-
-    base_seed: int
-    retry: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.base_seed <= MASK64:
-            raise ValueError("base_seed must fit in 64 bits")
-        if not 0 <= self.retry < (1 << 16):
-            raise ValueError("retry must fit in 16 bits")
-
-
-@dataclass(frozen=True, slots=True)
-class RowParams:
-    n: int
-    L: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.L < 1:
-            raise ValueError("n and L must be >= 1")
-
-
 @lru_cache(maxsize=256)
 def _keyed_hasher(base_seed: int, retry: int, stream: int):
     key = struct.pack("<QHH", base_seed, retry, stream)
     return hashlib.blake2b(digest_size=16, key=key)
 
 
-def _hash128_raw(key: bytes, base_seed: int, retry: int, stream: int) -> int:
+def _hash128(key: bytes, base_seed: int, retry: int, stream: int) -> int:
     h = _keyed_hasher(base_seed, retry, stream).copy()
     h.update(key)
     return int.from_bytes(h.digest(), "little")
 
 
-def hash128(key: bytes, seed: HashSeed, stream: int = _STREAM_ROW) -> int:
-    """128-bit keyed hash, deterministic in (key, seed, stream)."""
-    return _hash128_raw(key, seed.base_seed, seed.retry, stream)
-
-
-def map_to_range(h: int, n: int) -> int:
-    """Multiply-high reduction of a 64-bit value onto [0, n), monotone in h."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return (h * n) >> 64
-
-
-def _row_raw(
+def row_for_key(
     key: bytes, base_seed: int, retry: int, n: int, L: int, force_leading_one: bool
 ) -> tuple[int, int]:
-    """(start, pattern bits) without the wrapper objects; query hot path."""
-    h = _hash128_raw(key, base_seed, retry, _STREAM_ROW)
+    """Hash a key to its band row: (start in [1, n], L-bit pattern as an int).
+
+    ``base_seed`` is 64 bits and ``retry`` 16 bits; ``retry`` selects the
+    hash function. Patterns longer than 64 bits pull extra words from
+    additional hash streams so one key still yields independent-looking
+    bits everywhere.
+    """
+    h = _hash128(key, base_seed, retry, _STREAM_ROW)
     start = 1 + (((h >> 64) * n) >> 64)
     if L <= 64:
         bits = (h & MASK64) & ((1 << L) - 1)
@@ -86,7 +55,7 @@ def _row_raw(
         filled = 64
         ext = _STREAM_PATTERN_EXT
         while filled < L:
-            bits |= _hash128_raw(key, base_seed, retry, ext) << filled
+            bits |= _hash128(key, base_seed, retry, ext) << filled
             filled += 128
             ext += 1
         bits &= (1 << L) - 1
@@ -95,24 +64,6 @@ def _row_raw(
     return start, bits
 
 
-def row_for_key(
-    key: bytes,
-    seed: HashSeed,
-    p: RowParams,
-    force_leading_one: bool = False,
-) -> tuple[int, Block]:
-    """Hash a key to its band row: a start in [1, n] and an L-bit pattern.
-
-    Patterns longer than 64 bits pull extra words from additional hash
-    streams so one key still yields independent-looking bits everywhere.
-    """
-    start, bits = _row_raw(key, seed.base_seed, seed.retry, p.n, p.L, force_leading_one)
-    return start, Block(bits, p.L)
-
-
-def chunk_for_key(key: bytes, seed: HashSeed, num_chunks: int) -> int:
+def chunk_for_key(key: bytes, base_seed: int, num_chunks: int) -> int:
     """First-level hash onto [0, num_chunks), independent of the row hash."""
-    if num_chunks < 1:
-        raise ValueError("num_chunks must be >= 1")
-    h = hash128(key, seed, stream=_STREAM_CHUNK)
-    return map_to_range(h >> 64, num_chunks)
+    return ((_hash128(key, base_seed, 0, _STREAM_CHUNK) >> 64) * num_chunks) >> 64

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from bandset.band_solver import BandRow, BandSystem
+from bandset.band_solver import BandRow, BandSystem, eliminate, solve, sort_rows
 from bandset.bitkit import BitVec, Block
 
 
@@ -24,13 +24,6 @@ def naive_dot_window(z_bits: list[int], offset: int, pattern_bits: list[int]) ->
     for j, p in enumerate(pattern_bits):
         acc ^= z_bits[offset + j] & p
     return acc
-
-
-def naive_first_one(bits: list[int], start: int) -> int | None:
-    for j in range(start, len(bits)):
-        if bits[j]:
-            return j
-    return None
 
 
 def bitvec_from_bits(bits: list[int]) -> BitVec:
@@ -55,6 +48,16 @@ def random_band_system(
         rhs = rnd.getrandbits(r)
         rows.append(BandRow(start, Block(bits, L), rhs))
     return BandSystem(n, L, r, rows)
+
+
+def eliminate_system(sys_: BandSystem):
+    """Forward elimination of a hand-built system, through sort_rows."""
+    return eliminate(*sort_rows(sys_), sys_.L)
+
+
+def solve_system(sys_: BandSystem):
+    """The r planes solving a hand-built system, or None, through sort_rows."""
+    return solve(sys_.n, sys_.L, sys_.r, *sort_rows(sys_))
 
 
 def make_pairs(m: int, r: int = 1, tag: str = "key") -> list[tuple[bytes, int]]:

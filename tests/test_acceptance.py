@@ -19,7 +19,7 @@ from bandset.analysis_sim import (
     simulate_x,
     simulate_z,
 )
-from bandset.band_solver import dense_rank_oracle, solve, verify
+from bandset.band_solver import dense_rank_oracle, verify
 from bandset.bitkit import CountingWords
 from bandset.cli import synthetic_pairs
 from bandset.retrieval_chunked import (
@@ -31,7 +31,7 @@ from bandset.retrieval_chunked import (
     serialize,
 )
 
-from conftest import make_pairs, random_band_system
+from conftest import make_pairs, random_band_system, solve_system
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -56,7 +56,7 @@ def small_system_suite():
         L = rnd.randint(1, 8)
         m = rnd.randint(1, n)
         sys_ = random_band_system(rnd, n, L, m)
-        table = solve(sys_)
+        table = solve_system(sys_)
         rank = dense_rank_oracle(sys_)
         results.append((sys_, table, rank))
     elapsed = time.perf_counter() - t0

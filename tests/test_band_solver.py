@@ -8,14 +8,12 @@ from bandset.band_solver import (
     BandSystem,
     back_substitute,
     dense_rank_oracle,
-    eliminate,
-    solve,
     sort_rows,
     verify,
 )
 from bandset.bitkit import Block
 
-from conftest import bits_of, random_band_system
+from conftest import bits_of, eliminate_system, random_band_system, solve_system
 
 
 def rows_from_starts(starts, n, tag_rhs=False):
@@ -27,12 +25,13 @@ def rows_from_starts(starts, n, tag_rhs=False):
 
 def test_sort_rows_permutation():
     sys_ = rows_from_starts([3, 1, 2], 3)
-    assert [r.start for r in sort_rows(sys_).rows] == [1, 2, 3]
+    starts, patterns, rhs = sort_rows(sys_)
+    assert starts == [1, 2, 3] and patterns == [1, 1, 1] and rhs == [0, 0, 0]
 
 
 def test_sort_rows_identity_on_sorted():
     sys_ = rows_from_starts([1, 2, 3], 3)
-    assert sort_rows(sys_).rows == sys_.rows
+    assert sort_rows(sys_) == ([1, 2, 3], [1, 1, 1], [0, 0, 0])
 
 
 def test_sort_rows_stable_on_ties():
@@ -40,18 +39,18 @@ def test_sort_rows_stable_on_ties():
     b = BandRow(2, Block(1, 1), 1)
     c = BandRow(1, Block(1, 1), 0)
     sys_ = BandSystem(2, 1, 1, [a, b, c])
-    assert sort_rows(sys_).rows == [c, a, b]
+    assert sort_rows(sys_) == ([1, 2, 2], [1, 1, 1], [0, 0, 1])  # c, a, b
 
 
 def test_eliminate_diagonal():
     sys_ = BandSystem(2, 1, 1, [BandRow(1, Block(1, 1), 1), BandRow(2, Block(1, 1), 0)])
-    out = eliminate(sys_)
+    out = eliminate_system(sys_)
     assert out.success and out.pivots == [1, 2] and out.additions == 0
 
 
 def test_eliminate_dependent_rows_fail():
     sys_ = BandSystem(2, 2, 1, [BandRow(1, Block(3, 2), 1), BandRow(1, Block(3, 2), 0)])
-    out = eliminate(sys_)
+    out = eliminate_system(sys_)
     assert not out.success
     assert out.failed_row == 1
     assert out.additions == 1
@@ -60,7 +59,7 @@ def test_eliminate_dependent_rows_fail():
 
 def test_eliminate_hand_case():
     sys_ = BandSystem(2, 2, 1, [BandRow(1, Block(1, 2), 1), BandRow(1, Block(3, 2), 1)])
-    out = eliminate(sys_)
+    out = eliminate_system(sys_)
     assert out.pivots == [1, 2]
     assert out.additions == 1
     assert Block(out.patterns[1], 2).to_string() == "01"
@@ -69,19 +68,19 @@ def test_eliminate_hand_case():
 
 def test_eliminate_zero_pattern_row_fails():
     sys_ = BandSystem(4, 3, 1, [BandRow(2, Block(0, 3), 1)])
-    out = eliminate(sys_)
+    out = eliminate_system(sys_)
     assert not out.success and out.pivots == [0]
 
 
 def test_back_substitute_examples():
     diag = BandSystem(2, 1, 1, [BandRow(1, Block(1, 1), 1), BandRow(2, Block(1, 1), 0)])
-    tab = back_substitute(eliminate(diag), 2, 1, 1)
-    assert bits_of(tab.z[0]) == [1, 0]
+    planes = back_substitute(eliminate_system(diag), 2, 1, 1)
+    assert bits_of(planes[0]) == [1, 0]
 
     hand = BandSystem(2, 2, 1, [BandRow(1, Block(1, 2), 1), BandRow(1, Block(3, 2), 1)])
-    tab2 = back_substitute(eliminate(hand), 2, 2, 1)
-    assert bits_of(tab2.z[0]) == [1, 0, 0]
-    assert verify(hand, tab2)
+    planes2 = back_substitute(eliminate_system(hand), 2, 2, 1)
+    assert bits_of(planes2[0]) == [1, 0, 0]
+    assert verify(hand, planes2)
 
 
 def test_back_substitute_homogeneous_is_zero():
@@ -89,44 +88,45 @@ def test_back_substitute_homogeneous_is_zero():
     sys_ = random_band_system(rnd, 30, 6, 20)
     for row in sys_.rows:
         row.rhs = 0
-    tab = solve(sys_)
-    if tab is not None:
-        assert all(plane.to_int() == 0 for plane in tab.z)
+    planes = solve_system(sys_)
+    if planes is not None:
+        assert not any(w for plane in planes for w in plane.words)
 
 
 def test_back_substitute_rejects_failure():
     sys_ = BandSystem(2, 2, 1, [BandRow(1, Block(3, 2), 1), BandRow(1, Block(3, 2), 0)])
-    out = eliminate(sys_)
+    out = eliminate_system(sys_)
     with pytest.raises(ValueError):
         back_substitute(out, 2, 2, 1)
 
 
 def test_solve_empty_system():
     sys_ = BandSystem(5, 4, 2, [])
-    tab = solve(sys_)
-    assert tab is not None
-    assert len(tab.z) == 2 and tab.z[0].length == 8
-    assert verify(sys_, tab)
+    planes = solve_system(sys_)
+    assert planes is not None
+    assert len(planes) == 2 and planes[0].length == 8
+    assert verify(sys_, planes)
 
 
 def test_verify_flipped_pivot_bit_fails():
     rnd = random.Random(12)
     while True:
         sys_ = random_band_system(rnd, 20, 5, 15)
-        tab = solve(sys_)
-        if tab is not None:
+        out = eliminate_system(sys_)
+        if out.success:
             break
-    assert verify(sys_, tab)
-    piv = tab.pivots[0]
-    tab.z[0].set_bit(piv - 1, 1 - tab.z[0].get_bit(piv - 1))
-    assert not verify(sys_, tab)
+    planes = back_substitute(out, sys_.n, sys_.L, sys_.r)
+    assert verify(sys_, planes)
+    piv = out.pivots[0]
+    planes[0].set_bit(piv - 1, 1 - planes[0].get_bit(piv - 1))
+    assert not verify(sys_, planes)
 
 
 def test_verify_dimension_mismatch():
     sys_ = BandSystem(5, 4, 2, [])
-    tab = solve(BandSystem(5, 4, 1, []))
+    planes = solve_system(BandSystem(5, 4, 1, []))
     with pytest.raises(ValueError):
-        verify(sys_, tab)
+        verify(sys_, planes)
 
 
 def test_solve_agrees_with_rank_oracle():
@@ -137,12 +137,12 @@ def test_solve_agrees_with_rank_oracle():
         L = rnd.randint(1, 8)
         m = rnd.randint(1, n)
         sys_ = random_band_system(rnd, n, L, m)
-        tab = solve(sys_)
+        planes = solve_system(sys_)
         full_rank = dense_rank_oracle(sys_) == m
-        assert (tab is not None) == full_rank
-        if tab is not None:
+        assert (planes is not None) == full_rank
+        if planes is not None:
             successes += 1
-            assert verify(sys_, tab)
+            assert verify(sys_, planes)
         else:
             failures += 1
     # the mix must actually exercise both branches
@@ -154,7 +154,7 @@ def test_pivot_bounds_and_no_proliferation():
     checked = 0
     while checked < 60:
         sys_ = random_band_system(rnd, 40, 7, 30)
-        out = eliminate(sys_)
+        out = eliminate_system(sys_)
         if not out.success:
             continue
         checked += 1
@@ -171,7 +171,7 @@ def test_addition_bound_by_heights():
     checked = 0
     while checked < 80:
         sys_ = random_band_system(rnd, 60, 8, 45)
-        out = eliminate(sys_)
+        out = eliminate_system(sys_)
         if not out.success:
             continue
         checked += 1
@@ -185,19 +185,20 @@ def test_multi_rhs_matches_independent_planes():
     solved = 0
     while solved < 25:
         sys_ = random_band_system(rnd, 30, 6, 22, r=3)
-        tab = solve(sys_)
-        if tab is None:
+        out = eliminate_system(sys_)
+        if not out.success:
             continue
+        planes = back_substitute(out, sys_.n, sys_.L, sys_.r)
         solved += 1
         for t in range(3):
             single = BandSystem(
                 sys_.n, sys_.L, 1,
                 [BandRow(r.start, r.pattern, (r.rhs >> t) & 1) for r in sys_.rows],
             )
-            tab1 = solve(single)
-            assert tab1 is not None
-            assert tab1.pivots == tab.pivots
-            assert tab1.z[0] == tab.z[t]
+            out1 = eliminate_system(single)
+            assert out1.success
+            assert out1.pivots == out.pivots
+            assert back_substitute(out1, sys_.n, sys_.L, 1)[0] == planes[t]
 
 
 def dense_forward_eliminate(sys_):
@@ -224,7 +225,7 @@ def test_eliminate_matches_dense_replay_and_stays_in_window():
     compared = 0
     while compared < 120:
         sys_ = random_band_system(rnd, 24, 6, rnd.randint(1, 20))
-        out = eliminate(sys_)
+        out = eliminate_system(sys_)
         replay = dense_forward_eliminate(sys_)
         assert out.success == (replay is not None)
         if replay is None:
@@ -256,11 +257,11 @@ def test_full_window_patterns_against_oracle():
             for _ in range(m)
         ]
         sys_ = BandSystem(n, L, 1, rows)
-        tab = solve(sys_)
+        planes = solve_system(sys_)
         if dense_rank_oracle(sys_) == m:
-            assert tab is not None
+            assert planes is not None
             agree_success += 1
         else:
-            assert tab is None
+            assert planes is None
             agree_failure += 1
     assert agree_success > 0

@@ -39,6 +39,32 @@ def test_build_and_query_roundtrip(tmp_path, capsys, monkeypatch):
     assert stdout.splitlines() == ["1", "0", "1"]
 
 
+def test_build_does_not_query_its_keys(tmp_path, capsys, monkeypatch):
+    def no_queries(ds, key):
+        raise AssertionError("build must not query")
+
+    monkeypatch.setattr("bandset.cli.query_chunked", no_queries)
+    inp = tmp_path / "in.tsv"
+    out = tmp_path / "ds.bin"
+    rows = [(f"k{i}", format(i % 2, "x")) for i in range(300)]
+    write_tsv(inp, rows)
+    code, stdout, _ = run(["build", str(inp), str(out), "--seed", "4"], capsys)
+    assert code == 0
+    report = json.loads(stdout)
+    assert report["m"] == 300 and "query_ns_per_key" not in report
+    ds = deserialize(out.read_bytes())
+    assert all(query_chunked(ds, k.encode()) == int(v, 16) for k, v in rows)
+
+
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_build_seed_outside_64_bits_exits_2(seed, tmp_path, capsys):
+    inp = tmp_path / "in.tsv"
+    write_tsv(inp, [("a", "1")])
+    code, _, stderr = run(["build", str(inp), str(tmp_path / "o"), "--seed", seed], capsys)
+    assert code == 2
+    assert "base_seed" in stderr
+
+
 def test_build_malformed_hex_exits_2_with_line(tmp_path, capsys):
     inp = tmp_path / "bad.tsv"
     inp.write_text("good\t1\nbad\tzz\n")

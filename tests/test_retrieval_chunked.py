@@ -18,7 +18,7 @@ from bandset.retrieval_chunked import (
     serialize,
 )
 from bandset.retrieval_flat import DuplicateKey, RetriesExhausted
-from bandset.row_gen import HashSeed, chunk_for_key
+from bandset.row_gen import chunk_for_key
 
 from conftest import make_pairs
 
@@ -139,7 +139,7 @@ def test_empty_chunks_get_minimum_tables():
     sizes = [offsets[k + 1] - offsets[k] for k in range(ds.directory.num_chunks)]
     counts = [0] * ds.directory.num_chunks
     for key, _ in pairs:
-        counts[chunk_for_key(key, HashSeed(2, 0), ds.directory.num_chunks)] += 1
+        counts[chunk_for_key(key, 2, ds.directory.num_chunks)] += 1
     for k, cnt in enumerate(counts):
         if cnt == 0:
             assert sizes[k] == params.L  # n=1 convention
@@ -168,7 +168,7 @@ def test_directory_prefix_sums_match_chunk_sizes():
     num_chunks = ds.directory.num_chunks
     counts = [0] * num_chunks
     for key, _ in pairs:
-        counts[chunk_for_key(key, HashSeed(404, 0), num_chunks)] += 1
+        counts[chunk_for_key(key, 404, num_chunks)] += 1
     offsets = ds.directory.offsets
     for k in range(num_chunks):
         m_k = counts[k]

@@ -3,80 +3,71 @@ import math
 import pytest
 from scipy import stats
 
-from bandset.row_gen import HashSeed, RowParams, chunk_for_key, hash128, map_to_range, row_for_key
+from bandset.retrieval_chunked import ChunkedParams
+from bandset.row_gen import chunk_for_key, row_for_key
 
-SEED = HashSeed(0xC0FFEE, 0)
+SEED = 0xC0FFEE
 
 
 def test_hash128_deterministic():
-    assert hash128(b"alpha", SEED) == hash128(b"alpha", SEED)
-    assert 0 <= hash128(b"alpha", SEED) < 1 << 128
+    assert row_for_key(b"alpha", SEED, 0, 1000, 64, False) == row_for_key(
+        b"alpha", SEED, 0, 1000, 64, False
+    )
+    assert chunk_for_key(b"alpha", SEED, 1000) == chunk_for_key(b"alpha", SEED, 1000)
 
 
 def test_hash128_retry_changes_stream():
-    bumped = HashSeed(SEED.base_seed, 1)
     keys = [f"k{i}".encode() for i in range(10)]
-    diffs = sum(hash128(k, SEED) != hash128(k, bumped) for k in keys)
+    diffs = sum(
+        row_for_key(k, SEED, 0, 1000, 64, False) != row_for_key(k, SEED, 1, 1000, 64, False)
+        for k in keys
+    )
     assert diffs >= 1  # in practice all 10 differ
 
 
 def test_hash128_empty_key_defined():
-    assert hash128(b"", SEED) == hash128(b"", SEED)
+    start, bits = row_for_key(b"", SEED, 0, 1000, 64, False)
+    assert (start, bits) == row_for_key(b"", SEED, 0, 1000, 64, False)
+    assert 1 <= start <= 1000 and 0 <= bits < 1 << 64
+    assert chunk_for_key(b"", SEED, 10) == chunk_for_key(b"", SEED, 10)
 
 
 def test_hash_seed_validation():
+    # the 64-bit base seed and the 16-bit retry are checked on the parameters
+    with pytest.raises(ValueError, match="base_seed"):
+        ChunkedParams(epsilon=0.1, base_seed=-1)
+    with pytest.raises(ValueError, match="base_seed"):
+        ChunkedParams(epsilon=0.1, base_seed=1 << 64)
+    ChunkedParams(epsilon=0.1, base_seed=(1 << 64) - 1)
     with pytest.raises(ValueError):
-        HashSeed(-1, 0)
-    with pytest.raises(ValueError):
-        HashSeed(0, 1 << 16)
-
-
-def test_map_to_range_edges():
-    assert map_to_range(0, 17) == 0
-    assert map_to_range(2**64 - 1, 10) == 9
-    assert all(map_to_range(h, 1) == 0 for h in (0, 1, 2**63, 2**64 - 1))
-    with pytest.raises(ValueError):
-        map_to_range(5, 0)
-
-
-def test_map_to_range_monotone():
-    n = 1000
-    prev = 0
-    for h in range(0, 2**64, 2**58):
-        cur = map_to_range(h, n)
-        assert cur >= prev
-        prev = cur
+        ChunkedParams(epsilon=0.1, max_retries=(1 << 16) + 1)
 
 
 def test_row_for_key_singleton_range():
     for i in range(20):
-        start, _ = row_for_key(f"x{i}".encode(), SEED, RowParams(1, 8))
+        start, _ = row_for_key(f"x{i}".encode(), SEED, 0, 1, 8, False)
         assert start == 1
 
 
 def test_row_for_key_force_leading_one():
-    p = RowParams(50, 16)
     for i in range(200):
-        _, pattern = row_for_key(f"y{i}".encode(), SEED, p, force_leading_one=True)
-        assert pattern.bits & 1
+        _, bits = row_for_key(f"y{i}".encode(), SEED, 0, 50, 16, True)
+        assert bits & 1
 
 
 def test_row_for_key_replay_identical():
-    p = RowParams(1000, 64)
-    rows1 = [row_for_key(f"z{i}".encode(), SEED, p) for i in range(100)]
-    rows2 = [row_for_key(f"z{i}".encode(), SEED, p) for i in range(100)]
+    rows1 = [row_for_key(f"z{i}".encode(), SEED, 0, 1000, 64, False) for i in range(100)]
+    rows2 = [row_for_key(f"z{i}".encode(), SEED, 0, 1000, 64, False) for i in range(100)]
     assert rows1 == rows2
 
 
 def test_row_for_key_long_pattern():
-    p = RowParams(100, 200)
     seen = set()
     for i in range(50):
-        start, pattern = row_for_key(f"long{i}".encode(), SEED, p)
+        start, bits = row_for_key(f"long{i}".encode(), SEED, 0, 100, 200, False)
         assert 1 <= start <= 100
-        assert 0 <= pattern.bits < 1 << 200
-        assert pattern.length == 200
-        seen.add(pattern.bits)
+        assert 0 <= bits < 1 << 200
+        seen.add(bits)
     assert len(seen) == 50
     # upper words must carry entropy, not zero padding
     assert sum(1 for b in seen if (b >> 128) != 0) > 40
@@ -85,10 +76,9 @@ def test_row_for_key_long_pattern():
 def test_start_uniformity_chi_squared():
     # fixed significance 0.1%, pinned seed: deterministic, not flaky
     n, m = 256, 100_000
-    p = RowParams(n, 8)
     counts = [0] * n
     for i in range(m):
-        start, _ = row_for_key(f"u{i}".encode(), SEED, p)
+        start, _ = row_for_key(f"u{i}".encode(), SEED, 0, n, 8, False)
         counts[start - 1] += 1
     _, pvalue = stats.chisquare(counts)
     assert pvalue > 0.001
@@ -96,11 +86,9 @@ def test_start_uniformity_chi_squared():
 
 def test_pattern_bit_balance():
     m, L = 100_000, 64
-    p = RowParams(16, L)
     counts = [0] * L
     for i in range(m):
-        _, pattern = row_for_key(f"b{i}".encode(), SEED, p)
-        bits = pattern.bits
+        _, bits = row_for_key(f"b{i}".encode(), SEED, 0, 16, L, False)
         for j in range(L):
             counts[j] += (bits >> j) & 1
     sigma = 0.5 * math.sqrt(m)
@@ -118,11 +106,10 @@ def test_chunk_for_key_deterministic():
 
 def test_chunk_for_key_disjoint_from_row_bits():
     # same key, same seed: chunk index must not be a function of the start
-    p = RowParams(100, 8)
     pairs = set()
     for i in range(2000):
         key = f"c{i}".encode()
-        start, _ = row_for_key(key, SEED, p)
+        start, _ = row_for_key(key, SEED, 0, 100, 8, False)
         pairs.add((start, chunk_for_key(key, SEED, 100)))
     # if streams were shared we would see far fewer distinct combinations
     assert len(pairs) > 1500
