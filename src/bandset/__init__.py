@@ -29,17 +29,8 @@ from .analysis_sim import (
     simulate_z,
     tail_estimate,
 )
-from .band_solver import (
-    BandRow,
-    BandSystem,
-    EliminationOutcome,
-    back_substitute,
-    eliminate,
-    solve,
-    sort_rows,
-    verify,
-)
-from .bitkit import BitVec, Block, dot_window, xor_window
+from .band_solver import EliminationOutcome, back_substitute, eliminate, solve, verify
+from .bitkit import BitVec, dot_window, xor_window
 from .retrieval_chunked import (
     ChunkDirectory,
     ChunkedParams,
@@ -57,10 +48,7 @@ from .row_gen import chunk_for_key, row_for_key
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandRow",
-    "BandSystem",
     "BitVec",
-    "Block",
     "CFRHTrace",
     "ChunkDirectory",
     "ChunkedParams",
@@ -99,7 +87,6 @@ __all__ = [
     "simulate_x",
     "simulate_z",
     "solve",
-    "sort_rows",
     "tail_estimate",
     "verify",
     "xor_window",

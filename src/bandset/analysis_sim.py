@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .band_solver import BandSystem, EliminationOutcome, eliminate, sort_rows
+from .band_solver import EliminationOutcome, eliminate
 
 MASK64 = (1 << 64) - 1
 
@@ -186,15 +186,45 @@ def heights_from_pivots(starts, pivots, table_len: int) -> list[int]:
     return _heights_from_ranges(starts, pivots, table_len)
 
 
-def coupled_replay(sys: BandSystem) -> tuple[EliminationOutcome, CFRHTrace] | None:
-    """Eliminate with coin recording, then replay the transcripts through
-    the Robin Hood insertion. On success the placement positions coincide
-    with the pivots; returns None when elimination fails.
+def coin_transcripts(out: EliminationOutcome, L: int) -> list[list[int]]:
+    """The coins each row flipped in the elimination, read from its final
+    pattern: the bits at window columns that no earlier row took as pivot,
+    in column order, cut right after the first 1. A row that cancelled to
+    zero gets bare zeros, and rows after it get none.
+
+    No step after row i touches its pattern, so its final pattern is the
+    one it had when its pivot was chosen.
     """
-    out = eliminate(*sort_rows(sys), sys.L, record_coins=True)
+    done = len(out.starts) if out.success else out.failed_row + 1
+    taken: set[int] = set()
+    transcripts = []
+    for i in range(done):
+        start, bits = out.starts[i], out.patterns[i]
+        coins = []
+        for off in range(L):
+            if start + off in taken:
+                continue
+            bit = (bits >> off) & 1
+            coins.append(bit)
+            if bit:
+                break
+        transcripts.append(coins)
+        taken.add(out.pivots[i])
+    return transcripts
+
+
+def coupled_replay(
+    n: int, L: int, starts: list[int], patterns: list[int]
+) -> tuple[EliminationOutcome, CFRHTrace] | None:
+    """Eliminate copies of the start-sorted rows, then replay each row's
+    coin transcript through the Robin Hood insertion. On success the
+    placement positions coincide with the pivots; returns None when
+    elimination fails.
+    """
+    out = eliminate(list(starts), list(patterns), [0] * len(starts), L)
     if not out.success:
         return None
-    trace = run_cfrh(out.starts, TranscriptCoins(out.coin_transcripts), sys.L, n=sys.n)
+    trace = run_cfrh(out.starts, TranscriptCoins(coin_transcripts(out, L)), L, n=n)
     return out, trace
 
 

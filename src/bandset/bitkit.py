@@ -8,38 +8,8 @@ the access pattern everything above this module relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 WORD_BITS = 64
 WORD_MASK = (1 << WORD_BITS) - 1
-
-
-@dataclass(slots=True)
-class Block:
-    """A packed run of exactly ``length`` bits (canonical: no padding junk)."""
-
-    bits: int
-    length: int
-
-    def __post_init__(self) -> None:
-        if self.length < 1:
-            raise ValueError("block length must be >= 1")
-        if not 0 <= self.bits < (1 << self.length):
-            raise ValueError("block bits exceed declared length")
-
-    @classmethod
-    def from_string(cls, s: str) -> "Block":
-        """Parse an index-order bit string ('011' means bit 1 and bit 2 set)."""
-        if not s or any(c not in "01" for c in s):
-            raise ValueError("bit string must be non-empty and contain only 0/1")
-        bits = 0
-        for i, c in enumerate(s):
-            if c == "1":
-                bits |= 1 << i
-        return cls(bits, len(s))
-
-    def to_string(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.length))
 
 
 class BitVec:
@@ -76,9 +46,6 @@ class BitVec:
             self.words[i >> 6] |= 1 << (i & 63)
         else:
             self.words[i >> 6] &= WORD_MASK ^ (1 << (i & 63))
-
-    def copy(self) -> "BitVec":
-        return BitVec(self.length, list(self.words))
 
     def __len__(self) -> int:
         return self.length

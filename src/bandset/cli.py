@@ -14,7 +14,6 @@ import struct
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +26,6 @@ from .analysis_sim import (
     simulate_z,
     tail_estimate,
 )
-from .band_solver import BandRow, BandSystem
-from .bitkit import Block
 from .retrieval_chunked import (
     ChunkedParams,
     ChunkedRetrieval,
@@ -47,34 +44,21 @@ EXIT_INPUT = 2
 EXIT_FORMAT = 3
 
 
-@dataclass(slots=True)
-class BuildSpec:
-    input_path: str
-    output_path: str
-    epsilon: float
-    L: int
-    C: int
-    r: int
-    base_seed: int
-    force_leading_one: bool
-    threads: int
-    max_retries: int = 64
-    binary_keys: bool = False
-
-    def params(self) -> ChunkedParams:
-        return ChunkedParams(
-            epsilon=self.epsilon,
-            L=self.L,
-            r=self.r,
-            C=self.C,
-            max_retries=self.max_retries,
-            base_seed=self.base_seed,
-            force_leading_one=self.force_leading_one,
-        )
-
-
 class InputError(Exception):
     pass
+
+
+def _params_from_args(args) -> ChunkedParams:
+    """The build parameters of `build` and `bench`, from their shared flags."""
+    return ChunkedParams(
+        epsilon=args.eps,
+        L=args.block_len,
+        r=args.value_bits,
+        C=args.chunk_size,
+        max_retries=args.retries,
+        base_seed=args.seed,
+        force_leading_one=args.force_leading_one,
+    )
 
 
 def _params_dict(p: ChunkedParams) -> dict:
@@ -179,14 +163,16 @@ def _build_report(ds: ChunkedRetrieval, construct_seconds: float) -> dict:
     }
 
 
-def cmd_build(spec: BuildSpec) -> int:
-    reader = read_binary_pairs if spec.binary_keys else read_tsv_pairs
-    pairs = reader(spec.input_path, spec.r)
-    params = spec.params()
+def cmd_build(
+    input_path: str, output_path: str, params: ChunkedParams, threads: int = 1,
+    binary_keys: bool = False,
+) -> int:
+    reader = read_binary_pairs if binary_keys else read_tsv_pairs
+    pairs = reader(input_path, params.r)
     t0 = time.perf_counter()
-    ds = construct_chunked(pairs, params, threads=spec.threads)
+    ds = construct_chunked(pairs, params, threads=threads)
     construct_seconds = time.perf_counter() - t0
-    with open(spec.output_path, "wb") as fh:
+    with open(output_path, "wb") as fh:
         fh.write(serialize(ds))
     print(json.dumps(_build_report(ds, construct_seconds), sort_keys=True))
     return EXIT_OK
@@ -272,16 +258,18 @@ def _simulate_queue(args, out) -> int:
     return EXIT_OK
 
 
-def _random_band_system(m: int, eps: float, L: int, r: int, rng) -> BandSystem:
+def _random_band_system(m: int, eps: float, L: int, rng) -> tuple[int, list[int], list[int]]:
+    """n and the start-sorted starts and patterns of m random rows; rows
+    with equal starts keep their draw order."""
     n = max(1, round(m / (1.0 - eps)))
-    starts = rng.integers(1, n + 1, size=m)
+    drawn = rng.integers(1, n + 1, size=m)
     rows = []
-    for s in starts:
+    for s in drawn:
         bits = int(rng.integers(0, 1 << 32)) | int(rng.integers(0, 1 << 32)) << 32
-        bits &= (1 << L) - 1
-        rhs = int(rng.integers(0, 1 << min(r, 32)))
-        rows.append(BandRow(int(s), Block(bits, L), rhs))
-    return BandSystem(n, L, r, rows)
+        rng.integers(0, 2)  # the rhs draw: unused, kept so a seed draws the same rows
+        rows.append((int(s), bits & ((1 << L) - 1)))
+    rows.sort(key=lambda row: row[0])
+    return n, [s for s, _ in rows], [bits for _, bits in rows]
 
 
 def _simulate_coupling(args, out) -> int:
@@ -292,8 +280,8 @@ def _simulate_coupling(args, out) -> int:
     ]
     rows = []
     for trial in range(args.trials):
-        sys_ = _random_band_system(args.m, args.eps, args.block_len, 1, rng)
-        replay = coupled_replay(sys_)
+        n, starts, patterns = _random_band_system(args.m, args.eps, args.block_len, rng)
+        replay = coupled_replay(n, args.block_len, starts, patterns)
         if replay is None:
             rows.append([trial, args.m, 0, "", "", "", ""])
             continue
@@ -332,6 +320,10 @@ def _simulate_sweep(args, out) -> int:
 
 
 def cmd_simulate(args, out_stream=None) -> int:
+    if not 0.0 < args.eps < 1.0:
+        raise InputError("--eps must be in (0, 1)")
+    if args.block_len < 1:
+        raise InputError("--block-len must be >= 1")
     out = out_stream if out_stream is not None else sys.stdout
     dispatch = {
         "cfrh": _simulate_cfrh,
@@ -348,7 +340,12 @@ def cmd_simulate(args, out_stream=None) -> int:
 
 def _default_seed() -> int:
     env = os.environ.get("BANDSET_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise InputError(f"BANDSET_SEED={env!r} is not an integer") from None
 
 
 def _add_param_args(p: argparse.ArgumentParser) -> None:
@@ -403,37 +400,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None:
-        args.seed = _default_seed()
     try:
+        if "seed" in args and args.seed is None:  # query has no --seed
+            args.seed = _default_seed()
         if args.command == "build":
-            spec = BuildSpec(
-                input_path=args.input,
-                output_path=args.output,
-                epsilon=args.eps,
-                L=args.block_len,
-                C=args.chunk_size,
-                r=args.value_bits,
-                base_seed=args.seed,
-                force_leading_one=args.force_leading_one,
-                threads=args.threads,
-                max_retries=args.retries,
-                binary_keys=args.binary_keys,
+            return cmd_build(
+                args.input, args.output, _params_from_args(args), args.threads,
+                args.binary_keys,
             )
-            return cmd_build(spec)
         if args.command == "query":
             return cmd_query(args.file)
         if args.command == "bench":
-            params = ChunkedParams(
-                epsilon=args.eps,
-                L=args.block_len,
-                r=args.value_bits,
-                C=args.chunk_size,
-                max_retries=args.retries,
-                base_seed=args.seed,
-                force_leading_one=args.force_leading_one,
-            )
-            return cmd_bench(args.m, params, args.seed, threads=args.threads)
+            return cmd_bench(args.m, _params_from_args(args), args.seed, threads=args.threads)
         if args.command == "simulate":
             return cmd_simulate(args)
     except RetriesExhausted as exc:

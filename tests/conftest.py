@@ -7,9 +7,10 @@ independent of the word-packed production code paths they check.
 from __future__ import annotations
 
 import random
+from typing import NamedTuple
 
-from bandset.band_solver import BandRow, BandSystem, eliminate, solve, sort_rows
-from bandset.bitkit import BitVec, Block
+from bandset.band_solver import eliminate, solve, verify
+from bandset.bitkit import BitVec
 
 
 def naive_xor_window(dst_bits: list[int], offset: int, src_bits: list[int]) -> list[int]:
@@ -38,26 +39,92 @@ def bits_of(bv: BitVec) -> list[int]:
     return [bv.get_bit(i) for i in range(bv.length)]
 
 
+class RandomSystem(NamedTuple):
+    """A random band system as the solver takes it (start-sorted lists)
+    plus its rows as drawn, as (start, pattern, rhs) triples."""
+
+    n: int
+    L: int
+    r: int
+    starts: list[int]
+    patterns: list[int]
+    rhs: list[int]
+    drawn: list[tuple[int, int, int]]
+
+    @property
+    def m(self) -> int:
+        return len(self.starts)
+
+
 def random_band_system(
     rnd: random.Random, n: int, L: int, m: int, r: int = 1
-) -> BandSystem:
-    rows = []
+) -> RandomSystem:
+    drawn = []
     for _ in range(m):
         start = rnd.randint(1, n)
         bits = rnd.getrandbits(L)
         rhs = rnd.getrandbits(r)
-        rows.append(BandRow(start, Block(bits, L), rhs))
-    return BandSystem(n, L, r, rows)
+        drawn.append((start, bits, rhs))
+    rows = sorted(drawn, key=lambda row: row[0])  # stable: ties keep draw order
+    return RandomSystem(
+        n, L, r, [s for s, _, _ in rows], [b for _, b, _ in rows], [v for _, _, v in rows], drawn
+    )
 
 
-def eliminate_system(sys_: BandSystem):
-    """Forward elimination of a hand-built system, through sort_rows."""
-    return eliminate(*sort_rows(sys_), sys_.L)
+def eliminate_system(sys_: RandomSystem):
+    """Forward elimination of copies of a random system's rows."""
+    return eliminate(list(sys_.starts), list(sys_.patterns), list(sys_.rhs), sys_.L)
 
 
-def solve_system(sys_: BandSystem):
-    """The r planes solving a hand-built system, or None, through sort_rows."""
-    return solve(sys_.n, sys_.L, sys_.r, *sort_rows(sys_))
+def solve_system(sys_: RandomSystem):
+    """The r planes solving a random system, or None; the system's own
+    lists stay untouched."""
+    return solve(sys_.n, sys_.L, sys_.r, list(sys_.starts), list(sys_.patterns), list(sys_.rhs))
+
+
+def verify_system(sys_: RandomSystem, planes) -> bool:
+    return verify(sys_.n, sys_.L, sys_.starts, sys_.patterns, sys_.rhs, planes)
+
+
+def reference_coin_elimination(starts: list[int], patterns: list[int], L: int):
+    """Sorted elimination one bit at a time that records each row's coins
+    as it picks the pivot: (pivots, transcripts), both cut after a row
+    that cancels to zero (its pivot is 0).
+
+    Row i scans its window left to right, skipping columns an earlier row
+    took as pivot; each scanned bit is a coin, and the first 1 is the
+    pivot. The row is then added, bit by bit, into every later row that
+    starts at or before the pivot and holds a 1 there.
+    """
+    rows = [[(bits >> j) & 1 for j in range(L)] for bits in patterns]
+    taken: set[int] = set()
+    pivots: list[int] = []
+    transcripts: list[list[int]] = []
+    for i, start in enumerate(starts):
+        coins = []
+        piv = 0
+        for off in range(L):
+            if start + off in taken:
+                continue
+            coins.append(rows[i][off])
+            if rows[i][off]:
+                piv = start + off
+                break
+        pivots.append(piv)
+        transcripts.append(coins)
+        if piv == 0:
+            break
+        taken.add(piv)
+        for i2 in range(i + 1, len(starts)):
+            s2 = starts[i2]
+            if s2 > piv:
+                break
+            if rows[i2][piv - s2]:
+                for off in range(L):
+                    if rows[i][off]:
+                        assert start + off >= s2, "addition spills left of the window"
+                        rows[i2][start + off - s2] ^= 1
+    return pivots, transcripts
 
 
 def make_pairs(m: int, r: int = 1, tag: str = "key") -> list[tuple[bytes, int]]:

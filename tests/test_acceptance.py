@@ -19,7 +19,7 @@ from bandset.analysis_sim import (
     simulate_x,
     simulate_z,
 )
-from bandset.band_solver import dense_rank_oracle, verify
+from bandset.band_solver import dense_rank_oracle
 from bandset.bitkit import CountingWords
 from bandset.cli import synthetic_pairs
 from bandset.retrieval_chunked import (
@@ -31,7 +31,7 @@ from bandset.retrieval_chunked import (
     serialize,
 )
 
-from conftest import make_pairs, random_band_system, solve_system
+from conftest import make_pairs, random_band_system, solve_system, verify_system
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -57,7 +57,7 @@ def small_system_suite():
         m = rnd.randint(1, n)
         sys_ = random_band_system(rnd, n, L, m)
         table = solve_system(sys_)
-        rank = dense_rank_oracle(sys_)
+        rank = dense_rank_oracle(n, L, sys_.starts, sys_.patterns)
         results.append((sys_, table, rank))
     elapsed = time.perf_counter() - t0
     return results, elapsed
@@ -72,7 +72,7 @@ def coupling_suite():
         got = 0
         while got < want:
             sys_ = random_band_system(rnd, n, L, m)
-            rep = coupled_replay(sys_)
+            rep = coupled_replay(n, L, sys_.starts, sys_.patterns)
             if rep is None:
                 continue
             runs.append(rep)
@@ -120,7 +120,7 @@ def test_criterion_01_solver_matches_rank_oracle(small_system_suite):
 def test_criterion_02_solutions_verify(small_system_suite):
     results, _ = small_system_suite
     solved = [(s, t) for s, t, _ in results if t is not None]
-    bad = sum(not verify(s, t) for s, t in solved)
+    bad = sum(not verify_system(s, t) for s, t in solved)
     ok = bad == 0 and len(solved) > 100
     report(2, "every successful solve satisfies A*z = b", ok,
            f"{len(solved)} solved systems, {bad} verification failures")

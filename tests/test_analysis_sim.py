@@ -8,6 +8,7 @@ from bandset.analysis_sim import (
     RandomCoins,
     TranscriptCoins,
     TranscriptExhausted,
+    coin_transcripts,
     coupled_poissonised_runs,
     coupled_replay,
     draw_poissonised_input,
@@ -22,10 +23,9 @@ from bandset.analysis_sim import (
     simulate_z,
     tail_estimate,
 )
-from bandset.band_solver import BandRow, BandSystem
-from bandset.bitkit import Block
+from bandset.band_solver import eliminate
 
-from conftest import random_band_system
+from conftest import random_band_system, reference_coin_elimination
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +113,10 @@ def test_heights_rejects_bad_input():
 
 
 def test_coupled_replay_diagonal_no_collisions():
-    rows = [BandRow(s, Block(0b1, 4), 0) for s in (1, 3, 5, 7)]
-    sys_ = BandSystem(8, 4, 1, rows)
-    rep = coupled_replay(sys_)
+    rep = coupled_replay(8, 4, [1, 3, 5, 7], [0b1] * 4)
     assert rep is not None
     out, trace = rep
-    assert out.coin_transcripts == [[1]] * 4
+    assert coin_transcripts(out, 4) == [[1]] * 4
     assert trace.positions == [1, 3, 5, 7] == out.pivots
     assert trace.sum_heights == 0
 
@@ -128,7 +126,7 @@ def test_coupled_replay_positions_equal_pivots():
     checked = 0
     while checked < 300:
         sys_ = random_band_system(rnd, 120, 16, 100)
-        rep = coupled_replay(sys_)
+        rep = coupled_replay(sys_.n, sys_.L, sys_.starts, sys_.patterns)
         if rep is None:
             continue
         checked += 1
@@ -138,8 +136,39 @@ def test_coupled_replay_positions_equal_pivots():
 
 
 def test_coupled_replay_failure_returns_none():
-    sys_ = BandSystem(2, 2, 1, [BandRow(1, Block(3, 2), 1), BandRow(1, Block(3, 2), 0)])
-    assert coupled_replay(sys_) is None
+    assert coupled_replay(2, 2, [1, 1], [0b11, 0b11]) is None
+
+
+def test_coupled_replay_leaves_its_rows_alone():
+    rnd = random.Random(9)
+    sys_ = random_band_system(rnd, 40, 8, 30)
+    starts, patterns = list(sys_.starts), list(sys_.patterns)
+    coupled_replay(sys_.n, sys_.L, starts, patterns)
+    assert starts == sys_.starts and patterns == sys_.patterns
+
+
+def test_derived_transcripts_match_coin_recording_elimination():
+    """coupled_replay reads each row's coins off the finished elimination;
+    a reference that records them bit by bit while it eliminates must
+    agree on every transcript and pivot, failed systems included."""
+    rnd = random.Random(10)
+    shapes = [(16, 4, 10), (40, 8, 32), (60, 20, 57), (50, 70, 48), (30, 130, 29)]
+    replayed = failed = 0
+    for k in range(300):
+        n, L, m = shapes[k % len(shapes)]
+        sys_ = random_band_system(rnd, n, L, m)
+        pivots, transcripts = reference_coin_elimination(sys_.starts, sys_.patterns, L)
+        out = eliminate(list(sys_.starts), list(sys_.patterns), [0] * m, L)
+        assert coin_transcripts(out, L) == transcripts
+        assert out.pivots[: len(pivots)] == pivots
+        rep = coupled_replay(n, L, sys_.starts, sys_.patterns)
+        if 0 in pivots:
+            assert rep is None
+            failed += 1
+            continue
+        replayed += 1
+        assert rep[0].pivots == pivots == rep[1].positions
+    assert replayed > 150 and failed > 50
 
 
 # ---------------------------------------------------------------------------

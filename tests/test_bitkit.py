@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from bandset.bitkit import BitVec, Block, CountingWords, dot_window, xor_window
+from bandset.bitkit import BitVec, CountingWords, dot_window, xor_window
 
 from conftest import bits_of, bitvec_from_bits, naive_dot_window, naive_xor_window
 
@@ -81,12 +81,12 @@ def test_xor_window_time_is_linear_in_source_bits():
 
 
 def test_dot_window_examples():
-    # window 101 vs pattern 110: AND = 100, parity 1
-    assert dot_window(bitvec_from_bits([1, 0, 1]), 0, Block.from_string("110").bits, 3) == 1
+    # window 101 vs pattern 110 (bits in index order): AND = 100, parity 1
+    assert dot_window(bitvec_from_bits([1, 0, 1]), 0, 0b011, 3) == 1
     # all-zero pattern annihilates anything
     assert dot_window(bitvec_from_bits([1, 1, 1]), 0, 0, 3) == 0
     # 111 vs 111: popcount 3, parity 1
-    assert dot_window(bitvec_from_bits([1, 1, 1]), 0, Block.from_string("111").bits, 3) == 1
+    assert dot_window(bitvec_from_bits([1, 1, 1]), 0, 0b111, 3) == 1
 
 
 def test_dot_window_matches_reference():
@@ -152,10 +152,3 @@ def test_bitvec_set_clear():
     with pytest.raises(IndexError):
         bv.get_bit(70)
 
-
-def test_block_validation():
-    with pytest.raises(ValueError):
-        Block(0, 0)
-    with pytest.raises(ValueError):
-        Block(4, 2)  # bits exceed length
-    assert Block.from_string("011").bits == 0b110

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import struct
@@ -203,6 +204,18 @@ def test_simulate_coupling_positions_match(capsys):
     assert all(row[bound_idx] == "true" for row in successes)
 
 
+def test_simulate_coupling_golden_digest(capsys):
+    """The same seed draws the same systems, ties on start in draw order,
+    and reports the same additions and heights; a deliberate change to
+    the draw or the coupling updates the digest."""
+    code, out, _ = run(
+        ["simulate", "coupling", "--m", "300", "--trials", "25", "--seed", "2"], capsys
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "65c2dfb0e737337453673fd88d53cdd4a47aee07d319240637d47bd704da310c"
+
+
 def test_simulate_sweep_mean_height_decreasing(capsys):
     code, out, _ = run(
         ["simulate", "sweep", "--n", "4000", "--eps-list", "0.05,0.1,0.2",
@@ -236,3 +249,39 @@ def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
     run(["build", str(inp), str(out3), "--seed", "1"], capsys)
     assert out1.read_bytes() == out2.read_bytes()
     assert out1.read_bytes() != out3.read_bytes()
+
+
+def test_malformed_env_seed_exits_2_naming_it(tmp_path, capsys, monkeypatch):
+    inp = tmp_path / "in.tsv"
+    write_tsv(inp, [("a", "1")])
+    monkeypatch.setenv("BANDSET_SEED", "abc")
+    code, _, stderr = run(["build", str(inp), str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert "BANDSET_SEED" in stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_query_ignores_malformed_env_seed(tmp_path, capsys, monkeypatch):
+    inp = tmp_path / "in.tsv"
+    out = tmp_path / "ds.bin"
+    write_tsv(inp, [("apple", "1"), ("banana", "0")])
+    assert run(["build", str(inp), str(out), "--seed", "6"], capsys)[0] == 0
+    monkeypatch.setenv("BANDSET_SEED", "abc")
+    monkeypatch.setattr("sys.stdin", io.StringIO("apple\nbanana\n"))
+    code, stdout, _ = run(["query", str(out)], capsys)
+    assert code == 0
+    assert stdout.splitlines() == ["1", "0"]
+
+
+@pytest.mark.parametrize("kind,flags", [
+    ("coupling", ["--eps", "1"]),
+    ("coupling", ["--eps", "0"]),
+    ("coupling", ["--eps", "-0.5"]),
+    ("coupling", ["--block-len", "0"]),
+    ("cfrh", ["--block-len", "-3"]),
+])
+def test_simulate_rejects_bad_slack_and_block_len(kind, flags, capsys):
+    code, stdout, stderr = run(["simulate", kind, "--m", "50", "--trials", "1", *flags], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert flags[0] in stderr
