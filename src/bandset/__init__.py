@@ -5,32 +5,12 @@ solve the resulting near-band system with a sorted forward elimination, and
 answer queries with one windowed dot product against the solution table.
 Chunking splits the key set with a first-level hash so chunks build
 independently and queries stay within one short memory window.
+
+The package root is the retrieval API: build, query, save and load. The
+lower layers (``row_gen``, ``band_solver``, ``bitkit``) and the model
+checks (``analysis_sim``) are imported from their modules.
 """
 
-from .analysis_sim import (
-    CFRHTrace,
-    KeyCellCoins,
-    PoissonisedInput,
-    QueueTrace,
-    RandomCoins,
-    TranscriptCoins,
-    TranscriptExhausted,
-    coupled_poissonised_runs,
-    coupled_replay,
-    draw_poissonised_input,
-    fit_tail_rate,
-    heights_from_pivots,
-    make_rng,
-    mdone_mean,
-    poissonised_cfrh,
-    run_cfrh,
-    sample_poisson,
-    simulate_x,
-    simulate_z,
-    tail_estimate,
-)
-from .band_solver import EliminationOutcome, back_substitute, eliminate, solve, verify
-from .bitkit import BitVec, dot_window, xor_window
 from .retrieval_chunked import (
     ChunkDirectory,
     ChunkedParams,
@@ -42,52 +22,9 @@ from .retrieval_chunked import (
     query_chunked,
     serialize,
 )
+from .retrieval_chunked import __all__ as _retrieval_names
 from .retrieval_flat import ConstructError, DuplicateKey, RetriesExhausted
-from .row_gen import chunk_for_key, row_for_key
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BitVec",
-    "CFRHTrace",
-    "ChunkDirectory",
-    "ChunkedParams",
-    "ChunkedRetrieval",
-    "ConstructError",
-    "DuplicateKey",
-    "EliminationOutcome",
-    "FormatError",
-    "KeyCellCoins",
-    "PoissonisedInput",
-    "QueueTrace",
-    "RandomCoins",
-    "RetriesExhausted",
-    "TranscriptCoins",
-    "TranscriptExhausted",
-    "back_substitute",
-    "chunk_for_key",
-    "construct_chunked",
-    "coupled_poissonised_runs",
-    "coupled_replay",
-    "deserialize",
-    "dot_window",
-    "draw_poissonised_input",
-    "eliminate",
-    "fit_tail_rate",
-    "heights_from_pivots",
-    "make_rng",
-    "mdone_mean",
-    "overhead",
-    "poissonised_cfrh",
-    "query_chunked",
-    "row_for_key",
-    "run_cfrh",
-    "sample_poisson",
-    "serialize",
-    "simulate_x",
-    "simulate_z",
-    "solve",
-    "tail_estimate",
-    "verify",
-    "xor_window",
-]
+__all__ = [*_retrieval_names, "ConstructError", "DuplicateKey", "RetriesExhausted"]

@@ -245,25 +245,6 @@ def _poisson_cdf(lam: float) -> np.ndarray:
     return np.cumsum(terms)
 
 
-def sample_poisson(lam: float, rng: np.random.Generator) -> int:
-    """One Poisson draw by sequential inversion."""
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    if lam == 0:
-        return 0
-    u = rng.random()
-    p = math.exp(-lam)
-    cum = p
-    k = 0
-    while u > cum:
-        k += 1
-        p *= lam / k
-        cum += p
-        if p == 0.0:  # beyond double range; mass here is ~0
-            break
-    return k
-
-
 def _poisson_array(lam: float, size: int, rng: np.random.Generator) -> np.ndarray:
     if lam == 0:
         return np.zeros(size, dtype=np.int64)
@@ -281,8 +262,6 @@ class QueueTrace:
 
     states: np.ndarray
     arrivals: np.ndarray
-    rho: float
-    kind: str
 
 
 def _lindley(arrivals: np.ndarray) -> np.ndarray:
@@ -314,7 +293,7 @@ def simulate_x(
         d = _poisson_array(lam, steps, rng)
     states = _lindley(d)
     arrivals = np.concatenate(([0], d))
-    return QueueTrace(states, arrivals, lam, "X")
+    return QueueTrace(states, arrivals)
 
 
 def simulate_z(
@@ -338,7 +317,7 @@ def simulate_z(
     states[0] = 0
     states[1:] = x[:-1] + d
     arrivals = np.concatenate(([0], d))
-    return QueueTrace(states, arrivals, rho, "Z")
+    return QueueTrace(states, arrivals)
 
 
 def mdone_mean(rho: float) -> float:
@@ -377,20 +356,11 @@ def fit_tail_rate(trace: QueueTrace, k_lo: int = 5, k_hi: int = 50) -> float:
 # Poissonised insertion
 
 
-@dataclass(slots=True)
-class PoissonisedInput:
-    """Per-cell arrival counts k_j ~ Poisson(1 - eps') and their total."""
-
-    counts: np.ndarray
-    m_prime: int
-    epsilon_prime: float
-
-
 def draw_poissonised_input(
     n: int, epsilon_prime: float, rng: np.random.Generator
-) -> PoissonisedInput:
-    counts = _poisson_array(1.0 - epsilon_prime, n, rng)
-    return PoissonisedInput(counts, int(counts.sum()), epsilon_prime)
+) -> np.ndarray:
+    """Per-cell arrival counts k_j ~ Poisson(1 - eps') for cells 1..n."""
+    return _poisson_array(1.0 - epsilon_prime, n, rng)
 
 
 def poissonised_cfrh(
@@ -398,8 +368,8 @@ def poissonised_cfrh(
 ) -> CFRHTrace:
     """Draw per-cell Poisson arrivals, expand to a sorted hash multiset,
     and run the coin-flipping insertion with fresh coins."""
-    inp = draw_poissonised_input(n, epsilon_prime, rng)
-    hs = np.repeat(np.arange(1, n + 1), inp.counts)
+    counts = draw_poissonised_input(n, epsilon_prime, rng)
+    hs = np.repeat(np.arange(1, n + 1), counts)
     return run_cfrh(hs.tolist(), RandomCoins(rng), L, n=n)
 
 
@@ -422,10 +392,10 @@ def coupled_poissonised_runs(
         raise ValueError("epsilon_prime too large for this n")
     h_ord = np.sort(rng.integers(1, n + 1, size=m))
     while True:
-        inp = draw_poissonised_input(n, epsilon_prime, rng)
-        if inp.m_prime >= m:
+        m_prime = int(draw_poissonised_input(n, epsilon_prime, rng).sum())
+        if m_prime >= m:
             break
-    extras = rng.integers(1, n + 1, size=inp.m_prime - m)
+    extras = rng.integers(1, n + 1, size=m_prime - m)
     merged = sorted(
         [(int(h), i) for i, h in enumerate(h_ord)]
         + [(int(h), m + i) for i, h in enumerate(extras)]

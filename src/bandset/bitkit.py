@@ -100,28 +100,3 @@ def dot_window(z: BitVec, offset: int, bits: int, L: int) -> int:
     window = (acc >> shift) & ((1 << L) - 1)
     return (window & bits).bit_count() & 1
 
-
-class CountingWords(list):
-    """Drop-in word list that records every index read and written.
-
-    Swap it in for ``BitVec.words`` (or any plain word list) to verify the
-    contiguous-access contracts: ``reads``/``writes`` accumulate indices in
-    access order.
-    """
-
-    def __init__(self, iterable=()):
-        super().__init__(iterable)
-        self.reads: list[int] = []
-        self.writes: list[int] = []
-
-    def __getitem__(self, i):
-        self.reads.append(i)
-        return super().__getitem__(i)
-
-    def __setitem__(self, i, value):
-        self.writes.append(i)
-        super().__setitem__(i, value)
-
-    def reset(self) -> None:
-        self.reads.clear()
-        self.writes.clear()

@@ -151,13 +151,13 @@ def synthetic_pairs(m: int, r: int, seed: int) -> list[tuple[bytes, int]]:
 
 
 def _build_report(ds: ChunkedRetrieval, construct_seconds: float) -> dict:
-    """What `build` reports: size, parameters, overhead, build time and the
-    per-chunk retry histogram."""
+    """What `build` reports: size, parameters, overhead (None when empty),
+    build time and the per-chunk retry histogram."""
     hist = Counter(ds.directory.seeds)
     return {
         "m": ds.m,
         "params": _params_dict(ds.params),
-        "overhead": overhead(ds) if ds.m else float("nan"),
+        "overhead": overhead(ds) if ds.m else None,
         "construct_ns_per_key": construct_seconds * 1e9 / max(ds.m, 1),
         "retries_histogram": {str(k): v for k, v in sorted(hist.items())},
     }
@@ -324,6 +324,8 @@ def cmd_simulate(args, out_stream=None) -> int:
         raise InputError("--eps must be in (0, 1)")
     if args.block_len < 1:
         raise InputError("--block-len must be >= 1")
+    if args.kind in ("cfrh", "sweep") and args.n < 1:
+        raise InputError("--n must be >= 1")
     out = out_stream if out_stream is not None else sys.stdout
     dispatch = {
         "cfrh": _simulate_cfrh,

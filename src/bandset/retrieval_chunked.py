@@ -16,9 +16,10 @@ import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 from .bitkit import BitVec, dot_window, xor_window
-from .retrieval_flat import RetriesExhausted, construct_flat, normalize_pairs
+from .retrieval_flat import construct_flat, normalize_pairs
 from .row_gen import MASK64, chunk_for_key, row_for_key
 
 __all__ = [
@@ -117,7 +118,8 @@ def num_chunks_for(m: int, C: int) -> int:
 def construct_chunked(pairs, params: ChunkedParams, threads: int = 1) -> ChunkedRetrieval:
     """Normalize once, partition, solve each chunk, concatenate.
 
-    RetriesExhausted is re-raised with the failing chunk index attached.
+    Raises RetriesExhausted naming the first chunk (in chunk order) that
+    no retry could solve.
     """
     mapping = normalize_pairs(pairs, params.r)
     m = len(mapping)
@@ -126,17 +128,11 @@ def construct_chunked(pairs, params: ChunkedParams, threads: int = 1) -> Chunked
     for key, value in mapping.items():
         buckets[chunk_for_key(key, params.base_seed, num_chunks)].append((key, value))
 
-    def build(k: int) -> tuple[int, int, list[BitVec]]:
-        try:
-            return construct_flat(buckets[k], params)
-        except RetriesExhausted as exc:
-            raise RetriesExhausted(exc.retries, chunk=k) from None
-
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(build, range(num_chunks)))
+            chunks = list(pool.map(construct_flat, buckets, repeat(params), range(num_chunks)))
     else:
-        chunks = [build(k) for k in range(num_chunks)]
+        chunks = [construct_flat(buckets[k], params, k) for k in range(num_chunks)]
 
     offsets = [0]
     for _, n, _ in chunks:

@@ -32,9 +32,8 @@ class DuplicateKey(ConstructError):
 
 
 class RetriesExhausted(ConstructError):
-    def __init__(self, retries: int, chunk: int | None = None):
-        where = f" in chunk {chunk}" if chunk is not None else ""
-        super().__init__(f"construction failed after {retries} retries{where}")
+    def __init__(self, retries: int, chunk: int):
+        super().__init__(f"construction failed after {retries} retries in chunk {chunk}")
         self.retries = retries
         self.chunk = chunk
 
@@ -70,19 +69,16 @@ def positions_for(m: int, epsilon: float) -> int:
 
 
 def construct_flat(
-    items: list[tuple[bytes, int]], params: ChunkedParams
+    items: list[tuple[bytes, int]], params: ChunkedParams, chunk: int
 ) -> tuple[int, int, list[BitVec]]:
-    """Solve one chunk: retry seeds until its band system solves.
+    """Solve chunk ``chunk``: retry seeds until its band system solves.
 
     ``items`` are the chunk's (key, value) pairs, already normalized.
     Returns (winning retry, n, planes); each of the r planes is n + L - 1
-    bits long. Raises RetriesExhausted when every retry produced a
-    dependent system.
+    bits long. Raises RetriesExhausted naming the chunk when every retry
+    produced a dependent system.
     """
     n = positions_for(len(items), params.epsilon)
-    if not items:
-        return 0, n, [BitVec(n + params.L - 1) for _ in range(params.r)]
-
     L, r, base_seed, lead = params.L, params.r, params.base_seed, params.force_leading_one
     for retry in range(params.max_retries):
         rows = []
@@ -95,4 +91,4 @@ def construct_flat(
         planes = solve(n, L, r, [t[0] for t in rows], [t[1] for t in rows], [t[3] for t in rows])
         if planes is not None:
             return retry, n, planes
-    raise RetriesExhausted(params.max_retries)
+    raise RetriesExhausted(params.max_retries, chunk)

@@ -39,6 +39,32 @@ def bits_of(bv: BitVec) -> list[int]:
     return [bv.get_bit(i) for i in range(bv.length)]
 
 
+class CountingWords(list):
+    """Drop-in word list that records every index read and written.
+
+    Swap it in for ``BitVec.words`` or ``ChunkDirectory.packed`` to check
+    the contiguous-access contracts: ``reads``/``writes`` accumulate
+    indices in access order.
+    """
+
+    def __init__(self, iterable=()):
+        super().__init__(iterable)
+        self.reads: list[int] = []
+        self.writes: list[int] = []
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return super().__getitem__(i)
+
+    def __setitem__(self, i, value):
+        self.writes.append(i)
+        super().__setitem__(i, value)
+
+    def reset(self) -> None:
+        self.reads.clear()
+        self.writes.clear()
+
+
 class RandomSystem(NamedTuple):
     """A random band system as the solver takes it (start-sorted lists)
     plus its rows as drawn, as (start, pattern, rhs) triples."""

@@ -20,7 +20,6 @@ from bandset.analysis_sim import (
     simulate_z,
 )
 from bandset.band_solver import dense_rank_oracle
-from bandset.bitkit import CountingWords
 from bandset.cli import synthetic_pairs
 from bandset.retrieval_chunked import (
     ChunkedParams,
@@ -31,7 +30,13 @@ from bandset.retrieval_chunked import (
     serialize,
 )
 
-from conftest import make_pairs, random_band_system, solve_system, verify_system
+from conftest import (
+    CountingWords,
+    make_pairs,
+    random_band_system,
+    solve_system,
+    verify_system,
+)
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -18,7 +18,6 @@ from bandset.analysis_sim import (
     mdone_mean,
     poissonised_cfrh,
     run_cfrh,
-    sample_poisson,
     simulate_x,
     simulate_z,
     tail_estimate,
@@ -176,24 +175,21 @@ def test_derived_transcripts_match_coin_recording_elimination():
 
 
 def test_poisson_zero_rate():
-    rng = make_rng(1)
-    assert all(sample_poisson(0.0, rng) == 0 for _ in range(100))
+    # eps' = 1 is arrival rate 1 - eps' = 0
+    assert not draw_poissonised_input(100, 1.0, make_rng(1)).any()
 
 
 def test_poisson_moments():
-    rng = make_rng(2)
     lam = 0.95
-    n = 1_000_000
-    samples = np.fromiter(
-        (sample_poisson(lam, rng) for _ in range(n)), dtype=np.int64, count=n
-    )
+    samples = draw_poissonised_input(1_000_000, 1.0 - lam, make_rng(2))
     assert abs(samples.mean() - lam) < 0.005
     assert abs(samples.var() - lam) / lam < 0.01
 
 
 def test_poisson_negative_rate_rejected():
+    # eps' > 1 is a negative arrival rate
     with pytest.raises(ValueError):
-        sample_poisson(-0.1, make_rng(0))
+        draw_poissonised_input(10, 1.1, make_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +263,8 @@ def test_tail_rate_fit_reported():
 
 
 def test_poissonised_input_counts():
-    inp = draw_poissonised_input(5_000, 0.1, make_rng(14))
-    assert inp.m_prime == int(inp.counts.sum())
-    assert abs(inp.counts.mean() - 0.9) < 0.02
+    counts = draw_poissonised_input(5_000, 0.1, make_rng(14))
+    assert abs(counts.mean() - 0.9) < 0.02
 
 
 def test_poissonised_cfrh_zero_rate_is_empty():

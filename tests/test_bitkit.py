@@ -4,9 +4,15 @@ import time
 
 import pytest
 
-from bandset.bitkit import BitVec, CountingWords, dot_window, xor_window
+from bandset.bitkit import BitVec, dot_window, xor_window
 
-from conftest import bits_of, bitvec_from_bits, naive_dot_window, naive_xor_window
+from conftest import (
+    CountingWords,
+    bits_of,
+    bitvec_from_bits,
+    naive_dot_window,
+    naive_xor_window,
+)
 
 
 def test_xor_window_basic_example():

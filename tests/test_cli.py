@@ -57,7 +57,20 @@ def test_build_does_not_query_its_keys(tmp_path, capsys, monkeypatch):
     assert all(query_chunked(ds, k.encode()) == int(v, 16) for k, v in rows)
 
 
-@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_empty_build_report_is_strict_json(tmp_path, capsys):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    inp = tmp_path / "empty.tsv"
+    inp.write_text("")
+    code, stdout, _ = run(["build", str(inp), str(tmp_path / "o")], capsys)
+    assert code == 0
+    report = json.loads(stdout, parse_constant=reject)
+    assert report["m"] == 0
+    assert report["overhead"] is None
+
+
+@pytest.mark.parametrize("seed",["-1", str(1 << 64)])
 def test_build_seed_outside_64_bits_exits_2(seed, tmp_path, capsys):
     inp = tmp_path / "in.tsv"
     write_tsv(inp, [("a", "1")])
@@ -279,6 +292,10 @@ def test_query_ignores_malformed_env_seed(tmp_path, capsys, monkeypatch):
     ("coupling", ["--eps", "-0.5"]),
     ("coupling", ["--block-len", "0"]),
     ("cfrh", ["--block-len", "-3"]),
+    ("cfrh", ["--n", "0", "--block-len", "1"]),
+    ("cfrh", ["--n", "-5"]),
+    ("sweep", ["--n", "0", "--block-len", "1"]),
+    ("sweep", ["--n", "-5"]),
 ])
 def test_simulate_rejects_bad_slack_and_block_len(kind, flags, capsys):
     code, stdout, stderr = run(["simulate", kind, "--m", "50", "--trials", "1", *flags], capsys)

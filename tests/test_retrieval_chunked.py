@@ -1,11 +1,14 @@
 import hashlib
 import math
 import random
+import struct
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bandset.bitkit import BitVec, CountingWords
+from bandset.bitkit import BitVec
 from bandset.retrieval_chunked import (
     ChunkDirectory,
     ChunkedParams,
@@ -20,7 +23,7 @@ from bandset.retrieval_chunked import (
 from bandset.retrieval_flat import DuplicateKey, RetriesExhausted
 from bandset.row_gen import chunk_for_key
 
-from conftest import make_pairs
+from conftest import CountingWords, make_pairs
 
 
 def build(m, **kw):
@@ -212,6 +215,44 @@ def test_deserialize_rejects_corruption():
             deserialize(bytes(tail))
 
 
+# v1 header: magic, version, flags, r, L, epsilon, C, m, num_chunks, base_seed
+_HEADER = struct.Struct("<4sHHHHdQQQQ")
+_U16 = st.integers(0, (1 << 16) - 1)
+_U64 = st.one_of(st.sampled_from([0, 1, (1 << 64) - 1]), st.integers(0, (1 << 64) - 1))
+_EPSILON = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1.0]), st.floats())
+_HEADER_FIELDS = [st.binary(min_size=4, max_size=4), _U16, _U16, _U16, _U16, _EPSILON,
+                  _U64, _U64, _U64, _U64]
+_FUZZ_BLOB = serialize(construct_chunked(
+    make_pairs(60, r=2, tag="fuzz"), ChunkedParams(epsilon=0.1, L=16, r=2, C=20, base_seed=7)
+))
+
+
+@st.composite
+def _damaged_blobs(draw):
+    blob = bytearray(_FUZZ_BLOB)
+    how = draw(st.sampled_from(["truncate", "flip", "header"]))
+    if how == "truncate":
+        return bytes(blob[: draw(st.integers(0, len(blob) - 1))])
+    if how == "flip":
+        for bit in draw(st.lists(st.integers(0, 8 * len(blob) - 1), min_size=1, max_size=4)):
+            blob[bit >> 3] ^= 1 << (bit & 7)
+        return bytes(blob)
+    fields = list(_HEADER.unpack_from(blob))
+    i = draw(st.integers(0, len(fields) - 1))
+    fields[i] = draw(_HEADER_FIELDS[i])
+    return _HEADER.pack(*fields) + bytes(blob[_HEADER.size :])
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(_damaged_blobs())
+def test_deserialize_fuzz_loads_or_raises_format_error(blob):
+    try:
+        ds = deserialize(blob)
+    except FormatError:
+        return
+    assert 0 <= query_chunked(ds, b"fuzz-probe") < (1 << ds.params.r)
+
+
 def test_input_order_never_changes_serialized_output():
     pairs = make_pairs(4_000)
     params = ChunkedParams(epsilon=0.1, L=64, C=500, base_seed=55)
@@ -274,11 +315,14 @@ def test_multiword_blocks_end_to_end():
 
 
 def test_retries_exhausted_reports_chunk():
+    # one-bit blocks make every chunk fail; the first in chunk order is reported
     pairs = make_pairs(200)
     params = ChunkedParams(epsilon=0.02, L=1, C=50, max_retries=2, base_seed=3)
-    with pytest.raises(RetriesExhausted) as exc_info:
-        construct_chunked(pairs, params)
-    assert exc_info.value.chunk is not None
+    for threads in (1, 2):
+        with pytest.raises(RetriesExhausted) as exc_info:
+            construct_chunked(pairs, params, threads=threads)
+        assert exc_info.value.chunk == 0
+        assert "in chunk 0" in str(exc_info.value)
 
 
 def _round_trip_seconds(plane_bits: int) -> float:
