@@ -89,19 +89,32 @@ def back_substitute(out: EliminationOutcome, n: int, L: int, r: int) -> list[Bit
     first.
 
     Every non-pivot position stays 0; each pivot position gets the window
-    dot of the already-filled suffix XOR the row's right-hand side.
+    dot of the already-filled suffix XOR the row's right-hand side. Each
+    plane's window [start - 1, start - 1 + L) is kept as an L-bit int that
+    slides down as the start decreases: the bits it shifts in are still 0,
+    because every pivot so far lies at or above its row's start.
     """
     if not out.success:
         raise ValueError("cannot back-substitute a failed elimination")
     width = n + L - 1
     planes = [BitVec(width) for _ in range(r)]
-    for i in range(len(out.starts) - 1, -1, -1):
-        offset = out.starts[i] - 1
-        bits = out.patterns[i]
-        rhs = out.rhs[i]
+    words = [plane.words for plane in planes]
+    windows = [0] * r
+    mask = (1 << L) - 1
+    offset = width
+    starts, pivots, patterns, rhs = out.starts, out.pivots, out.patterns, out.rhs
+    for i in range(len(starts) - 1, -1, -1):
+        shift = offset - starts[i] + 1
+        offset -= shift
+        bits = patterns[i]
+        rhs_i = rhs[i]
+        p = pivots[i] - 1
         for t in range(r):
-            if dot_window(planes[t], offset, bits, L) ^ ((rhs >> t) & 1):
-                planes[t].set_bit(out.pivots[i] - 1)
+            w = (windows[t] << shift) & mask
+            if ((w & bits).bit_count() ^ (rhs_i >> t)) & 1:
+                w |= 1 << (p - offset)
+                words[t][p >> 6] |= 1 << (p & 63)
+            windows[t] = w
     return planes
 
 

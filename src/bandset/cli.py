@@ -36,7 +36,7 @@ from .retrieval_chunked import (
     query_chunked,
     serialize,
 )
-from .retrieval_flat import DuplicateKey, RetriesExhausted
+from .retrieval_flat import ConstructError, DuplicateKey
 
 EXIT_OK = 0
 EXIT_CONSTRUCT = 1
@@ -98,14 +98,11 @@ def read_tsv_pairs(path: str, r: int) -> list[tuple[bytes, int]]:
     return pairs
 
 
-def read_binary_pairs(path: str, r: int) -> list[tuple[bytes, int]]:
-    """Length-prefixed records: u32 key length, key bytes, u64 value."""
-    if r > 64:
-        raise InputError("binary key mode supports r <= 64")
-    pairs = []
-    limit = 1 << r
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _binary_records(data: bytes, value_bytes: int) -> list[tuple[bytes, int]]:
+    """Length-prefixed records: u32 key length, key bytes, then a
+    ``value_bytes``-byte little-endian value (every value is 0 when
+    ``value_bytes`` is 0). Raises InputError naming a truncated record."""
+    records = []
     pos = 0
     rec = 0
     while pos < len(data):
@@ -114,15 +111,25 @@ def read_binary_pairs(path: str, r: int) -> list[tuple[bytes, int]]:
             raise InputError(f"record {rec}: truncated length prefix")
         (klen,) = struct.unpack_from("<I", data, pos)
         pos += 4
-        if pos + klen + 8 > len(data):
+        if pos + klen + value_bytes > len(data):
             raise InputError(f"record {rec}: truncated record")
         key = data[pos : pos + klen]
         pos += klen
-        (value,) = struct.unpack_from("<Q", data, pos)
-        pos += 8
+        records.append((key, int.from_bytes(data[pos : pos + value_bytes], "little")))
+        pos += value_bytes
+    return records
+
+
+def read_binary_pairs(path: str, r: int) -> list[tuple[bytes, int]]:
+    """Length-prefixed records: u32 key length, key bytes, u64 value."""
+    if r > 64:
+        raise InputError("binary key mode supports r <= 64")
+    with open(path, "rb") as fh:
+        pairs = _binary_records(fh.read(), 8)
+    limit = 1 << r
+    for rec, (_, value) in enumerate(pairs, start=1):
         if value >= limit:
             raise InputError(f"record {rec}: value does not fit in {r} bits")
-        pairs.append((key, value))
     return pairs
 
 
@@ -151,14 +158,14 @@ def synthetic_pairs(m: int, r: int, seed: int) -> list[tuple[bytes, int]]:
 
 
 def _build_report(ds: ChunkedRetrieval, construct_seconds: float) -> dict:
-    """What `build` reports: size, parameters, overhead (None when empty),
-    build time and the per-chunk retry histogram."""
+    """What `build` reports: size, parameters, overhead and build time per
+    key (both None when empty) and the per-chunk retry histogram."""
     hist = Counter(ds.directory.seeds)
     return {
         "m": ds.m,
         "params": _params_dict(ds.params),
         "overhead": overhead(ds) if ds.m else None,
-        "construct_ns_per_key": construct_seconds * 1e9 / max(ds.m, 1),
+        "construct_ns_per_key": construct_seconds * 1e9 / ds.m if ds.m else None,
         "retries_histogram": {str(k): v for k, v in sorted(hist.items())},
     }
 
@@ -178,14 +185,20 @@ def cmd_build(
     return EXIT_OK
 
 
-def cmd_query(path: str, in_stream=None, out_stream=None) -> int:
-    in_stream = in_stream if in_stream is not None else sys.stdin
+def cmd_query(path: str, in_stream=None, out_stream=None, binary_keys: bool = False) -> int:
+    """Answer keys, one per line of text or, with ``binary_keys``, one per
+    length-prefixed record of a binary stream; one hex line each."""
+    if in_stream is None:
+        in_stream = sys.stdin.buffer if binary_keys else sys.stdin
     out_stream = out_stream if out_stream is not None else sys.stdout
     with open(path, "rb") as fh:
         ds = deserialize(fh.read())
+    if binary_keys:
+        keys = (key for key, _ in _binary_records(in_stream.read(), 0))
+    else:
+        keys = (line.rstrip("\n").rstrip("\r").encode("utf-8") for line in in_stream)
     width = _hex_width(ds.params.r)
-    for line in in_stream:
-        key = line.rstrip("\n").rstrip("\r").encode("utf-8")
+    for key in keys:
         value = query_chunked(ds, key)
         out_stream.write(f"{value:0{width}x}\n")
     return EXIT_OK
@@ -193,7 +206,7 @@ def cmd_query(path: str, in_stream=None, out_stream=None) -> int:
 
 def cmd_bench(m: int, params: ChunkedParams, seed: int, threads: int = 1) -> int:
     """The build report of a synthetic build plus the time of one query
-    per key."""
+    per key (None when empty)."""
     pairs = synthetic_pairs(m, params.r, seed)
     t0 = time.perf_counter()
     ds = construct_chunked(pairs, params, threads=threads)
@@ -202,7 +215,8 @@ def cmd_bench(m: int, params: ChunkedParams, seed: int, threads: int = 1) -> int
     t0 = time.perf_counter()
     for key, _ in pairs:
         query_chunked(ds, key)
-    report["query_ns_per_key"] = (time.perf_counter() - t0) * 1e9 / max(ds.m, 1)
+    query_seconds = time.perf_counter() - t0
+    report["query_ns_per_key"] = query_seconds * 1e9 / ds.m if ds.m else None
     print(json.dumps(report, sort_keys=True))
     return EXIT_OK
 
@@ -378,6 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_query = sub.add_parser("query", help="answer keys from stdin, one per line")
     p_query.add_argument("file", help="structure file")
+    p_query.add_argument("--binary-keys", action="store_true",
+                         help="stdin is length-prefixed binary key records")
 
     p_bench = sub.add_parser("bench", help="synthetic build + full query pass")
     p_bench.add_argument("--m", type=int, required=True, help="number of keys")
@@ -411,17 +427,17 @@ def main(argv=None) -> int:
                 args.binary_keys,
             )
         if args.command == "query":
-            return cmd_query(args.file)
+            return cmd_query(args.file, binary_keys=args.binary_keys)
         if args.command == "bench":
             return cmd_bench(args.m, _params_from_args(args), args.seed, threads=args.threads)
         if args.command == "simulate":
             return cmd_simulate(args)
-    except RetriesExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCT
     except (InputError, DuplicateKey, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except ConstructError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONSTRUCT
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT

@@ -20,7 +20,14 @@ from itertools import repeat
 
 from .bitkit import BitVec, dot_window, xor_window
 from .retrieval_flat import construct_flat, normalize_pairs
-from .row_gen import MASK64, chunk_for_key, row_for_key
+from .row_gen import (
+    MASK64,
+    chunk_and_word,
+    chunks_and_words,
+    digest_keys,
+    key_digest,
+    row_for_words,
+)
 
 __all__ = [
     "ChunkedParams",
@@ -35,7 +42,7 @@ __all__ = [
 ]
 
 MAGIC = b"BSET"
-VERSION = 1
+VERSION = 2
 FLAG_FORCE_LEADING_ONE = 1
 _HEADER = struct.Struct("<4sHHHHdQQQQ")
 HEADER_BYTES = _HEADER.size  # 52
@@ -116,23 +123,32 @@ def num_chunks_for(m: int, C: int) -> int:
 
 
 def construct_chunked(pairs, params: ChunkedParams, threads: int = 1) -> ChunkedRetrieval:
-    """Normalize once, partition, solve each chunk, concatenate.
+    """Normalize once, hash every key once, partition, solve each chunk,
+    concatenate.
 
     Raises RetriesExhausted naming the first chunk (in chunk order) that
     no retry could solve.
     """
+    import numpy as np
+
     mapping = normalize_pairs(pairs, params.r)
     m = len(mapping)
     num_chunks = num_chunks_for(m, params.C)
-    buckets: list[list[tuple[bytes, int]]] = [[] for _ in range(num_chunks)]
-    for key, value in mapping.items():
-        buckets[chunk_for_key(key, params.base_seed, num_chunks)].append((key, value))
+    values = np.fromiter(mapping.values(), np.uint64 if params.r <= 64 else object, count=m)
+    digests = np.frombuffer(digest_keys(mapping, params.base_seed), dtype="<u8").reshape(m, 2)
+    del mapping  # the largest object of a build; the rest needs only the arrays
+    chunk_of, s = chunks_and_words(digests[:, 1], num_chunks)
+    order = np.argsort(chunk_of, kind="stable")
+    bounds = np.searchsorted(chunk_of, np.arange(num_chunks + 1), sorter=order).tolist()
+    s, lo, values = s[order], digests[:, 0][order], values[order]
+    del digests, chunk_of, order
+    parts = [(s[a:b], lo[a:b], values[a:b]) for a, b in zip(bounds, bounds[1:])]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(construct_flat, buckets, repeat(params), range(num_chunks)))
+            chunks = list(pool.map(construct_flat, *zip(*parts), repeat(params), range(num_chunks)))
     else:
-        chunks = [construct_flat(buckets[k], params, k) for k in range(num_chunks)]
+        chunks = [construct_flat(*part, params, k) for k, part in enumerate(parts)]
 
     offsets = [0]
     for _, n, _ in chunks:
@@ -147,19 +163,20 @@ def construct_chunked(pairs, params: ChunkedParams, threads: int = 1) -> Chunked
 
 
 def query_chunked(ds: ChunkedRetrieval, key: bytes) -> int:
-    """Two directory reads, then one windowed dot product per plane."""
+    """One hash, two directory reads, then one windowed dot product per
+    plane."""
     params = ds.params
     L = params.L
-    base_seed = params.base_seed
     directory = ds.directory
-    chunk = chunk_for_key(key, base_seed, directory.num_chunks)
+    hi, lo = key_digest(key, params.base_seed)
+    chunk, s = chunk_and_word(hi, directory.num_chunks)
     packed = directory.packed
     p0 = packed[chunk]
     p1 = packed[chunk + 1]
     offset = p0 & _OFFSET_MASK
     retry = p0 >> _OFFSET_BITS
     n_chunk = (p1 & _OFFSET_MASK) - offset - (L - 1)
-    start, bits = row_for_key(key, base_seed, retry, n_chunk, L, params.force_leading_one)
+    start, bits = row_for_words(s, lo, retry, n_chunk, L, params.force_leading_one)
     bit_offset = offset + start - 1
     value = 0
     for t, plane in enumerate(ds.tables):

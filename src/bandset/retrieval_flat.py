@@ -1,10 +1,10 @@
 """One band system per chunk: the per-chunk builder of the retrieval
 structure, plus input normalization and the construction errors.
 
-Construction hashes every key of a chunk to a row, solves the resulting
-system, and keeps only the solution bit-planes plus the winning retry.
-A structure with C >= m has one chunk and so solves one system over the
-whole key set.
+Construction turns the digest words of a chunk's keys into rows, solves
+the resulting system, and keeps only the solution bit-planes plus the
+winning retry. A structure with C >= m has one chunk and so solves one
+system over the whole key set.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 from .band_solver import solve
 from .bitkit import BitVec
-from .row_gen import row_for_key
+from .row_gen import rows_for_words
 
 if TYPE_CHECKING:
     from .retrieval_chunked import ChunkedParams
@@ -69,26 +69,37 @@ def positions_for(m: int, epsilon: float) -> int:
 
 
 def construct_flat(
-    items: list[tuple[bytes, int]], params: ChunkedParams, chunk: int
+    s, lo, values, params: ChunkedParams, chunk: int
 ) -> tuple[int, int, list[BitVec]]:
     """Solve chunk ``chunk``: retry seeds until its band system solves.
 
-    ``items`` are the chunk's (key, value) pairs, already normalized.
-    Returns (winning retry, n, planes); each of the r planes is n + L - 1
-    bits long. Raises RetriesExhausted naming the chunk when every retry
-    produced a dependent system.
+    ``s``, ``lo`` and ``values`` are the chunk's start words, low digest
+    words (uint64 arrays, see ``row_gen``) and values (an array), one entry
+    per key. Returns (winning retry, n, planes); each of the r planes is
+    n + L - 1 bits long. Raises ConstructError naming the chunk when two of
+    its keys share one digest, and RetriesExhausted naming it when every
+    retry produced a dependent system.
     """
-    n = positions_for(len(items), params.epsilon)
-    L, r, base_seed, lead = params.L, params.r, params.base_seed, params.force_leading_one
+    import numpy as np
+
+    n = positions_for(len(s), params.epsilon)
+    L, r, lead = params.L, params.r, params.force_leading_one
     for retry in range(params.max_retries):
-        rows = []
-        for key, value in items:
-            start, bits = row_for_key(key, base_seed, retry, n, L, lead)
-            rows.append((start, bits, key, value))
-        # Canonical order (start, pattern, key): input permutations must not
-        # change the solved table. Keys are distinct, so values never compare.
-        rows.sort()
-        planes = solve(n, L, r, [t[0] for t in rows], [t[1] for t in rows], [t[3] for t in rows])
+        starts, words = rows_for_words(s, lo, retry, n, L, lead)
+        # Canonical order (start, pattern, digest): input permutations must
+        # not change the solved table. lexsort's last key is the primary one.
+        order = np.lexsort((lo, s, *words, starts))
+        patterns = words[0][order].tolist()
+        for k in range(1, len(words)):
+            patterns = [p | w << (64 * k) for p, w in zip(patterns, words[k][order].tolist())]
+        planes = solve(n, L, r, starts[order].tolist(), patterns, values[order].tolist())
         if planes is not None:
             return retry, n, planes
+        if retry == 0:
+            # Keys with one digest get one row at every retry; equal digests
+            # end up adjacent in the canonical order.
+            s_o, lo_o = s[order], lo[order]
+            if np.any((s_o[1:] == s_o[:-1]) & (lo_o[1:] == lo_o[:-1])):
+                raise ConstructError(f"two keys share one digest in chunk {chunk}; "
+                                     "build with another base seed")
     raise RetriesExhausted(params.max_retries, chunk)

@@ -1,13 +1,23 @@
-"""Seeded hashing of keys to band rows and chunks.
+"""Seeded hashing of keys to chunks and band rows.
 
-All randomness is derived from a keyed 128-bit hash (BLAKE2b-128 with the
-seed material as the MAC key), so replaying the same (key, seed) always
-reproduces the same row, bit-exact across platforms. Split convention:
-the high 64 hash bits pick the start position, the low bits fill the
-pattern; the chunk hash uses a separate stream so its bits are disjoint
-from the row bits. Start and chunk come from a multiply-high reduction of
-the high 64 bits onto their range. These two functions are the only place
-that knows the formulas; build and query both call them.
+Each key gets one keyed 128-bit hash (BLAKE2b-128 with the 64-bit base
+seed as the MAC key), its digest, split into two 64-bit words ``hi`` and
+``lo`` (the digest read as a little-endian int is ``hi << 64 | lo``).
+Everything else is cheap arithmetic on those words, so replaying the same
+(key, base seed) reproduces the same chunk and rows bit-exact everywhere:
+
+* ``hi * num_chunks`` is split at bit 64: the high part is the chunk, the
+  low 64 bits are the start word ``s``, the bits of ``hi`` the chunk choice
+  left over;
+* retry t >= 1 remixes both ``s`` and ``lo`` with ``_remix(x, t)`` (the
+  "hash once, re-seed by remixing" scheme of Ribbon, Dillinger & Walzer
+  2021); retry 0 uses them as they are;
+* the start is ``1 + mulhi(s, n)``, the pattern's low 64 bits are ``lo``,
+  and pattern word k >= 1 (for L > 64) is ``_remix(lo, _EXTRA + k)``.
+
+The scalar functions are what a query runs; the ``numpy`` twins (plural
+names) are what a build runs over a whole chunk. They hold the same
+formulas and a test checks that both give identical ints.
 """
 
 from __future__ import annotations
@@ -18,52 +28,119 @@ from functools import lru_cache
 
 MASK64 = (1 << 64) - 1
 
-# Independent hash streams carved out of the seed space.
-_STREAM_ROW = 0
-_STREAM_CHUNK = 1
-_STREAM_PATTERN_EXT = 2  # first of the extra-word streams for L > 64
+# The retry remix: x -> ((x ^ t*_K1) * _K2) mod 2^64, then x ^= x >> 31.
+_K1 = 0x9E3779B97F4A7C15
+_K2 = 0xBF58476D1CE4E5B9
+# Remix tags of the extra pattern words; retries stay below 2^16.
+_EXTRA = 1 << 16
 
 
 @lru_cache(maxsize=256)
-def _keyed_hasher(base_seed: int, retry: int, stream: int):
-    key = struct.pack("<QHH", base_seed, retry, stream)
-    return hashlib.blake2b(digest_size=16, key=key)
+def _keyed_hasher(base_seed: int):
+    return hashlib.blake2b(digest_size=16, key=struct.pack("<Q", base_seed))
 
 
-def _hash128(key: bytes, base_seed: int, retry: int, stream: int) -> int:
-    h = _keyed_hasher(base_seed, retry, stream).copy()
+def key_digest(key: bytes, base_seed: int) -> tuple[int, int]:
+    """The key's one hash: its (hi, lo) 64-bit digest words."""
+    h = _keyed_hasher(base_seed).copy()
     h.update(key)
-    return int.from_bytes(h.digest(), "little")
+    d = int.from_bytes(h.digest(), "little")
+    return d >> 64, d & MASK64
 
 
-def row_for_key(
-    key: bytes, base_seed: int, retry: int, n: int, L: int, force_leading_one: bool
+def digest_keys(keys, base_seed: int) -> bytearray:
+    """The 16-byte digests of ``keys``, concatenated in iteration order."""
+    base = _keyed_hasher(base_seed)
+    out = bytearray()
+    for key in keys:
+        h = base.copy()
+        h.update(key)
+        out += h.digest()
+    return out
+
+
+def _remix(x: int, t: int) -> int:
+    x = ((x ^ ((t * _K1) & MASK64)) * _K2) & MASK64
+    return x ^ (x >> 31)
+
+
+def chunk_and_word(hi: int, num_chunks: int) -> tuple[int, int]:
+    """The key's chunk in [0, num_chunks) and its start word."""
+    x = hi * num_chunks
+    return x >> 64, x & MASK64
+
+
+def row_for_words(
+    s: int, lo: int, retry: int, n: int, L: int, force_leading_one: bool
 ) -> tuple[int, int]:
-    """Hash a key to its band row: (start in [1, n], L-bit pattern as an int).
-
-    ``base_seed`` is 64 bits and ``retry`` 16 bits; ``retry`` selects the
-    hash function. Patterns longer than 64 bits pull extra words from
-    additional hash streams so one key still yields independent-looking
-    bits everywhere.
-    """
-    h = _hash128(key, base_seed, retry, _STREAM_ROW)
-    start = 1 + (((h >> 64) * n) >> 64)
-    if L <= 64:
-        bits = (h & MASK64) & ((1 << L) - 1)
-    else:
-        bits = h & MASK64
-        filled = 64
-        ext = _STREAM_PATTERN_EXT
-        while filled < L:
-            bits |= _hash128(key, base_seed, retry, ext) << filled
-            filled += 128
-            ext += 1
-        bits &= (1 << L) - 1
+    """The key's band row at ``retry``: (start in [1, n], L-bit pattern)."""
+    if retry:
+        s = _remix(s, retry)
+        lo = _remix(lo, retry)
+    start = 1 + ((s * n) >> 64)
+    bits = lo
+    for k in range(1, (L + 63) >> 6):  # empty for L <= 64
+        bits |= _remix(lo, _EXTRA + k) << (64 * k)
+    bits &= (1 << L) - 1
     if force_leading_one:
         bits |= 1
     return start, bits
 
 
-def chunk_for_key(key: bytes, base_seed: int, num_chunks: int) -> int:
-    """First-level hash onto [0, num_chunks), independent of the row hash."""
-    return ((_hash128(key, base_seed, 0, _STREAM_CHUNK) >> 64) * num_chunks) >> 64
+# ---------------------------------------------------------------------------
+# numpy twins: the same formulas over uint64 arrays, for the build
+
+
+def _remix_np(x, t: int):
+    import numpy as np
+
+    x = (x ^ np.uint64((t * _K1) & MASK64)) * np.uint64(_K2)
+    return x ^ (x >> np.uint64(31))
+
+
+def _mulhi_np(a, b: int):
+    """High 64 bits of a * b for a uint64 array and an int b < 2^64, from
+    32-bit halves (numpy has no 64x64 multiply-high). The partial products
+    are formed in place, which keeps a build's peak memory down."""
+    import numpy as np
+
+    m32, s32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+    b1, b0 = np.uint64(b >> 32), np.uint64(b & 0xFFFFFFFF)
+    a1 = a >> s32
+    a0 = a & m32
+    mid = a0 * b0
+    mid >>= s32  # the carry word of a0 * b0
+    a0 *= b1
+    hi = a1 * b1
+    a1 *= b0
+    for cross in (a0, a1):
+        hi += cross >> s32
+        cross &= m32
+        mid += cross
+    mid >>= s32
+    hi += mid
+    return hi
+
+
+def chunks_and_words(hi, num_chunks: int):
+    """``chunk_and_word`` over a uint64 array: (chunks, start words)."""
+    import numpy as np
+
+    return _mulhi_np(hi, num_chunks), hi * np.uint64(num_chunks)
+
+
+def rows_for_words(s, lo, retry: int, n: int, L: int, force_leading_one: bool):
+    """``row_for_words`` over uint64 arrays: (starts, pattern words), the
+    words low first, each a uint64 array, the last one masked to L bits."""
+    import numpy as np
+
+    if retry:
+        s = _remix_np(s, retry)
+        lo = _remix_np(lo, retry)
+    starts = _mulhi_np(s, n) + np.uint64(1)
+    words = [lo] + [_remix_np(lo, _EXTRA + k) for k in range(1, (L + 63) >> 6)]
+    if L & 63:
+        words[-1] = words[-1] & np.uint64((1 << (L & 63)) - 1)
+    if force_leading_one:
+        words[0] = words[0] | np.uint64(1)
+    return starts, words

@@ -6,11 +6,17 @@ independent of the word-packed production code paths they check.
 
 from __future__ import annotations
 
+import hashlib
 import random
+import types
 from typing import NamedTuple
 
+import pytest
+
+from bandset import retrieval_chunked, retrieval_flat, row_gen
 from bandset.band_solver import eliminate, solve, verify
-from bandset.bitkit import BitVec
+from bandset.bitkit import BitVec, dot_window
+from bandset.row_gen import chunk_and_word, key_digest, row_for_words
 
 
 def naive_xor_window(dst_bits: list[int], offset: int, src_bits: list[int]) -> list[int]:
@@ -37,6 +43,35 @@ def bitvec_from_bits(bits: list[int]) -> BitVec:
 
 def bits_of(bv: BitVec) -> list[int]:
     return [bv.get_bit(i) for i in range(bv.length)]
+
+
+def chunk_for_key(key: bytes, base_seed: int, num_chunks: int) -> int:
+    """The chunk a structure with ``num_chunks`` chunks puts the key in."""
+    return chunk_and_word(key_digest(key, base_seed)[0], num_chunks)[0]
+
+
+def row_for_key(
+    key: bytes, base_seed: int, retry: int, n: int, L: int, force_leading_one: bool,
+    num_chunks: int = 1,
+) -> tuple[int, int]:
+    """The key's row at ``retry`` in a chunk of ``n`` positions, in a
+    structure with ``num_chunks`` chunks: the query's path from key to row."""
+    hi, lo = key_digest(key, base_seed)
+    s = chunk_and_word(hi, num_chunks)[1]
+    return row_for_words(s, lo, retry, n, L, force_leading_one)
+
+
+def reference_back_substitute(out, n: int, L: int, r: int) -> list[BitVec]:
+    """Back-substitution with one ``dot_window`` read of each plane per row
+    and plane, last pivot first: the reference for the sliding-window
+    version in ``band_solver``."""
+    planes = [BitVec(n + L - 1) for _ in range(r)]
+    for i in range(len(out.starts) - 1, -1, -1):
+        offset = out.starts[i] - 1
+        for t in range(r):
+            if dot_window(planes[t], offset, out.patterns[i], L) ^ ((out.rhs[i] >> t) & 1):
+                planes[t].set_bit(out.pivots[i] - 1)
+    return planes
 
 
 class CountingWords(list):
@@ -157,3 +192,58 @@ def make_pairs(m: int, r: int = 1, tag: str = "key") -> list[tuple[bytes, int]]:
     """Distinct keys with deterministic r-bit values."""
     mask = (1 << r) - 1
     return [(f"{tag}:{i}".encode(), (i * 0x9E3779B9) & mask) for i in range(m)]
+
+
+@pytest.fixture
+def blake2b_spy(monkeypatch):
+    """``hashlib.blake2b`` replaced by a wrapper that counts the digests it
+    hands out (``spy.digests``) and gives every input in ``spy.collide``
+    the digest ``spy.collision_digest``."""
+    real = hashlib.blake2b
+    spy = types.SimpleNamespace(digests=0, collide=set(), collision_digest=b"\xff" * 16)
+
+    class Blake2bSpy:
+        def __init__(self, *args, inner=None, data=b"", **kwargs):
+            self.inner = inner if inner is not None else real(*args, **kwargs)
+            self.data = data
+
+        def copy(self):
+            return Blake2bSpy(inner=self.inner.copy(), data=self.data)
+
+        def update(self, data):
+            self.inner.update(data)
+            self.data += data
+
+        def digest(self):
+            spy.digests += 1
+            return spy.collision_digest if self.data in spy.collide else self.inner.digest()
+
+    row_gen._keyed_hasher.cache_clear()
+    monkeypatch.setattr(hashlib, "blake2b", Blake2bSpy)
+    yield spy
+    monkeypatch.undo()
+    row_gen._keyed_hasher.cache_clear()
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Per chunk, the ``retrieval_flat.solve`` calls of its build, recorded
+    through the module-global names the build looks up: the chunks in the
+    order ``construct_chunked`` called ``construct_flat`` (``.chunks``) and
+    the solve calls of each (``.attempts``). One-thread builds only."""
+    calls = types.SimpleNamespace(chunks=[], attempts={})
+    construct_flat, solve = retrieval_chunked.construct_flat, retrieval_flat.solve
+
+    def counted_construct_flat(*args):
+        chunk = args[-1]
+        calls.chunks.append(chunk)
+        calls.attempts[chunk] = 0
+        return construct_flat(*args)
+
+    def counted_solve(*args):
+        calls.attempts[calls.chunks[-1]] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(retrieval_chunked, "construct_flat", counted_construct_flat)
+    monkeypatch.setattr(retrieval_flat, "solve", counted_solve)
+    return calls

@@ -9,6 +9,7 @@ from conftest import (
     bits_of,
     eliminate_system,
     random_band_system,
+    reference_back_substitute,
     solve_system,
     verify_system,
 )
@@ -161,6 +162,23 @@ def test_multi_rhs_matches_independent_planes():
             assert out1.success
             assert out1.pivots == out.pivots
             assert back_substitute(out1, sys_.n, sys_.L, 1)[0] == planes[t]
+
+
+def test_back_substitute_matches_dot_window_reference():
+    # small n makes start ties common; L crosses the 64- and 128-bit marks
+    rnd = random.Random(19)
+    for L in range(1, 131):
+        solved = 0
+        while solved < 3:
+            n = rnd.randint(1, 100)
+            sys_ = random_band_system(rnd, n, L, rnd.randint(1, min(n + L - 1, 60)), r=3)
+            out = eliminate_system(sys_)
+            if not out.success:
+                continue
+            solved += 1
+            planes = back_substitute(out, sys_.n, sys_.L, sys_.r)
+            assert planes == reference_back_substitute(out, sys_.n, sys_.L, sys_.r)
+            assert verify_system(sys_, planes)
 
 
 def dense_forward_eliminate(sys_):

@@ -68,6 +68,7 @@ def test_empty_build_report_is_strict_json(tmp_path, capsys):
     report = json.loads(stdout, parse_constant=reject)
     assert report["m"] == 0
     assert report["overhead"] is None
+    assert report["construct_ns_per_key"] is None
 
 
 @pytest.mark.parametrize("seed",["-1", str(1 << 64)])
@@ -126,6 +127,60 @@ def test_build_binary_key_mode(tmp_path, capsys):
     ds = deserialize(out.read_bytes())
     for key, value in pairs:
         assert query_chunked(ds, key) == value
+
+
+def test_empty_bench_report_is_strict_json(capsys):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    code, stdout, _ = run(["bench", "--m", "0"], capsys)
+    assert code == 0
+    report = json.loads(stdout, parse_constant=reject)
+    assert report["m"] == 0
+    assert report["overhead"] is None
+    assert report["construct_ns_per_key"] is None
+    assert report["query_ns_per_key"] is None
+
+
+def binary_records(keys, values=None):
+    """u32-length-prefixed keys, each followed by a u64 value when given."""
+    out = b""
+    for i, key in enumerate(keys):
+        out += struct.pack("<I", len(key)) + key
+        if values is not None:
+            out += struct.pack("<Q", values[i])
+    return out
+
+
+def test_query_binary_keys_answers_keys_with_newlines(tmp_path, capsys, monkeypatch):
+    keys = [b"line\nbreak", b"\r\n", b"", b"tab\tand\x00nul", b"plain"]
+    values = [5, 10, 15, 0, 7]
+    inp = tmp_path / "in.bin"
+    inp.write_bytes(binary_records(keys, values))
+    out = tmp_path / "ds.bin"
+    code, _, _ = run(
+        ["build", str(inp), str(out), "--binary-keys", "--value-bits", "4", "--seed", "6"], capsys
+    )
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(binary_records(keys))))
+    code, stdout, _ = run(["query", str(out), "--binary-keys"], capsys)
+    assert code == 0
+    assert stdout.splitlines() == [format(v, "x") for v in values]
+
+
+def test_query_binary_keys_truncated_record_exits_2(tmp_path, capsys, monkeypatch):
+    inp = tmp_path / "in.tsv"
+    write_tsv(inp, [("a", "1"), ("b", "0")])
+    out = tmp_path / "ds.bin"
+    assert run(["build", str(inp), str(out)], capsys)[0] == 0
+    whole = binary_records([b"a", b"b"])
+    for tail, what in [(struct.pack("<I", 9) + b"short", "truncated record"),
+                       (b"\x01\x00", "truncated length prefix")]:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(whole + tail)))
+        code, stdout, stderr = run(["query", str(out), "--binary-keys"], capsys)
+        assert code == 2
+        assert f"record 3: {what}" in stderr
+        assert stdout == ""
 
 
 def test_query_unknown_keys_and_empty_stdin(tmp_path, capsys, monkeypatch):

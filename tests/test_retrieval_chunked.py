@@ -20,10 +20,8 @@ from bandset.retrieval_chunked import (
     query_chunked,
     serialize,
 )
-from bandset.retrieval_flat import DuplicateKey, RetriesExhausted
-from bandset.row_gen import chunk_for_key
-
-from conftest import CountingWords, make_pairs
+from bandset.retrieval_flat import ConstructError, DuplicateKey, RetriesExhausted
+from conftest import CountingWords, chunk_for_key, make_pairs
 
 
 def build(m, **kw):
@@ -196,8 +194,9 @@ def test_deserialize_rejects_corruption():
     blob = serialize(ds)
     with pytest.raises(FormatError):
         deserialize(b"XSET" + blob[4:])  # magic
-    with pytest.raises(FormatError):
-        deserialize(blob[:4] + b"\x02\x00" + blob[6:])  # version
+    for version in (b"\x01\x00", b"\x03\x00"):
+        with pytest.raises(FormatError):
+            deserialize(blob[:4] + version + blob[6:])
     with pytest.raises(FormatError):
         deserialize(blob[:30])  # truncated header
     with pytest.raises(FormatError):
@@ -215,7 +214,7 @@ def test_deserialize_rejects_corruption():
             deserialize(bytes(tail))
 
 
-# v1 header: magic, version, flags, r, L, epsilon, C, m, num_chunks, base_seed
+# header: magic, version, flags, r, L, epsilon, C, m, num_chunks, base_seed
 _HEADER = struct.Struct("<4sHHHHdQQQQ")
 _U16 = st.integers(0, (1 << 16) - 1)
 _U64 = st.one_of(st.sampled_from([0, 1, (1 << 64) - 1]), st.integers(0, (1 << 64) - 1))
@@ -325,6 +324,35 @@ def test_retries_exhausted_reports_chunk():
         assert "in chunk 0" in str(exc_info.value)
 
 
+def test_build_calls_construct_flat_per_chunk_and_solve_per_attempt(solve_calls):
+    # the call contract the benchmark's per-chunk probes and attempt counts
+    # rely on; eps 3% with 2,500-key chunks retries chunk 1 once
+    pairs = make_pairs(20_000, r=3, tag="golden")
+    params = ChunkedParams(epsilon=0.03, L=64, r=3, C=2_500, base_seed=2029)
+    ds = construct_chunked(pairs, params)
+    assert solve_calls.chunks == list(range(ds.directory.num_chunks))
+    assert [solve_calls.attempts[k] for k in solve_calls.chunks] == [
+        retry + 1 for retry in ds.directory.seeds
+    ]
+    assert max(ds.directory.seeds) >= 1
+
+
+@pytest.mark.parametrize("C", [3_000, 1_000])
+def test_colliding_digests_fail_on_the_first_attempt(C, blake2b_spy, solve_calls):
+    # two distinct keys forced onto one digest: every retry gives them one
+    # row, so the build names the chunk instead of trying 64 seeds; the
+    # all-ones digest falls in the last chunk
+    pairs = make_pairs(3_000, tag="twins")
+    blake2b_spy.collide = {pairs[10][0], pairs[20][0]}
+    params = ChunkedParams(epsilon=0.1, L=64, C=C, base_seed=21)
+    with pytest.raises(ConstructError) as exc_info:
+        construct_chunked(pairs, params)
+    assert not isinstance(exc_info.value, RetriesExhausted)
+    last = 3_000 // C - 1
+    assert f"chunk {last}" in str(exc_info.value)
+    assert solve_calls.chunks[-1] == last and solve_calls.attempts[last] == 1
+
+
 def _round_trip_seconds(plane_bits: int) -> float:
     rnd = random.Random(plane_bits)
     plane = BitVec(plane_bits, [rnd.getrandbits(64) for _ in range((plane_bits + 63) // 64)])
@@ -345,13 +373,19 @@ def test_save_load_time_is_linear_in_plane_bits():
     assert _round_trip_seconds(1 << 22) < 40 * _round_trip_seconds(1 << 18)
 
 
-@pytest.mark.parametrize("eps, L, base_seed, digest", [
-    # chunk 4 retries once in this configuration
-    (0.03, 64, 2028, "60a09b3658855a22899485a978d90aed990a0cc7c87fc470b8d37a99f977229a"),
-    (0.05, 80, 2026, "356415c40ecf1f482da1ea1ce1eeb28671c9fb44020fc772db9e7fa920cf647c"),
+@pytest.mark.parametrize("eps, L, base_seed, retries, digest", [
+    # chunk 1 retries once in this configuration
+    pytest.param(0.03, 64, 2029, [0, 1, 0, 0, 0, 0, 0, 0],
+                 "ef4fd4c099b7d7395ce6707080b9eec0f13ffa424092b7272a6079ba35ab8c10",
+                 id="L64-retry"),
+    pytest.param(0.05, 80, 2026, [0] * 8,
+                 "86bfa0ced73f6b7917b9bc7df7e16d826f388373cb64501a442521f5a0eb67e6",
+                 id="L80"),
 ])
-def test_format_v1_golden_digest(eps, L, base_seed, digest):
-    # pins the v1 bytes; a deliberate format change updates these digests
+def test_format_v2_golden_digest(eps, L, base_seed, retries, digest):
+    # pins the v2 bytes; a deliberate format change updates these digests
     pairs = make_pairs(20_000, r=3, tag="golden")
     params = ChunkedParams(epsilon=eps, L=L, r=3, C=2_500, base_seed=base_seed)
-    assert hashlib.sha256(serialize(construct_chunked(pairs, params))).hexdigest() == digest
+    ds = construct_chunked(pairs, params)
+    assert ds.directory.seeds == retries
+    assert hashlib.sha256(serialize(ds)).hexdigest() == digest

@@ -1,10 +1,20 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from scipy import stats
 
-from bandset.retrieval_chunked import ChunkedParams
-from bandset.row_gen import chunk_for_key, row_for_key
+from bandset.retrieval_chunked import ChunkedParams, construct_chunked, query_chunked
+from bandset.row_gen import (
+    MASK64,
+    chunk_and_word,
+    chunks_and_words,
+    row_for_words,
+    rows_for_words,
+)
+
+from conftest import chunk_for_key, make_pairs, row_for_key
 
 SEED = 0xC0FFEE
 
@@ -106,12 +116,13 @@ def test_chunk_for_key_deterministic():
 
 def test_chunk_for_key_disjoint_from_row_bits():
     # same key, same seed: chunk index must not be a function of the start
+    # (the row the key gets in its chunk of a 100-chunk structure)
     pairs = set()
     for i in range(2000):
         key = f"c{i}".encode()
-        start, _ = row_for_key(key, SEED, 0, 100, 8, False)
+        start, _ = row_for_key(key, SEED, 0, 100, 8, False, num_chunks=100)
         pairs.add((start, chunk_for_key(key, SEED, 100)))
-    # if streams were shared we would see far fewer distinct combinations
+    # if both used the same hash bits we would see far fewer distinct combinations
     assert len(pairs) > 1500
 
 
@@ -124,3 +135,49 @@ def test_chunk_balance_binomial():
     sigma = math.sqrt(m * (1 / k) * (1 - 1 / k))
     assert max(counts) <= mean + 3 * sigma
     assert min(counts) >= mean - 3 * sigma
+
+
+def _digest_words(seed: int, count: int) -> list[int]:
+    rnd = random.Random(seed)
+    return [0, 1, MASK64, MASK64 - 1, 1 << 63] + [rnd.getrandbits(64) for _ in range(count)]
+
+
+@pytest.mark.parametrize("num_chunks", [1, 2, 3, 10_000, (1 << 32) - 1, MASK64])
+def test_numpy_chunks_equal_scalar_chunks(num_chunks):
+    his = _digest_words(num_chunks, 500)
+    chunks, words = chunks_and_words(np.array(his, dtype=np.uint64), num_chunks)
+    assert list(zip(chunks.tolist(), words.tolist())) == [
+        chunk_and_word(hi, num_chunks) for hi in his
+    ]
+
+
+@pytest.mark.parametrize("force_leading_one", [False, True])
+@pytest.mark.parametrize("L", [1, 63, 64, 65, 80, 130])
+def test_numpy_rows_equal_scalar_rows(L, force_leading_one):
+    s_list = _digest_words(L, 300)
+    lo_list = list(reversed(_digest_words(L + 1, 300)))
+    s, lo = np.array(s_list, dtype=np.uint64), np.array(lo_list, dtype=np.uint64)
+    for n in (1, 2, 10_527, (1 << 32) - 1, (1 << 47) + 3):
+        for retry in range(4):
+            starts, words = rows_for_words(s, lo, retry, n, L, force_leading_one)
+            assert len(words) == (L + 63) // 64
+            patterns = [0] * len(s_list)
+            for k, word in enumerate(words):
+                patterns = [p | w << (64 * k) for p, w in zip(patterns, word.tolist())]
+            want = [row_for_words(a, b, retry, n, L, force_leading_one)
+                    for a, b in zip(s_list, lo_list)]
+            assert list(zip(starts.tolist(), patterns)) == want
+            assert all(1 <= start <= n for start, _ in want)
+
+
+def test_build_hashes_each_key_once_and_query_once(blake2b_spy):
+    # eps 3% with 2,500-key chunks: chunk 1 needs a retry
+    pairs = make_pairs(20_000, r=3, tag="golden")
+    params = ChunkedParams(epsilon=0.03, L=64, r=3, C=2_500, base_seed=2029)
+    ds = construct_chunked(pairs, params)
+    assert max(ds.directory.seeds) >= 1
+    assert blake2b_spy.digests == len(pairs)
+    for key, value in pairs[:200]:
+        blake2b_spy.digests = 0
+        assert query_chunked(ds, key) == value
+        assert blake2b_spy.digests == 1
