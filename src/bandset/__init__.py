@@ -1,8 +1,9 @@
 """Retrieval data structures backed by random band linear systems over GF(2).
 
 Core pipeline: hash each key to an L-bit pattern at a random start column,
-solve the resulting near-band system with a sorted forward elimination, and
-answer queries with one windowed dot product against the solution table.
+solve the resulting near-band system by pivot insertion (equivalent to the
+paper's sorted forward elimination), and answer queries with one windowed
+dot product against the solution table.
 Chunking splits the key set with a first-level hash so chunks build
 independently and queries stay within one short memory window.
 

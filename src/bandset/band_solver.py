@@ -1,10 +1,17 @@
-"""Sorted-band Gaussian elimination over GF(2).
+"""Sorted-band Gaussian elimination over GF(2): the paper-faithful
+reference solver.
 
 Systems have one L-bit random block per row at a start column in [1, n];
 sorting rows by start turns the matrix into a near-band matrix that a
 forward elimination pass solves without ever creating a 1 outside a row's
 original window. Failure (a row cancelling to zero) signals linear
 dependence and is reported as a value, not an exception.
+
+Builds do not use this module: they solve by pivot insertion
+(``retrieval_flat.solve``), which gives the same planes and the same
+failures. The elimination here exposes the paper's quantities (pivots,
+row additions) that ``analysis_sim`` and the acceptance criteria check,
+and it is the reference the insertion solver is tested against.
 
 Rows are start-sorted parallel lists of plain ints: starts in [1, n],
 L-bit patterns (bit j is column ``start + j``) and right-hand sides (bit t

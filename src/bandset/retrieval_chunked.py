@@ -127,8 +127,10 @@ def construct_chunked(pairs, params: ChunkedParams, threads: int = 1) -> Chunked
     concatenate.
 
     Raises RetriesExhausted naming the first chunk (in chunk order) that
-    no retry could solve.
+    no retry could solve, and ValueError when ``threads`` is below 1.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     import numpy as np
 
     mapping = normalize_pairs(pairs, params.r)

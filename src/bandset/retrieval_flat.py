@@ -2,9 +2,11 @@
 structure, plus input normalization and the construction errors.
 
 Construction turns the digest words of a chunk's keys into rows, solves
-the resulting system, and keeps only the solution bit-planes plus the
-winning retry. A structure with C >= m has one chunk and so solves one
-system over the whole key set.
+the resulting system by pivot insertion (``solve``), and keeps only the
+solution bit-planes plus the winning retry. A structure with C >= m has
+one chunk and so solves one system over the whole key set. The paper's
+sorted elimination lives on in ``band_solver`` as the reference that the
+model checks and the differential tests use; the build does not load it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import math
 import operator
 from typing import TYPE_CHECKING
 
-from .band_solver import solve
 from .bitkit import BitVec
 from .row_gen import rows_for_words
 
@@ -68,6 +69,74 @@ def positions_for(m: int, epsilon: float) -> int:
     return math.ceil(m / (1.0 - epsilon))
 
 
+# Trailing zeros of a byte; 8 for the zero byte.
+_CTZ8 = [8] + [(i & -i).bit_length() - 1 for i in range(1, 256)]
+
+
+def solve(
+    n: int, L: int, r: int, starts: list[int], patterns: list[int], rhs: list[int]
+) -> list[BitVec] | None:
+    """The r solution planes of a band system, or None when its rows are
+    dependent.
+
+    Rows are parallel int lists in any order: starts in [1, n], L-bit
+    patterns (bit j is column start + j) and right-hand sides (bit t
+    belongs to plane t). Each row is inserted on the fly: it walks to its
+    lowest 1, and if a pivot row already sits in that column it XORs that
+    row and its right-hand side in and walks on. A row that reaches 0 is
+    dependent. Back-substitution then fills each plane from the highest
+    pivot down, sliding one L-bit window int; non-pivot bits stay 0.
+
+    Row order cannot change the result. The pivot columns of any echelon
+    basis are the columns where some vector of the row space has its
+    lowest 1, a property of the row space alone; the paper's sorted
+    elimination (``band_solver``) reaches the same set. A full-rank system
+    has exactly one solution that is 0 off those columns. So every order
+    gives the same planes, and the same verdict: some row reaches 0 iff
+    the rank is below the row count.
+    """
+    import numpy as np
+
+    width = n + L - 1
+    pivot_rows = [0] * (width + 1)  # by column; bit 0 of a row is its pivot
+    pivot_rhs = [0] * (width + 1)
+    ctz = _CTZ8
+    for s, c, b in zip(starts, patterns, rhs):
+        while True:
+            # walk to the lowest 1, at most 8 columns per step
+            t = ctz[c & 255]
+            s += t
+            c >>= t
+            if c & 1:
+                p = pivot_rows[s]
+                if not p:
+                    pivot_rows[s] = c
+                    pivot_rhs[s] = b
+                    break
+                c ^= p
+                b ^= pivot_rhs[s]
+            elif not c:
+                return None
+
+    pivots = [s for s in range(width, 0, -1) if pivot_rows[s]]
+    mask = (1 << L) - 1
+    nbits = (width + 63) & ~63
+    planes = []
+    for t in range(r):
+        z = bytearray(nbits + 1)  # z[s] is the plane's column s
+        window = 0  # bit j is z[s + j]
+        prev = width
+        for s in pivots:
+            window = (window << (prev - s)) & mask
+            prev = s
+            if ((window & pivot_rows[s]).bit_count() ^ (pivot_rhs[s] >> t)) & 1:
+                window |= 1
+                z[s] = 1
+        bits = np.frombuffer(z, np.uint8, nbits, offset=1)
+        planes.append(BitVec(width, np.packbits(bits, bitorder="little").view("<u8").tolist()))
+    return planes
+
+
 def construct_flat(
     s, lo, values, params: ChunkedParams, chunk: int
 ) -> tuple[int, int, list[BitVec]]:
@@ -86,9 +155,9 @@ def construct_flat(
     L, r, lead = params.L, params.r, params.force_leading_one
     for retry in range(params.max_retries):
         starts, words = rows_for_words(s, lo, retry, n, L, lead)
-        # Canonical order (start, pattern, digest): input permutations must
-        # not change the solved table. lexsort's last key is the primary one.
-        order = np.lexsort((lo, s, *words, starts))
+        # The planes do not depend on row order; start order keeps each
+        # insertion walk short.
+        order = np.argsort(starts, kind="stable")
         patterns = words[0][order].tolist()
         for k in range(1, len(words)):
             patterns = [p | w << (64 * k) for p, w in zip(patterns, words[k][order].tolist())]
@@ -96,9 +165,9 @@ def construct_flat(
         if planes is not None:
             return retry, n, planes
         if retry == 0:
-            # Keys with one digest get one row at every retry; equal digests
-            # end up adjacent in the canonical order.
-            s_o, lo_o = s[order], lo[order]
+            # Keys with one digest get one row at every retry.
+            by_digest = np.lexsort((lo, s))
+            s_o, lo_o = s[by_digest], lo[by_digest]
             if np.any((s_o[1:] == s_o[:-1]) & (lo_o[1:] == lo_o[:-1])):
                 raise ConstructError(f"two keys share one digest in chunk {chunk}; "
                                      "build with another base seed")

@@ -105,6 +105,18 @@ def test_build_duplicate_key_exits_2(tmp_path, capsys):
     assert "duplicate" in stderr.lower()
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_1_exit_2_naming_it(threads, tmp_path, capsys):
+    inp = tmp_path / "in.tsv"
+    write_tsv(inp, [("a", "1")])
+    out = tmp_path / "o"
+    for argv in (["build", str(inp), str(out)], ["bench", "--m", "10"]):
+        code, stdout, stderr = run([*argv, "--threads", threads], capsys)
+        assert code == 2
+        assert stdout == "" and "threads" in stderr
+    assert not out.exists()
+
+
 def test_build_deterministic_output(tmp_path, capsys):
     inp = tmp_path / "in.tsv"
     write_tsv(inp, [(f"k{i}", format(i % 2, "x")) for i in range(500)])

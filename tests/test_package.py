@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -32,14 +33,34 @@ def test_root_is_the_retrieval_api():
     assert sorted(bandset.__all__) == sorted(RETRIEVAL_API)
 
 
-def test_import_loads_neither_numpy_nor_the_model_layer():
+def _loaded_by(code: str, names: tuple[str, ...]) -> list[str]:
+    """The modules among ``names`` that a fresh interpreter has loaded after
+    running ``code``."""
     probe = (
-        "import sys, bandset; "
-        "print(sorted(m for m in ('numpy', 'bandset.analysis_sim') if m in sys.modules))"
+        f"import json, sys\n{code}\n"
+        f"print(json.dumps(sorted(m for m in {names!r} if m in sys.modules)))"
     )
     # the child imports the same package as this process
     env = {**os.environ, "PYTHONPATH": str(Path(bandset.__file__).parent.parent)}
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "[]"
+    return json.loads(out.stdout)
+
+
+def test_import_loads_neither_numpy_nor_the_model_layer():
+    names = ("numpy", "bandset.analysis_sim", "bandset.band_solver")
+    assert _loaded_by("import bandset", names) == []
+
+
+def test_build_does_not_load_the_reference_solver():
+    # band_solver is the paper-faithful reference; builds solve by insertion
+    build = (
+        "import bandset\n"
+        "pairs = [(b'key%d' % i, i & 3) for i in range(3000)]\n"
+        "params = bandset.ChunkedParams(epsilon=0.05, r=2, C=1000)\n"
+        "ds = bandset.construct_chunked(pairs, params)\n"
+        "assert all(bandset.query_chunked(ds, k) == v for k, v in pairs)"
+    )
+    names = ("numpy", "bandset.band_solver")
+    assert _loaded_by(build, names) == ["numpy"]

@@ -270,6 +270,12 @@ def test_threaded_build_matches_sequential():
     assert a == b
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_threads_below_1_rejected(threads):
+    with pytest.raises(ValueError, match="threads"):
+        construct_chunked(make_pairs(10), ChunkedParams(epsilon=0.1), threads=threads)
+
+
 def test_query_word_budget():
     pairs, ds = build(3_000, C=1_000, r=2)
     ds.directory.packed = CountingWords(ds.directory.packed)
