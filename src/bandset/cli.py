@@ -421,6 +421,8 @@ def main(argv=None) -> int:
     try:
         if "seed" in args and args.seed is None:  # query has no --seed
             args.seed = _default_seed()
+        if "threads" in args and args.threads < 1:  # before any input is read
+            raise InputError(f"--threads must be >= 1, got {args.threads}")
         if args.command == "build":
             return cmd_build(
                 args.input, args.output, _params_from_args(args), args.threads,

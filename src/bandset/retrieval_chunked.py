@@ -166,7 +166,15 @@ def construct_chunked(pairs, params: ChunkedParams, threads: int = 1) -> Chunked
 
 def query_chunked(ds: ChunkedRetrieval, key: bytes) -> int:
     """One hash, two directory reads, then one windowed dot product per
-    plane."""
+    plane.
+
+    For L <= 64 each plane's window is read inline from the words ``wi``
+    and ``last`` that hold its first and last bit: the pattern, shifted to
+    the window's bit offset, splits into a ``low`` mask for word ``wi`` and
+    a ``high`` mask for word ``last``. A window inside one word has
+    ``last == wi`` and ``high == 0``, so no read leaves the plane and no
+    padding word is needed. Longer windows go through ``dot_window``.
+    """
     params = ds.params
     L = params.L
     directory = ds.directory
@@ -181,6 +189,16 @@ def query_chunked(ds: ChunkedRetrieval, key: bytes) -> int:
     start, bits = row_for_words(s, lo, retry, n_chunk, L, params.force_leading_one)
     bit_offset = offset + start - 1
     value = 0
+    if L <= 64:
+        wi = bit_offset >> 6
+        last = (bit_offset + L - 1) >> 6
+        bits <<= bit_offset & 63
+        low = bits & MASK64
+        high = bits >> 64
+        for plane in reversed(ds.tables):
+            w = plane.words
+            value = value << 1 | ((w[wi] & low ^ w[last] & high).bit_count() & 1)
+        return value
     for t, plane in enumerate(ds.tables):
         value |= dot_window(plane, bit_offset, bits, L) << t
     return value

@@ -61,6 +61,30 @@ def row_for_key(
     return row_for_words(s, lo, retry, n, L, force_leading_one)
 
 
+def query_window(ds, key: bytes) -> tuple[int, int]:
+    """The window a query of ``key`` reads in every plane: (bit offset of
+    its first bit, L-bit pattern), from one hash and two directory reads."""
+    params = ds.params
+    L = params.L
+    directory = ds.directory
+    hi, lo = key_digest(key, params.base_seed)
+    chunk, s = chunk_and_word(hi, directory.num_chunks)
+    offsets, retries = directory.offsets, directory.seeds
+    n_chunk = offsets[chunk + 1] - offsets[chunk] - (L - 1)
+    start, bits = row_for_words(s, lo, retries[chunk], n_chunk, L, params.force_leading_one)
+    return offsets[chunk] + start - 1, bits
+
+
+def reference_query(ds, key: bytes) -> int:
+    """The key's value with one ``dot_window`` per plane: the reference for
+    the inline plane read in ``query_chunked``."""
+    bit_offset, bits = query_window(ds, key)
+    value = 0
+    for t, plane in enumerate(ds.tables):
+        value |= dot_window(plane, bit_offset, bits, ds.params.L) << t
+    return value
+
+
 def reference_back_substitute(out, n: int, L: int, r: int) -> list[BitVec]:
     """Back-substitution with one ``dot_window`` read of each plane per row
     and plane, last pivot first: the reference for the sliding-window

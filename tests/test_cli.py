@@ -117,6 +117,19 @@ def test_threads_below_1_exit_2_naming_it(threads, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bad_threads_fail_before_the_input_is_read(tmp_path, capsys, monkeypatch):
+    def no_pairs(*args):
+        raise AssertionError("bench must not synthesise pairs")
+
+    monkeypatch.setattr("bandset.cli.synthetic_pairs", no_pairs)
+    inp = tmp_path / "bad.tsv"
+    inp.write_text("good\t1\nbad\tzz\n")
+    for argv in (["build", str(inp), str(tmp_path / "o")], ["bench", "--m", "10"]):
+        code, _, stderr = run([*argv, "--threads", "0"], capsys)
+        assert code == 2
+        assert "threads" in stderr and "malformed" not in stderr
+
+
 def test_build_deterministic_output(tmp_path, capsys):
     inp = tmp_path / "in.tsv"
     write_tsv(inp, [(f"k{i}", format(i % 2, "x")) for i in range(500)])

@@ -21,7 +21,13 @@ from bandset.retrieval_chunked import (
     serialize,
 )
 from bandset.retrieval_flat import ConstructError, DuplicateKey, RetriesExhausted
-from conftest import CountingWords, chunk_for_key, make_pairs
+from conftest import (
+    CountingWords,
+    chunk_for_key,
+    make_pairs,
+    query_window,
+    reference_query,
+)
 
 
 def build(m, **kw):
@@ -293,6 +299,69 @@ def test_query_word_budget():
         for c in plane_counters:
             assert len(c.reads) <= budget_per_plane
             assert sorted(set(c.reads)) == list(range(min(c.reads), max(c.reads) + 1))
+
+
+def _differential_params(L, r, force_leading_one):
+    if L < 8:  # short rows are often dependent: one-key chunks, many retries
+        return ChunkedParams(epsilon=0.5, L=L, r=r, C=1, max_retries=4096, base_seed=1000 * L + r,
+                             force_leading_one=force_leading_one)
+    return ChunkedParams(epsilon=0.1, L=L, r=r, C=100, base_seed=1000 * L + r,
+                         force_leading_one=force_leading_one)
+
+
+@pytest.mark.parametrize("force_leading_one", [False, True])
+@pytest.mark.parametrize("r", [1, 3, 8, 65])
+@pytest.mark.parametrize("L", [1, 7, 63, 64, 65, 80, 130])
+def test_query_matches_reference_query(L, r, force_leading_one):
+    # the inline plane read (L <= 64) and the dot_window path (L > 64)
+    # against one dot_window per plane, stored and never-inserted keys
+    params = _differential_params(L, r, force_leading_one)
+    pairs = make_pairs(60 if L < 8 else 200, r=r, tag=f"diff{L}")
+    ds = construct_chunked(pairs, params)
+    if L == 1:
+        assert max(ds.directory.seeds) > 0  # some chunk answers from a retry
+    for key, v in pairs:
+        assert query_chunked(ds, key) == reference_query(ds, key) == v
+    for i in range(200):
+        key = f"never{i}".encode()
+        assert query_chunked(ds, key) == reference_query(ds, key)
+
+
+@pytest.mark.parametrize("L, eps, C, m, base_seed", [(8, 0.3, 50, 200, 0), (64, 0.22, 1_000, 100, 4)])
+def test_windows_in_the_last_plane_word_answer_exactly(L, eps, C, m, base_seed):
+    # at L = 64 the one chunk has n = 129 and 192 plane bits, so a key that
+    # starts at n reads exactly the last word; no read may pass it
+    pairs = make_pairs(m, r=3, tag="tail")
+    ds = construct_chunked(pairs, ChunkedParams(epsilon=eps, L=L, r=3, C=C, base_seed=base_seed))
+    last_word = (ds.plane_bits - 1) >> 6
+    tail = [(key, v) for key, v in pairs if query_window(ds, key)[0] >> 6 == last_word]
+    assert tail
+    counters = [CountingWords(plane.words) for plane in ds.tables]
+    for plane, words in zip(ds.tables, counters):
+        plane.words = words
+    for key, v in tail:
+        for words in counters:
+            words.reset()
+        assert query_chunked(ds, key) == reference_query(ds, key) == v
+        assert all(set(words.reads) == {last_word} for words in counters)
+
+
+@pytest.mark.parametrize("L", [8, 64])
+def test_empty_structure_reads_its_one_word(L):
+    # m = 0: one L-bit plane per value bit, every window is the whole plane
+    ds = construct_chunked([], ChunkedParams(epsilon=0.1, L=L, r=3, base_seed=8))
+    assert ds.plane_bits == L
+    rnd = random.Random(L)
+    keys = [f"ghost{i}".encode() for i in range(100)]
+    assert all(query_chunked(ds, key) == 0 for key in keys)
+    counters = [CountingWords([rnd.getrandbits(L)]) for _ in ds.tables]
+    for plane, words in zip(ds.tables, counters):
+        plane.words = words
+    for key in keys:
+        for words in counters:
+            words.reset()
+        assert query_chunked(ds, key) == reference_query(ds, key)
+        assert all(set(words.reads) == {0} for words in counters)
 
 
 def test_overhead_counts_directory_and_r_scales_it():
