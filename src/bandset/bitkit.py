@@ -61,27 +61,6 @@ class BitVec:
         return f"BitVec({self.length}, {shown!r}{suffix})"
 
 
-def xor_window(dst: BitVec, offset: int, src: BitVec) -> None:
-    """XOR ``src`` into dst bits [offset, offset + src.length); rest untouched.
-
-    Word by word: source word k lands on destination words wi + k and
-    wi + k + 1, so the cost is linear in ``src.length``. The second word is
-    touched only when bits land there, which keeps every write inside the
-    window (``src`` has zero padding).
-    """
-    if offset < 0 or offset + src.length > dst.length:
-        raise ValueError("window out of range")
-    shift = offset & 63
-    wi = offset >> 6
-    words = dst.words
-    back = WORD_BITS - shift
-    for k, w in enumerate(src.words):
-        words[wi + k] ^= (w << shift) & WORD_MASK
-        high = w >> back
-        if high:
-            words[wi + k + 1] ^= high
-
-
 def dot_window(z: BitVec, offset: int, bits: int, L: int) -> int:
     """Parity of AND between z's window [offset, offset+L) and the L-bit
     pattern ``bits``.

@@ -2,12 +2,14 @@
 chunk, concatenated bit-planes plus an offsets/seeds directory. With C >= m
 there is one chunk, which is the unpartitioned structure.
 
-Chunks are built independently (optionally on a thread pool) and merged in
-chunk order, so the output is a pure function of the key/value set and the
-base seed. The in-memory directory packs each chunk's retry seed into the
-top 16 bits of its 48-bit table offset, letting a query resolve offset,
-seed, and table span with two directory reads; the on-disk format keeps
-seeds and offsets as separate arrays.
+Every chunk's table size follows from its key count, so the offsets are
+fixed before any chunk is solved. Each chunk then solves straight into its
+own slice of one buffer per plane (optionally on a thread pool; the slices
+are disjoint), so the output is a pure function of the key/value set and
+the base seed. The in-memory directory packs each chunk's retry seed into
+the top 16 bits of its 48-bit table offset, letting a query resolve
+offset, seed, and table span with two directory reads; the on-disk format
+keeps seeds and offsets as separate arrays.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
-from .bitkit import BitVec, dot_window, xor_window
-from .retrieval_flat import construct_flat, normalize_pairs
+from .bitkit import BitVec, dot_window
+from .retrieval_flat import construct_flat, normalize_pairs, positions_for
 from .row_gen import (
     MASK64,
     chunk_and_word,
@@ -123,11 +125,12 @@ def num_chunks_for(m: int, C: int) -> int:
 
 
 def construct_chunked(pairs, params: ChunkedParams, threads: int = 1) -> ChunkedRetrieval:
-    """Normalize once, hash every key once, partition, solve each chunk,
-    concatenate.
+    """Normalize once, hash every key once, partition, lay out the chunk
+    tables, solve each chunk into its slice.
 
-    Raises RetriesExhausted naming the first chunk (in chunk order) that
-    no retry could solve, and ValueError when ``threads`` is below 1.
+    Raises ValueError when the table does not fit 48-bit offsets (before
+    any chunk is solved) or ``threads`` is below 1, and RetriesExhausted
+    naming the first chunk (in chunk order) that no retry could solve.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -144,24 +147,27 @@ def construct_chunked(pairs, params: ChunkedParams, threads: int = 1) -> Chunked
     bounds = np.searchsorted(chunk_of, np.arange(num_chunks + 1), sorter=order).tolist()
     s, lo, values = s[order], digests[:, 0][order], values[order]
     del digests, chunk_of, order
-    parts = [(s[a:b], lo[a:b], values[a:b]) for a, b in zip(bounds, bounds[1:])]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(construct_flat, *zip(*parts), repeat(params), range(num_chunks)))
-    else:
-        chunks = [construct_flat(*part, params, k) for k, part in enumerate(parts)]
 
     offsets = [0]
-    for _, n, _ in chunks:
-        offsets.append(offsets[-1] + n + params.L - 1)
-    directory = ChunkDirectory.from_parts(offsets, [retry for retry, _, _ in chunks])
+    for a, b in zip(bounds, bounds[1:]):
+        offsets.append(offsets[-1] + positions_for(b - a, params.epsilon) + params.L - 1)
+    ChunkDirectory.from_parts(offsets, [0] * num_chunks)  # an oversized table fails here
+    # One byte per bit, rounded up to whole words for the packing below.
+    planes = [bytearray((offsets[-1] + 63) & ~63) for _ in range(params.r)]
+    parts = [(s[a:b], lo[a:b], values[a:b]) for a, b in zip(bounds, bounds[1:])]
+    args = (*zip(*parts), repeat(params), repeat(planes), offsets[:-1], range(num_chunks))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            retries = list(pool.map(construct_flat, *args))
+    else:
+        retries = list(map(construct_flat, *args))
 
-    planes = [BitVec(offsets[-1]) for _ in range(params.r)]
-    for k, (_, _, chunk_planes) in enumerate(chunks):
-        for plane, chunk_plane in zip(planes, chunk_planes):
-            xor_window(plane, offsets[k], chunk_plane)
-    return ChunkedRetrieval(params, directory, planes, m)
+    directory = ChunkDirectory.from_parts(offsets, retries)
+    tables = [
+        BitVec(offsets[-1], np.packbits(z, bitorder="little").view("<u8").tolist())
+        for z in planes
+    ]
+    return ChunkedRetrieval(params, directory, tables, m)
 
 
 def query_chunked(ds: ChunkedRetrieval, key: bytes) -> int:

@@ -2,11 +2,12 @@
 structure, plus input normalization and the construction errors.
 
 Construction turns the digest words of a chunk's keys into rows, solves
-the resulting system by pivot insertion (``solve``), and keeps only the
-solution bit-planes plus the winning retry. A structure with C >= m has
-one chunk and so solves one system over the whole key set. The paper's
-sorted elimination lives on in ``band_solver`` as the reference that the
-model checks and the differential tests use; the build does not load it.
+the resulting system by pivot insertion (``solve``) straight into the
+chunk's slice of the structure's bit-planes, and returns the winning
+retry. A structure with C >= m has one chunk and so solves one system
+over the whole key set. The paper's sorted elimination lives on in
+``band_solver`` as the reference that the model checks and the
+differential tests use; the build does not load it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 import operator
 from typing import TYPE_CHECKING
 
-from .bitkit import BitVec
 from .row_gen import rows_for_words
 
 if TYPE_CHECKING:
@@ -74,9 +74,10 @@ _CTZ8 = [8] + [(i & -i).bit_length() - 1 for i in range(1, 256)]
 
 
 def solve(
-    n: int, L: int, r: int, starts: list[int], patterns: list[int], rhs: list[int]
-) -> list[BitVec] | None:
-    """The r solution planes of a band system, or None when its rows are
+    n: int, L: int, starts: list[int], patterns: list[int], rhs: list[int],
+    planes: list[bytearray], offset: int,
+) -> bool:
+    """Solve a band system into ``planes``; False when its rows are
     dependent.
 
     Rows are parallel int lists in any order: starts in [1, n], L-bit
@@ -85,7 +86,12 @@ def solve(
     lowest 1, and if a pivot row already sits in that column it XORs that
     row and its right-hand side in and walks on. A row that reaches 0 is
     dependent. Back-substitution then fills each plane from the highest
-    pivot down, sliding one L-bit window int; non-pivot bits stay 0.
+    pivot down, sliding one L-bit window int.
+
+    ``planes`` holds one byte per bit; column s of plane t is
+    ``planes[t][offset + s - 1]``. The n + L - 1 bytes from ``offset`` on
+    must be zero on entry: only 1 bits are written, so non-pivot columns
+    stay 0. Nothing is written unless every row was inserted.
 
     Row order cannot change the result. The pivot columns of any echelon
     basis are the columns where some vector of the row space has its
@@ -95,8 +101,6 @@ def solve(
     gives the same planes, and the same verdict: some row reaches 0 iff
     the rank is below the row count.
     """
-    import numpy as np
-
     width = n + L - 1
     pivot_rows = [0] * (width + 1)  # by column; bit 0 of a row is its pivot
     pivot_rhs = [0] * (width + 1)
@@ -116,43 +120,41 @@ def solve(
                 c ^= p
                 b ^= pivot_rhs[s]
             elif not c:
-                return None
+                return False
 
     pivots = [s for s in range(width, 0, -1) if pivot_rows[s]]
     mask = (1 << L) - 1
-    nbits = (width + 63) & ~63
-    planes = []
-    for t in range(r):
-        z = bytearray(nbits + 1)  # z[s] is the plane's column s
-        window = 0  # bit j is z[s + j]
+    base = offset - 1
+    for t, z in enumerate(planes):
+        window = 0  # bit j is column s + j
         prev = width
         for s in pivots:
             window = (window << (prev - s)) & mask
             prev = s
             if ((window & pivot_rows[s]).bit_count() ^ (pivot_rhs[s] >> t)) & 1:
                 window |= 1
-                z[s] = 1
-        bits = np.frombuffer(z, np.uint8, nbits, offset=1)
-        planes.append(BitVec(width, np.packbits(bits, bitorder="little").view("<u8").tolist()))
-    return planes
+                z[base + s] = 1
+    return True
 
 
 def construct_flat(
-    s, lo, values, params: ChunkedParams, chunk: int
-) -> tuple[int, int, list[BitVec]]:
-    """Solve chunk ``chunk``: retry seeds until its band system solves.
+    s, lo, values, params: ChunkedParams, planes: list[bytearray], offset: int, chunk: int
+) -> int:
+    """Solve chunk ``chunk`` into ``planes`` from bit ``offset`` on: retry
+    seeds until its band system solves, and return the winning retry.
 
     ``s``, ``lo`` and ``values`` are the chunk's start words, low digest
     words (uint64 arrays, see ``row_gen``) and values (an array), one entry
-    per key. Returns (winning retry, n, planes); each of the r planes is
-    n + L - 1 bits long. Raises ConstructError naming the chunk when two of
-    its keys share one digest, and RetriesExhausted naming it when every
-    retry produced a dependent system.
+    per key. ``planes`` are the structure's r one-byte-per-bit planes (see
+    ``solve``); the chunk's n + L - 1 columns must be zero on entry. Raises
+    ConstructError naming the chunk when two of its keys share one digest,
+    and RetriesExhausted naming it when every retry produced a dependent
+    system.
     """
     import numpy as np
 
     n = positions_for(len(s), params.epsilon)
-    L, r, lead = params.L, params.r, params.force_leading_one
+    L, lead = params.L, params.force_leading_one
     for retry in range(params.max_retries):
         starts, words = rows_for_words(s, lo, retry, n, L, lead)
         # The planes do not depend on row order; start order keeps each
@@ -161,9 +163,8 @@ def construct_flat(
         patterns = words[0][order].tolist()
         for k in range(1, len(words)):
             patterns = [p | w << (64 * k) for p, w in zip(patterns, words[k][order].tolist())]
-        planes = solve(n, L, r, starts[order].tolist(), patterns, values[order].tolist())
-        if planes is not None:
-            return retry, n, planes
+        if solve(n, L, starts[order].tolist(), patterns, values[order].tolist(), planes, offset):
+            return retry
         if retry == 0:
             # Keys with one digest get one row at every retry.
             by_digest = np.lexsort((lo, s))

@@ -19,13 +19,6 @@ from bandset.bitkit import BitVec, dot_window
 from bandset.row_gen import chunk_and_word, key_digest, row_for_words
 
 
-def naive_xor_window(dst_bits: list[int], offset: int, src_bits: list[int]) -> list[int]:
-    out = list(dst_bits)
-    for j, b in enumerate(src_bits):
-        out[offset + j] ^= b
-    return out
-
-
 def naive_dot_window(z_bits: list[int], offset: int, pattern_bits: list[int]) -> int:
     acc = 0
     for j, p in enumerate(pattern_bits):

@@ -1,89 +1,10 @@
-import math
 import random
-import time
 
 import pytest
 
-from bandset.bitkit import BitVec, dot_window, xor_window
+from bandset.bitkit import BitVec, dot_window
 
-from conftest import (
-    CountingWords,
-    bits_of,
-    bitvec_from_bits,
-    naive_dot_window,
-    naive_xor_window,
-)
-
-
-def test_xor_window_basic_example():
-    dst = BitVec(6)
-    xor_window(dst, 2, bitvec_from_bits([1, 1, 1]))
-    assert bits_of(dst) == [0, 0, 1, 1, 1, 0]
-
-
-def test_xor_window_zero_block_is_identity():
-    rnd = random.Random(1)
-    bits = [rnd.getrandbits(1) for _ in range(40)]
-    dst = bitvec_from_bits(bits)
-    xor_window(dst, 7, BitVec(9))
-    assert bits_of(dst) == bits
-
-
-def test_xor_window_involution():
-    rnd = random.Random(2)
-    for _ in range(50):
-        length = rnd.randint(1, 200)
-        L = rnd.randint(1, length)
-        offset = rnd.randint(0, length - L)
-        bits = [rnd.getrandbits(1) for _ in range(length)]
-        dst = bitvec_from_bits(bits)
-        src = bitvec_from_bits([rnd.getrandbits(1) for _ in range(L)])
-        xor_window(dst, offset, src)
-        xor_window(dst, offset, src)
-        assert bits_of(dst) == bits
-
-
-def test_xor_window_matches_reference():
-    rnd = random.Random(3)
-    for _ in range(300):
-        length = rnd.randint(1, 192)
-        L = rnd.randint(1, length)
-        offset = rnd.randint(0, length - L)
-        bits = [rnd.getrandbits(1) for _ in range(length)]
-        src_bits = [rnd.getrandbits(1) for _ in range(L)]
-        dst = bitvec_from_bits(bits)
-        xor_window(dst, offset, bitvec_from_bits(src_bits))
-        assert bits_of(dst) == naive_xor_window(bits, offset, src_bits)
-
-
-def test_xor_window_splice_matches_reference_at_word_edges():
-    rnd = random.Random(7)
-    cases = [(offset, length) for offset in (0, 1, 63, 64, 65) for length in (1, 63, 64, 65, 130)]
-    cases += [(rnd.randint(0, 300), rnd.randint(1, 300)) for _ in range(100)]
-    for offset, length in cases:
-        for tail in (0, rnd.randint(1, 100)):  # tail 0: the window ends at the last bit
-            bits = [rnd.getrandbits(1) for _ in range(offset + length + tail)]
-            src_bits = [rnd.getrandbits(1) for _ in range(length)]
-            dst = bitvec_from_bits(bits)
-            xor_window(dst, offset, bitvec_from_bits(src_bits))
-            assert bits_of(dst) == naive_xor_window(bits, offset, src_bits)
-
-
-def _splice_seconds(src_bits: int) -> float:
-    rnd = random.Random(src_bits)
-    src = BitVec(src_bits, [rnd.getrandbits(64) for _ in range((src_bits + 63) // 64)])
-    best = math.inf
-    for _ in range(3):
-        dst = BitVec(src_bits + 100)
-        t0 = time.perf_counter()
-        xor_window(dst, 37, src)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def test_xor_window_time_is_linear_in_source_bits():
-    # 16x the bits: linear code takes ~16x the time, a big-int path > 100x
-    assert _splice_seconds(1 << 22) < 40 * _splice_seconds(1 << 18)
+from conftest import CountingWords, bits_of, bitvec_from_bits, naive_dot_window
 
 
 def test_dot_window_examples():
@@ -112,10 +33,6 @@ def test_out_of_range_windows_raise():
     z = BitVec(10)
     with pytest.raises(ValueError):
         dot_window(z, 8, 1, 3)
-    with pytest.raises(ValueError):
-        xor_window(z, -1, BitVec(3, [1]))
-    with pytest.raises(ValueError):
-        xor_window(z, 9, BitVec(2, [3]))
 
 
 def test_word_access_counts_and_contiguity():
@@ -133,12 +50,6 @@ def test_word_access_counts_and_contiguity():
         assert len(set(reads)) <= budget
         assert sorted(set(reads)) == list(range(min(reads), max(reads) + 1))
         assert not z.words.writes
-
-        z.words.reset()
-        xor_window(z, offset, bitvec_from_bits([rnd.getrandbits(1) for _ in range(L)]))
-        touched = set(z.words.reads) | set(z.words.writes)
-        assert len(touched) <= budget
-        assert sorted(touched) == list(range(min(touched), max(touched) + 1))
 
 
 def test_bitvec_words_and_padding():

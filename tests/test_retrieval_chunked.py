@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bandset import retrieval_chunked
 from bandset.bitkit import BitVec
 from bandset.retrieval_chunked import (
     ChunkDirectory,
@@ -410,6 +411,16 @@ def test_build_calls_construct_flat_per_chunk_and_solve_per_attempt(solve_calls)
         retry + 1 for retry in ds.directory.seeds
     ]
     assert max(ds.directory.seeds) >= 1
+
+
+def test_oversized_table_fails_before_any_chunk_is_solved(monkeypatch, solve_calls):
+    # the offsets follow from the chunk sizes alone, so the 48-bit check
+    # runs before the first solve; a 1,000-bit limit stands in for 2^48
+    monkeypatch.setattr(retrieval_chunked, "_OFFSET_MASK", 999)
+    pairs = make_pairs(2_000, tag="huge")
+    with pytest.raises(ValueError, match="48-bit offsets"):
+        construct_chunked(pairs, ChunkedParams(epsilon=0.05, C=500, base_seed=8))
+    assert solve_calls.chunks == []
 
 
 @pytest.mark.parametrize("C", [3_000, 1_000])
