@@ -8,12 +8,23 @@ retry. A structure with C >= m has one chunk and so solves one system
 over the whole key set. The paper's sorted elimination lives on in
 ``band_solver`` as the reference that the model checks and the
 differential tests use; the build does not load it.
+
+``solve`` runs a small C kernel (``_band.c``) where it can: the first
+solve compiles it with ``cc`` into ``$XDG_CACHE_HOME/bandset`` (default
+``~/.cache/bandset``) unless it is cached there, and loads it through
+ctypes. Without a compiler, or when the cache directory is not private
+to the user, one RuntimeWarning says why and every solve runs the
+pure-Python branch, which writes the same bytes.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
+import threading
+import warnings
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .row_gen import rows_for_words
@@ -72,26 +83,106 @@ def positions_for(m: int, epsilon: float) -> int:
 # Trailing zeros of a byte; 8 for the zero byte.
 _CTZ8 = [8] + [(i & -i).bit_length() - 1 for i in range(1, 256)]
 
+_KERNEL_SOURCE = Path(__file__).with_name("_band.c")
+_CFLAGS = ("-O2", "-shared", "-fPIC")
+_kernel_lock = threading.Lock()
+_kernel_loaded: list = []  # [band_solve or None] once the first solve tried to load it
 
-def solve(
-    n: int, L: int, starts: list[int], patterns: list[int], rhs: list[int],
-    planes: list[bytearray], offset: int,
-) -> bool:
+
+def _kernel():
+    """The C kernel's ``band_solve``, or None when it cannot be built or
+    loaded. The first call loads it (compiling it first if the cache lacks
+    it) or issues one RuntimeWarning naming why not; later calls return
+    the same answer."""
+    if not _kernel_loaded:
+        with _kernel_lock:
+            if not _kernel_loaded:
+                try:
+                    kernel = _load_kernel()
+                except (OSError, RuntimeError) as exc:  # RuntimeError: no home directory
+                    warnings.warn(f"bandset: C kernel unavailable, solving in Python: {exc}",
+                                  RuntimeWarning, stacklevel=2)
+                    kernel = None
+                _kernel_loaded.append(kernel)
+    return _kernel_loaded[0]
+
+
+def _load_kernel():
+    """Load ``band-<hash>.so`` from ``$XDG_CACHE_HOME/bandset`` (default
+    ``~/.cache/bandset``), compiling ``_band.c`` with ``cc`` first when it
+    is missing. The hash covers the source, the flags and the machine."""
+    import ctypes
+    import hashlib
+    import platform
+    import shutil
+    import tempfile
+
+    source = _KERNEL_SOURCE.read_bytes()
+    tag = hashlib.sha256(
+        source + " ".join(_CFLAGS).encode() + platform.machine().encode()
+    ).hexdigest()[:16]
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "bandset"
+    cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+    st = cache.stat()
+    if st.st_uid != os.getuid() or st.st_mode & 0o022:
+        raise OSError(f"cache directory {cache} is not private to this user")
+    lib = cache / f"band-{tag}.so"
+    if not lib.exists():
+        cc = shutil.which("cc")
+        if cc is None:
+            raise OSError("no C compiler (cc) on PATH")
+        fd, tmp = tempfile.mkstemp(suffix=".so.tmp", dir=cache)
+        os.close(fd)
+        try:
+            _compile(cc, _KERNEL_SOURCE, tmp)
+            os.replace(tmp, lib)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    fn = ctypes.CDLL(str(lib)).band_solve
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    fn.argtypes = [i64, i64, i64, ptr, ptr, ptr, ptr, i64, ctypes.POINTER(ptr), i64]
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def _compile(cc: str, source: Path, out: str) -> None:
+    """Compile the kernel into the shared library ``out``; OSError when
+    the compiler cannot run or fails."""
+    import subprocess
+
+    done = subprocess.run([cc, *_CFLAGS, "-o", out, str(source)], capture_output=True, text=True)
+    if done.returncode:
+        raise OSError(f"{cc} exited {done.returncode}: {done.stderr.strip()}")
+
+
+def solve(n: int, L: int, starts, words, rhs, planes: list[bytearray], offset: int) -> bool:
     """Solve a band system into ``planes``; False when its rows are
     dependent.
 
-    Rows are parallel int lists in any order: starts in [1, n], L-bit
-    patterns (bit j is column start + j) and right-hand sides (bit t
-    belongs to plane t). Each row is inserted on the fly: it walks to its
-    lowest 1, and if a pivot row already sits in that column it XORs that
-    row and its right-hand side in and walks on. A row that reaches 0 is
-    dependent. Back-substitution then fills each plane from the highest
-    pivot down, sliding one L-bit window int.
+    Rows are parallel arrays in any order: ``starts`` (uint64, in [1, n]),
+    the L-bit patterns as ``words``, the ``ceil(L/64)`` uint64 word arrays
+    of ``rows_for_words``, lowest first (bit j is column start + j), and
+    ``rhs`` (bit t belongs to plane t; uint64, or object ints for more than
+    64 planes). Each row is inserted on the fly: it walks to its lowest 1,
+    and if a pivot row already sits in that column it XORs that row and its
+    right-hand side in and walks on. A row that reaches 0 is dependent.
+    Back-substitution then fills each plane from the highest pivot down,
+    sliding one L-bit window.
 
     ``planes`` holds one byte per bit; column s of plane t is
     ``planes[t][offset + s - 1]``. The n + L - 1 bytes from ``offset`` on
     must be zero on entry: only 1 bits are written, so non-pivot columns
-    stay 0. Nothing is written unless every row was inserted.
+    stay 0. Nothing is written unless every row was inserted. Raises
+    ValueError when a start lies outside [1, n], a pattern is wider than L
+    bits or a plane is too short for the columns the rows reach, and
+    MemoryError when the pivot table cannot be allocated.
+
+    The C kernel (``_band.c``) solves when it loaded, L <= 128, there are
+    at most 64 planes and ``rhs`` is uint64; otherwise the pure-Python
+    branch below does. Both insert the rows the same way and write the
+    same bytes. The kernel releases the GIL, so threads overlap their
+    solves.
 
     Row order cannot change the result. The pivot columns of any echelon
     basis are the columns where some vector of the row space has its
@@ -101,11 +192,46 @@ def solve(
     gives the same planes, and the same verdict: some row reaches 0 iff
     the rank is below the row count.
     """
+    import numpy as np
+
+    m = len(starts)
+    if len(words) != (L + 63) >> 6 or any(len(a) != m for a in (*words, rhs)):
+        raise ValueError("need ceil(L/64) pattern word arrays and one rhs per start")
+    starts = np.ascontiguousarray(starts, np.uint64)
+    words = [np.ascontiguousarray(w, np.uint64) for w in words]
+    if m:
+        first, last = int(starts.min()), int(starts.max())
+        if first < 1 or last > n:
+            raise ValueError(f"row starts must lie in [1, {n}]")
+        if L & 63 and int(words[-1].max()) >> (L & 63):
+            raise ValueError(f"row patterns must fit in {L} bits")
+        # no row reaches past column last + L - 1
+        if offset < 0 or any(len(z) < offset + last + L - 1 for z in planes):
+            raise ValueError("planes too short for the rows' columns")
+
+    kernel = _kernel()
+    if (kernel is not None and L <= 128 and n < 1 << 62 and len(planes) <= 64
+            and rhs.dtype == np.uint64):
+        import ctypes
+
+        bufs = [(ctypes.c_char * len(z)).from_buffer(z) for z in planes]
+        ptrs = (ctypes.c_void_p * len(bufs))(*map(ctypes.addressof, bufs))
+        rhs = np.ascontiguousarray(rhs)
+        status = kernel(n, L, m, starts.ctypes.data, words[0].ctypes.data,
+                        words[1].ctypes.data if L > 64 else None, rhs.ctypes.data,
+                        len(planes), ptrs, offset)
+        if status < 0:
+            raise MemoryError(f"no memory for the pivot table of {n + L - 1} columns")
+        return bool(status)
+
+    patterns = words[0].tolist()
+    for k in range(1, len(words)):
+        patterns = [p | w << (64 * k) for p, w in zip(patterns, words[k].tolist())]
     width = n + L - 1
     pivot_rows = [0] * (width + 1)  # by column; bit 0 of a row is its pivot
     pivot_rhs = [0] * (width + 1)
     ctz = _CTZ8
-    for s, c, b in zip(starts, patterns, rhs):
+    for s, c, b in zip(starts.tolist(), patterns, rhs.tolist()):
         while True:
             # walk to the lowest 1, at most 8 columns per step
             t = ctz[c & 255]
@@ -160,10 +286,7 @@ def construct_flat(
         # The planes do not depend on row order; start order keeps each
         # insertion walk short.
         order = np.argsort(starts, kind="stable")
-        patterns = words[0][order].tolist()
-        for k in range(1, len(words)):
-            patterns = [p | w << (64 * k) for p, w in zip(patterns, words[k][order].tolist())]
-        if solve(n, L, starts[order].tolist(), patterns, values[order].tolist(), planes, offset):
+        if solve(n, L, starts[order], [w[order] for w in words], values[order], planes, offset):
             return retry
         if retry == 0:
             # Keys with one digest get one row at every retry.

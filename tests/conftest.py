@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import hashlib
 import random
+import shutil
+import tempfile
 import types
 from typing import NamedTuple
 
@@ -17,6 +19,17 @@ from bandset import retrieval_chunked, retrieval_flat, row_gen
 from bandset.band_solver import eliminate, solve, verify
 from bandset.bitkit import BitVec, dot_window
 from bandset.row_gen import chunk_and_word, key_digest, row_for_words
+
+
+def pytest_configure(config):
+    """Builds compile and load the C kernel from a cache private to the test
+    run, not the user's. It is set here, before collection, because
+    collecting ``test_retrieval_chunked`` already builds a structure."""
+    cache = tempfile.mkdtemp(prefix="bandset-cache-")
+    mp = pytest.MonkeyPatch()
+    mp.setenv("XDG_CACHE_HOME", cache)
+    config.add_cleanup(lambda: shutil.rmtree(cache, ignore_errors=True))
+    config.add_cleanup(mp.undo)
 
 
 def naive_dot_window(z_bits: list[int], offset: int, pattern_bits: list[int]) -> int:

@@ -49,7 +49,7 @@ def _loaded_by(code: str, names: tuple[str, ...]) -> list[str]:
 
 
 def test_import_loads_neither_numpy_nor_the_model_layer():
-    names = ("numpy", "bandset.analysis_sim", "bandset.band_solver")
+    names = ("numpy", "ctypes", "bandset.analysis_sim", "bandset.band_solver")
     assert _loaded_by("import bandset", names) == []
 
 

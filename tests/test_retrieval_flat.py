@@ -1,20 +1,67 @@
 """The build's pivot-insertion solver (``retrieval_flat.solve``) against the
 sorted-elimination reference (``band_solver.solve``), and its independence
-of row order."""
+of row order. Every solve runs on both backends, the C kernel and the
+pure-Python branch, which must write the same bytes. Then the kernel's
+loader: its cache, its one compile and its fallback."""
 
+import os
 import random
+import shutil
+import subprocess
+import sys
+import threading
+import time
+import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandset import band_solver
+import bandset
+from bandset import ChunkedParams, band_solver, construct_chunked, retrieval_flat, serialize
 from bandset.band_solver import DENSE_ORACLE_MAX_COLS, dense_rank_oracle, verify
 from bandset.bitkit import BitVec
-from bandset.retrieval_flat import solve
+from bandset.retrieval_flat import positions_for, solve
+from bandset.row_gen import MASK64, rows_for_words
 
-from conftest import bits_of
+from conftest import bits_of, make_pairs
+
+HAVE_CC = shutil.which("cc") is not None
+
+
+def python_branch():
+    """Solve in pure Python while the context is open."""
+    return mock.patch.object(retrieval_flat, "_kernel", lambda: None)
+
+
+@pytest.fixture(params=["python", "native"])
+def backend(request):
+    """Run the test with the pure-Python branch of ``solve``, then with the
+    C kernel (skipped when no ``cc`` is on PATH)."""
+    if request.param == "python":
+        with python_branch():
+            yield request.param
+    elif not HAVE_CC:
+        pytest.skip("no C compiler (cc) on PATH")
+    else:
+        assert retrieval_flat._kernel() is not None
+        yield request.param
+
+
+def solve_both(n: int, L: int, starts, words, rhs, planes: list[bytearray], offset: int) -> bool:
+    """``solve`` on the pure-Python branch into a copy of ``planes``, then
+    on the default backend (the C kernel where ``cc`` is present) into
+    ``planes``: both must give the same verdict and the same bytes."""
+    copies = [bytearray(z) for z in planes]
+    with python_branch():
+        want = solve(n, L, starts, words, rhs, copies, offset)
+    assert (retrieval_flat._kernel() is not None) == HAVE_CC
+    got = solve(n, L, starts, words, rhs, planes, offset)
+    assert got == want and planes == copies
+    return got
 
 
 def random_rows(rnd: random.Random, n: int, L: int, r: int) -> list[tuple[int, int, int]]:
@@ -40,12 +87,23 @@ def columns(rows) -> tuple[list[int], list[int], list[int]]:
     return [s for s, _, _ in rows], [p for _, p, _ in rows], [b for _, _, b in rows]
 
 
+def arrays(rows, L: int, r: int):
+    """``solve``'s inputs for (start, pattern, rhs) rows: the uint64 starts,
+    the ceil(L/64) uint64 pattern words, and the right-hand sides (uint64,
+    or object ints for r > 64)."""
+    starts, patterns, rhs = columns(rows)
+    words = [np.array([p >> (64 * k) & MASK64 for p in patterns], np.uint64)
+             for k in range((L + 63) >> 6)]
+    return (np.array(starts, np.uint64), words,
+            np.array(rhs, np.uint64 if r <= 64 else object))
+
+
 def solve_rows(n: int, L: int, r: int, rows) -> list[BitVec] | None:
     """``solve`` into fresh one-byte-per-bit buffers, packed into the r
     BitVec planes that ``band_solver.solve`` returns; None when dependent."""
     width = n + L - 1
     planes = [bytearray((width + 63) & ~63) for _ in range(r)]
-    if not solve(n, L, *columns(rows), planes, 0):
+    if not solve_both(n, L, *arrays(rows, L, r), planes, 0):
         return None
     return [BitVec(width, np.packbits(z, bitorder="little").view("<u8").tolist())
             for z in planes]
@@ -55,8 +113,8 @@ def reference_rows(n: int, L: int, r: int, rows) -> list[BitVec] | None:
     return band_solver.solve(n, L, r, *columns(rows))
 
 
-@pytest.mark.parametrize("r", [1, 3, 8, 65])
-@pytest.mark.parametrize("L", [1, 2, 63, 64, 65, 80, 130])
+@pytest.mark.parametrize("r", [1, 3, 8, 64, 65])
+@pytest.mark.parametrize("L", [1, 2, 63, 64, 65, 80, 127, 128, 130])
 def test_solve_matches_sorted_elimination(L, r):
     rnd = random.Random(1000 * L + r)
     solved = failed = 0
@@ -74,7 +132,7 @@ def test_solve_matches_sorted_elimination(L, r):
     assert solved >= 5 and failed >= 5
 
 
-@pytest.mark.parametrize("L,r", [(1, 1), (8, 2), (64, 1), (80, 3), (130, 8)])
+@pytest.mark.parametrize("L,r", [(1, 1), (8, 2), (64, 1), (80, 3), (128, 64), (130, 8)])
 def test_row_order_does_not_change_the_planes(L, r):
     rnd = random.Random(L * r)
     solved = 0
@@ -90,7 +148,7 @@ def test_row_order_does_not_change_the_planes(L, r):
     assert solved >= 10
 
 
-@pytest.mark.parametrize("L,r", [(1, 1), (8, 2), (64, 1), (65, 3), (130, 2)])
+@pytest.mark.parametrize("L,r", [(1, 1), (8, 2), (64, 1), (65, 3), (127, 64), (128, 8), (130, 2)])
 def test_solve_writes_only_its_slice(L, r):
     # buffers full of random bytes around the slice: a dependent system
     # changes no byte, even inside it; a solvable one, given a zero slice,
@@ -110,7 +168,7 @@ def test_solve_writes_only_its_slice(L, r):
             for z in before:
                 z[offset:end] = bytes(width)
         planes = [bytearray(z) for z in before]
-        assert solve(n, L, *columns(rows), planes, offset) == (want is not None)
+        assert solve_both(n, L, *arrays(rows, L, r), planes, offset) == (want is not None)
         if want is None:
             assert planes == before
             failed += 1
@@ -124,11 +182,65 @@ def test_solve_writes_only_its_slice(L, r):
 
 def test_solve_leaves_its_inputs_alone():
     rnd = random.Random(5)
-    rows = random_rows(rnd, 30, 16, 2)
-    starts, patterns, rhs = columns(rows)
-    copies = (list(starts), list(patterns), list(rhs))
-    solve(30, 16, starts, patterns, rhs, [bytearray(45), bytearray(45)], 0)
-    assert (starts, patterns, rhs) == copies
+    starts, words, rhs = arrays(random_rows(rnd, 30, 16, 2), 16, 2)
+    copies = (starts.copy(), words[0].copy(), rhs.copy())
+    solve_both(30, 16, starts, words, rhs, [bytearray(45), bytearray(45)], 0)
+    for got, want in zip((starts, words[0], rhs), copies):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("L,r", [(64, 8), (128, 3)])
+def test_chunk_sized_system_matches_sorted_elimination(L, r, backend):
+    # a build's chunk: 10k keys at eps 3%, retried until it solves (at
+    # L = 64 about half of first tries fail); every attempt agrees
+    rnd = np.random.default_rng(L + r)
+    m = 10_000
+    s, lo = (rnd.integers(0, 1 << 64, m, dtype=np.uint64) for _ in range(2))
+    rhs = rnd.integers(0, 1 << r, m, dtype=np.uint64)
+    n = positions_for(m, 0.03)
+    for retry in range(8):
+        starts, words = rows_for_words(s, lo, retry, n, L, False)
+        planes = [bytearray(n + L - 1) for _ in range(r)]
+        got = solve(n, L, starts, words, rhs, planes, 0)
+        patterns = [sum(int(w[i]) << (64 * k) for k, w in enumerate(words)) for i in range(m)]
+        rows = sorted(zip(starts.tolist(), patterns, rhs.tolist()), key=lambda row: row[0])
+        want = reference_rows(n, L, r, rows)
+        assert got == (want is not None)
+        if got:
+            assert [list(z) for z in planes] == [bits_of(plane) for plane in want]
+            break
+    else:
+        pytest.fail("no retry solved")
+
+
+def test_failed_allocation_raises_memory_error(backend):
+    # 2^59 columns: the pivot table cannot be allocated, which must not read
+    # as a dependent system (a build would burn every retry on it)
+    empty = np.zeros(0, np.uint64)
+    with pytest.raises(MemoryError):
+        solve(1 << 59, 64, empty, [empty], empty, [bytearray(64)], 0)
+
+
+@pytest.mark.parametrize("bad", ["start 0", "start n + 1", "wide pattern", "short plane",
+                                 "missing word"])
+def test_solve_rejects_rows_outside_its_table(bad, backend):
+    n, L = 20, 40
+    starts, words, rhs = arrays([(1, 1, 1), (20, 3, 0)], L, 1)
+    size = n + L - 1
+    if bad == "start 0":
+        starts[0] = 0
+    elif bad == "start n + 1":
+        starts[1] = n + 1
+    elif bad == "wide pattern":
+        words[0][1] = 1 << L
+    elif bad == "short plane":
+        size -= 1
+    else:
+        words = []
+    planes = [bytearray(size)]
+    with pytest.raises(ValueError):
+        solve(n, L, starts, words, rhs, planes, 0)
+    assert planes == [bytearray(size)]
 
 
 @st.composite
@@ -151,3 +263,87 @@ def test_solve_fails_exactly_below_full_rank(system):
     assert (planes is not None) == full_rank
     if planes is not None:
         assert verify(n, L, starts, patterns, rhs, planes)
+
+
+# ---------------------------------------------------------------------------
+# the kernel's loader
+
+
+def _fresh_cache(tmp_path, monkeypatch) -> Path:
+    """An empty kernel cache under ``tmp_path`` and a loader that has not
+    run yet in this process; returns the cache directory."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(retrieval_flat, "_kernel_loaded", [])
+    return tmp_path / "bandset"
+
+
+@pytest.fixture
+def fresh_loader(tmp_path, monkeypatch):
+    return _fresh_cache(tmp_path, monkeypatch)
+
+
+def _build_bytes(threads: int = 1) -> bytes:
+    params = ChunkedParams(epsilon=0.05, r=3, C=500, base_seed=11)
+    return serialize(construct_chunked(make_pairs(4_000, r=3), params, threads=threads))
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler (cc) on PATH")
+def test_loader_returns_the_kernel_when_cc_is_present(fresh_loader):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert retrieval_flat._kernel() is not None
+    assert [p.name[:5] for p in fresh_loader.iterdir()] == ["band-"]
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler (cc) on PATH")
+def test_cold_cache_compiles_once_and_a_second_process_only_loads(fresh_loader, monkeypatch):
+    compiles = []
+    compile_ = retrieval_flat._compile
+
+    def slow_compile(*args):
+        compiles.append(threading.get_ident())
+        time.sleep(0.2)  # keeps the second build thread waiting at the lock
+        compile_(*args)
+
+    monkeypatch.setattr(retrieval_flat, "_compile", slow_compile)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _build_bytes(threads=2)
+    assert len(compiles) == 1
+    (lib,) = fresh_loader.iterdir()
+    stamp = lib.stat().st_mtime_ns
+
+    # no cc on this PATH: the kernel loads only if nothing is compiled
+    code = ("import warnings; warnings.simplefilter('error')\n"
+            "from bandset import retrieval_flat\n"
+            "assert retrieval_flat._kernel() is not None")
+    env = {**os.environ, "PATH": str(fresh_loader.parent / "no-such-dir"),
+           "PYTHONPATH": str(Path(bandset.__file__).parent.parent)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+    assert list(fresh_loader.iterdir()) == [lib] and lib.stat().st_mtime_ns == stamp
+
+
+def test_failed_compile_warns_once_and_builds_the_same_file(tmp_path, monkeypatch):
+    want = _build_bytes()  # the kernel when cc is present, else the Python branch
+
+    def broken_compile(*args):
+        raise OSError("cc exited 1: simulated failure")
+
+    monkeypatch.setattr(shutil, "which", lambda name: "/usr/bin/cc")  # found, but it fails
+    monkeypatch.setattr(retrieval_flat, "_compile", broken_compile)
+    cache = _fresh_cache(tmp_path, monkeypatch)
+    with pytest.warns(RuntimeWarning, match="simulated failure"):
+        assert _build_bytes() == want
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _build_bytes() == want
+    assert retrieval_flat._kernel() is None
+    assert list(cache.iterdir()) == []  # no temporary file left behind
+
+
+def test_world_writable_cache_directory_is_refused(fresh_loader):
+    fresh_loader.mkdir()
+    fresh_loader.chmod(0o777)
+    with pytest.warns(RuntimeWarning, match="not private"):
+        assert retrieval_flat._kernel() is None
+    assert list(fresh_loader.iterdir()) == []
