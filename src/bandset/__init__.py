@@ -21,6 +21,7 @@ from .retrieval_chunked import (
     deserialize,
     overhead,
     query_chunked,
+    query_many,
     serialize,
 )
 from .retrieval_chunked import __all__ as _retrieval_names

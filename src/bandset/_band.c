@@ -1,19 +1,35 @@
-/* Native backend of bandset.retrieval_flat.solve: pivot insertion (the
-   Ribbon construction of Dillinger & Walzer, 2021) and per-plane
-   back-substitution of one band system over GF(2), for L <= 128 and at
-   most 64 value bits. It walks and adds rows exactly as the Python branch
-   of ``solve`` does, so both write the same bytes; ``solve`` checks the
-   inputs before it calls this.
+/* Native backend of bandset, a CPython extension module with three parts:
+
+   * ``solve``: pivot insertion (the Ribbon construction of Dillinger &
+     Walzer, 2021) and per-plane back-substitution of one band system over
+     GF(2), for L <= 128 and at most 64 value bits. It walks and adds rows
+     exactly as the Python branch of ``retrieval_flat.solve`` does, so both
+     write the same bytes.
+   * keyed BLAKE2b-128 (RFC 7693): ``keyed(seed)`` is the state after the
+     key block, and ``digests`` hashes keys from it. The digests equal
+     ``hashlib.blake2b(key, digest_size=16, key=<seed as 8 LE bytes>)``.
+   * ``query`` and ``query_many``: the whole lookup of ``query_chunked``
+     for L <= 128 and at most 64 planes, reading the directory and the
+     plane words where the structure keeps them.
+
+   The Python callers check shapes and pick the backend; the checks here
+   only keep every read and write in bounds. */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+typedef unsigned __int128 u128;
+
+/* ------------------------------------------------------------------------
+   solve
 
    A walking or stored row never spans more than L bits from its current
    column: each of its source rows starts at or before that column, since
    walks only move right. So one unsigned __int128 holds any row, in any
    row order, with bit 0 at the row's current column. */
-
-#include <stdint.h>
-#include <stdlib.h>
-
-typedef unsigned __int128 u128;
 
 static unsigned ctz128(u128 x) /* x != 0 */
 {
@@ -28,22 +44,28 @@ static int parity128(u128 x)
 
 /* Rows are starts[i] in [1, n] with the pattern plo[i] | phi[i] << 64 (phi
    is NULL for L <= 64) and right-hand side rhs[i]. Column s of plane t is
-   planes[t][offset + s - 1]; only 1 bits are written. Returns 1 when
-   solved, 0 when the rows are dependent (nothing written), -1 when out of
-   memory (nothing written). */
-int band_solve(int64_t n, int64_t L, int64_t m, const uint64_t *starts,
-               const uint64_t *plo, const uint64_t *phi, const uint64_t *rhs,
-               int64_t r, uint8_t **planes, int64_t offset)
+   planes[t][offset + s - 1], and every plane holds at least zlen bytes;
+   only 1 bits are written. Returns 1 when solved, 0 when the rows are
+   dependent, -1 when out of memory, -2 when a start lies outside [1, n] or
+   a pivot column outside the planes; nothing is written unless it
+   returns 1. */
+static int band_solve(int64_t n, int64_t L, int64_t m, const uint64_t *starts,
+                      const uint64_t *plo, const uint64_t *phi, const uint64_t *rhs,
+                      int64_t r, uint8_t **planes, int64_t offset, int64_t zlen)
 {
-    int64_t width = n + L - 1;
+    int64_t width = n + L - 1, top = 0;
     u128 *rows = calloc((size_t)width + 1, sizeof *rows); /* by pivot column */
     uint64_t *bs = calloc((size_t)width + 1, sizeof *bs);
     int solved = rows && bs ? 1 : -1;
 
     for (int64_t i = 0; i < m && solved == 1; i++) {
-        int64_t s = (int64_t)starts[i];
+        uint64_t s = starts[i];
         u128 c = phi ? (u128)phi[i] << 64 | plo[i] : plo[i];
         uint64_t b = rhs[i];
+        if (s < 1 || s > (uint64_t)n) {
+            solved = -2;
+            break;
+        }
         for (;;) {
             if (!c) {
                 solved = 0;
@@ -55,18 +77,22 @@ int band_solve(int64_t n, int64_t L, int64_t m, const uint64_t *starts,
             if (!rows[s]) {
                 rows[s] = c;
                 bs[s] = b;
+                if ((int64_t)s > top)
+                    top = (int64_t)s;
                 break;
             }
             c ^= rows[s];
             b ^= bs[s];
         }
     }
+    if (solved == 1 && offset + top > zlen)
+        solved = -2;
     /* The window slides one column per step, so no shift reaches 128 bits;
        bits above L never meet a stored row, so they need no mask. */
     for (int64_t t = 0; t < r && solved == 1; t++) {
         uint8_t *z = planes[t] + offset;
         u128 window = 0; /* bit j is column s + j */
-        for (int64_t s = width; s >= 1; s--) {
+        for (int64_t s = top; s >= 1; s--) {
             window <<= 1;
             if (rows[s] && (parity128(window & rows[s]) ^ (int)(bs[s] >> t & 1))) {
                 window |= 1;
@@ -77,4 +103,516 @@ int band_solve(int64_t n, int64_t L, int64_t m, const uint64_t *starts,
     free(rows);
     free(bs);
     return solved;
+}
+
+/* solve(n, L, starts, plo, phi, rhs, planes, offset) -> True solved, False
+   dependent; phi is None for L <= 64, planes a sequence of writable
+   buffers. The GIL is released while the kernel runs. */
+static PyObject *py_solve(PyObject *self, PyObject *args)
+{
+    long long n, L, offset;
+    Py_buffer starts, plo, phi, rhs, views[64];
+    PyObject *planes_obj, *planes = NULL;
+    uint8_t *ptrs[64];
+    Py_ssize_t r = 0;
+    int status = -3;
+
+    if (!PyArg_ParseTuple(args, "LLy*y*z*y*OL", &n, &L, &starts, &plo, &phi, &rhs,
+                          &planes_obj, &offset))
+        return NULL;
+    int64_t m = starts.len / 8;
+    if (!(planes = PySequence_Fast(planes_obj, "planes must be a sequence of buffers")))
+        goto done;
+    if (n < 1 || n >= (1LL << 62) || L < 1 || L > 128 || offset < 0 || starts.len % 8
+        || PySequence_Fast_GET_SIZE(planes) > 64 || !phi.obj != (L <= 64)) {
+        PyErr_SetString(PyExc_ValueError, "solve: unsupported shape");
+        goto done;
+    }
+    if (plo.len != m * 8 || rhs.len != m * 8 || (phi.obj && phi.len != m * 8)) {
+        PyErr_SetString(PyExc_ValueError, "pattern words and rhs must hold one uint64 per row");
+        goto done;
+    }
+    long long zlen = LLONG_MAX;
+    for (; r < PySequence_Fast_GET_SIZE(planes); r++) {
+        if (PyObject_GetBuffer(PySequence_Fast_GET_ITEM(planes, r), &views[r], PyBUF_WRITABLE) < 0)
+            goto done;
+        ptrs[r] = views[r].buf;
+        if (views[r].len < zlen)
+            zlen = views[r].len;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    status = band_solve(n, L, m, starts.buf, plo.buf, phi.buf, rhs.buf, r, ptrs, offset, zlen);
+    Py_END_ALLOW_THREADS
+    if (status == -1)
+        PyErr_Format(PyExc_MemoryError, "no memory for the pivot table of %lld columns", n + L - 1);
+    else if (status == -2)
+        PyErr_SetString(PyExc_ValueError, "rows reach outside the table or the planes");
+done:
+    while (r > 0)
+        PyBuffer_Release(&views[--r]);
+    Py_XDECREF(planes);
+    PyBuffer_Release(&starts);
+    PyBuffer_Release(&plo);
+    PyBuffer_Release(&phi);
+    PyBuffer_Release(&rhs);
+    return status >= 0 ? PyBool_FromLong(status) : NULL;
+}
+
+/* ------------------------------------------------------------------------
+   keyed BLAKE2b-128, RFC 7693 */
+
+static const uint64_t IV[8] = {
+    0x6A09E667F3BCC908ULL, 0xBB67AE8584CAA73BULL, 0x3C6EF372FE94F82BULL, 0xA54FF53A5F1D36F1ULL,
+    0x510E527FADE682D1ULL, 0x9B05688C2B3E6C1FULL, 0x1F83D9ABFB41BD6BULL, 0x5BE0CD19137E2179ULL,
+};
+
+static const uint8_t SIGMA[10][16] = {
+    {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
+    {14, 10, 4, 8, 9, 15, 13, 6, 1, 12, 0, 2, 11, 7, 5, 3},
+    {11, 8, 12, 0, 5, 2, 15, 13, 10, 14, 3, 6, 7, 1, 9, 4},
+    {7, 9, 3, 1, 13, 12, 11, 14, 2, 6, 5, 10, 4, 0, 15, 8},
+    {9, 0, 5, 7, 2, 4, 10, 15, 14, 1, 11, 12, 6, 8, 3, 13},
+    {2, 12, 6, 10, 0, 11, 8, 3, 4, 13, 7, 5, 15, 14, 1, 9},
+    {12, 5, 1, 15, 14, 13, 4, 10, 0, 7, 6, 3, 9, 2, 8, 11},
+    {13, 11, 7, 14, 12, 1, 3, 9, 5, 0, 15, 4, 8, 6, 2, 10},
+    {6, 15, 14, 9, 11, 3, 0, 8, 12, 2, 13, 7, 1, 4, 10, 5},
+    {10, 2, 8, 4, 7, 6, 1, 5, 15, 11, 9, 14, 3, 12, 13, 0},
+};
+
+/* Parameter block word 0 for a 16-byte digest and an 8-byte key. */
+#define PARAM0 (0x01010000ULL ^ (8ULL << 8) ^ 16ULL)
+
+/* A little-endian word; memcpy compiles to one load, a byte loop does not. */
+static uint64_t load64(const uint8_t *p)
+{
+    uint64_t x;
+    memcpy(&x, p, 8);
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    x = __builtin_bswap64(x);
+#endif
+    return x;
+}
+
+static uint64_t rotr64(uint64_t x, unsigned n)
+{
+    return x >> n | x << (64 - n);
+}
+
+#define G(a, b, c, d, x, y)                                                  \
+    do {                                                                     \
+        v[a] += v[b] + (x);                                                  \
+        v[d] = rotr64(v[d] ^ v[a], 32);                                      \
+        v[c] += v[d];                                                        \
+        v[b] = rotr64(v[b] ^ v[c], 24);                                      \
+        v[a] += v[b] + (y);                                                  \
+        v[d] = rotr64(v[d] ^ v[a], 16);                                      \
+        v[c] += v[d];                                                        \
+        v[b] = rotr64(v[b] ^ v[c], 63);                                      \
+    } while (0)
+
+/* One round; r is a constant, so every message index folds to a constant
+   and m[] stays in registers. */
+#define ROUND(r)                                                             \
+    do {                                                                     \
+        G(0, 4, 8, 12, m[SIGMA[r][0]], m[SIGMA[r][1]]);                      \
+        G(1, 5, 9, 13, m[SIGMA[r][2]], m[SIGMA[r][3]]);                      \
+        G(2, 6, 10, 14, m[SIGMA[r][4]], m[SIGMA[r][5]]);                     \
+        G(3, 7, 11, 15, m[SIGMA[r][6]], m[SIGMA[r][7]]);                     \
+        G(0, 5, 10, 15, m[SIGMA[r][8]], m[SIGMA[r][9]]);                     \
+        G(1, 6, 11, 12, m[SIGMA[r][10]], m[SIGMA[r][11]]);                   \
+        G(2, 7, 8, 13, m[SIGMA[r][12]], m[SIGMA[r][13]]);                    \
+        G(3, 4, 9, 14, m[SIGMA[r][14]], m[SIGMA[r][15]]);                    \
+    } while (0)
+
+/* Compress one 128-byte block into h; t counts the bytes hashed so far,
+   this block included. */
+static void compress(uint64_t h[8], const uint8_t *block, uint64_t t, int last)
+{
+    uint64_t m[16], v[16];
+    for (int i = 0; i < 16; i++)
+        m[i] = load64(block + 8 * i);
+    for (int i = 0; i < 8; i++) {
+        v[i] = h[i];
+        v[i + 8] = IV[i];
+    }
+    v[12] ^= t; /* the high counter word stays 0 below 2^64 bytes */
+    if (last)
+        v[14] = ~v[14];
+    ROUND(0); ROUND(1); ROUND(2); ROUND(3); ROUND(4); ROUND(5);
+    ROUND(6); ROUND(7); ROUND(8); ROUND(9); ROUND(0); ROUND(1);
+    for (int i = 0; i < 8; i++)
+        h[i] ^= v[i] ^ v[i + 8];
+}
+
+/* The hash state after the key block, computed once per base seed. The
+   key block is the last block of an empty message, so the seed is kept
+   to hash that case from the start. */
+struct keyed {
+    uint64_t h[8];
+    uint64_t seed;
+};
+
+/* h after the key block of seed, the last block when the message is
+   empty. */
+static void key_start(uint64_t h[8], uint64_t seed, int last)
+{
+    uint8_t block[128] = {0};
+    for (int i = 0; i < 8; i++)
+        block[i] = (uint8_t)(seed >> (8 * i));
+    memcpy(h, IV, sizeof IV);
+    h[0] ^= PARAM0;
+    compress(h, block, 128, last);
+}
+
+static void digest(const struct keyed *k, const uint8_t *p, size_t n, uint64_t *hi, uint64_t *lo)
+{
+    uint64_t h[8];
+    if (n == 0) {
+        key_start(h, k->seed, 1);
+    } else {
+        uint8_t block[128];
+        uint64_t t = 128;
+        memcpy(h, k->h, sizeof h);
+        for (; n > 128; p += 128, n -= 128) {
+            t += 128;
+            compress(h, p, t, 0);
+        }
+        memset(block, 0, sizeof block);
+        memcpy(block, p, n);
+        compress(h, block, t + n, 1);
+    }
+    *lo = h[0];
+    *hi = h[1];
+}
+
+/* keyed(seed) -> bytes: the state that digests, query and query_many
+   take. */
+static PyObject *py_keyed(PyObject *self, PyObject *seed_obj)
+{
+    struct keyed k;
+    k.seed = PyLong_AsUnsignedLongLong(seed_obj);
+    if (k.seed == (uint64_t)-1 && PyErr_Occurred())
+        return NULL;
+    key_start(k.h, k.seed, 0);
+    return PyBytes_FromStringAndSize((const char *)&k, sizeof k);
+}
+
+static int get_keyed(PyObject *state, struct keyed *k)
+{
+    if (!PyBytes_CheckExact(state) || PyBytes_GET_SIZE(state) != sizeof *k) {
+        PyErr_SetString(PyExc_TypeError, "state must come from keyed(seed)");
+        return -1;
+    }
+    memcpy(k, PyBytes_AS_STRING(state), sizeof *k);
+    return 0;
+}
+
+/* Digest words of a bytes-like key; TypeError for anything else. */
+static int key_words(const struct keyed *k, PyObject *key, uint64_t *hi, uint64_t *lo)
+{
+    Py_buffer view;
+    if (PyObject_GetBuffer(key, &view, PyBUF_SIMPLE) < 0)
+        return -1;
+    digest(k, view.buf, (size_t)view.len, hi, lo);
+    PyBuffer_Release(&view);
+    return 0;
+}
+
+static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t want)
+{
+    if (nargs == want)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)", name, want, nargs);
+    return -1;
+}
+
+/* digests(keys, state) -> bytearray: the 16-byte digests (lo, then hi,
+   little-endian) of an iterable of keys, in iteration order. */
+static PyObject *py_digests(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    struct keyed k;
+    if (check_nargs("digests", nargs, 2) < 0 || get_keyed(args[1], &k) < 0)
+        return NULL;
+    Py_ssize_t hint = PyObject_LengthHint(args[0], 0);
+    PyObject *it = hint < 0 ? NULL : PyObject_GetIter(args[0]);
+    PyObject *out = it ? PyByteArray_FromStringAndSize(NULL, 16 * hint) : NULL;
+    PyObject *key;
+    Py_ssize_t count = 0;
+    if (!out) {
+        Py_XDECREF(it);
+        return NULL;
+    }
+    while ((key = PyIter_Next(it))) {
+        uint64_t words[2];
+        int bad = (count == hint && PyByteArray_Resize(out, 16 * (hint = 2 * hint + 16)) < 0)
+                  || key_words(&k, key, &words[1], &words[0]) < 0;
+        Py_DECREF(key);
+        if (bad)
+            break;
+        uint8_t *d = (uint8_t *)PyByteArray_AS_STRING(out) + 16 * count++;
+        for (int i = 0; i < 16; i++)
+            d[i] = (uint8_t)(words[i >> 3] >> (8 * (i & 7)));
+    }
+    Py_DECREF(it);
+    if (PyErr_Occurred() || PyByteArray_Resize(out, 16 * count) < 0) {
+        Py_DECREF(out);
+        return NULL;
+    }
+    return out;
+}
+
+/* ------------------------------------------------------------------------
+   query
+
+   The same arithmetic as row_gen's scalar functions and the same reads as
+   retrieval_chunked.query_chunked: two directory entries, then the words
+   of each plane that hold the key's L-bit window. */
+
+static const uint64_t K1 = 0x9E3779B97F4A7C15ULL, K2 = 0xBF58476D1CE4E5B9ULL;
+#define EXTRA (1u << 16)
+#define OFFSET_BITS 48
+#define OFFSET_MASK ((1ULL << OFFSET_BITS) - 1)
+
+static uint64_t remix(uint64_t x, uint64_t t)
+{
+    x = (x ^ t * K1) * K2;
+    return x ^ x >> 31;
+}
+
+static uint64_t mulhi(uint64_t a, uint64_t b)
+{
+    return (uint64_t)((u128)a * b >> 64);
+}
+
+static PyObject *s_params, *s_directory, *s_tables, *s_L, *s_force_leading_one, *s_num_chunks,
+    *s_packed, *s_words;
+
+/* What a query needs of a structure, read once per call. */
+struct query {
+    struct keyed k;
+    uint64_t L, num_chunks;
+    int lead;
+    Py_ssize_t r;
+    PyObject *packed, *words[64];
+};
+
+/* Item i of a sequence of 64-bit words: PyList_GET_ITEM for an exact
+   list, the sequence protocol (and so any __getitem__) otherwise.
+   IndexError past the end, ValueError for a value outside 64 bits. */
+static int read_word(PyObject *seq, uint64_t i, uint64_t *out)
+{
+    PyObject *item;
+    if (PyList_CheckExact(seq)) {
+        if (i >= (uint64_t)PyList_GET_SIZE(seq)) {
+            PyErr_Format(PyExc_IndexError, "word %llu is past the end of a list of %zd",
+                         (unsigned long long)i, PyList_GET_SIZE(seq));
+            return -1;
+        }
+        item = PyList_GET_ITEM(seq, (Py_ssize_t)i);
+        Py_INCREF(item);
+    } else {
+        if (i > (uint64_t)PY_SSIZE_T_MAX) {
+            PyErr_SetString(PyExc_IndexError, "word index out of range");
+            return -1;
+        }
+        item = PySequence_GetItem(seq, (Py_ssize_t)i);
+        if (!item)
+            return -1;
+    }
+    if (!PyLong_Check(item)) {
+        Py_SETREF(item, PyNumber_Index(item));
+        if (!item)
+            return -1;
+    }
+    /* PyLong_AsUnsignedLongLong goes through a byte array and costs more
+       than the rest of a lookup's reads together; the mask version loops
+       over the digits, so the range is checked first. */
+    int fits = _PyLong_Sign(item) >= 0 && _PyLong_NumBits(item) <= 64;
+    *out = PyLong_AsUnsignedLongLongMask(item);
+    Py_DECREF(item);
+    if (!fits) {
+        PyErr_Format(PyExc_ValueError, "word %llu is not in [0, 2**64)", (unsigned long long)i);
+        return -1;
+    }
+    return 0;
+}
+
+static PyObject *attr(PyObject *obj, PyObject *name)
+{
+    return obj ? PyObject_GetAttr(obj, name) : NULL;
+}
+
+/* A non-negative int attribute below 2^64 into *out. */
+static int attr_u64(PyObject *obj, PyObject *name, uint64_t *out)
+{
+    PyObject *v = attr(obj, name);
+    if (!v)
+        return -1;
+    *out = PyLong_AsUnsignedLongLong(v);
+    Py_DECREF(v);
+    if (*out == (uint64_t)-1 && PyErr_Occurred()) {
+        if (PyErr_ExceptionMatches(PyExc_OverflowError) || PyErr_ExceptionMatches(PyExc_TypeError)) {
+            PyErr_Clear();
+            PyErr_Format(PyExc_ValueError, "%U must be an int in [0, 2**64)", name);
+        }
+        return -1;
+    }
+    return 0;
+}
+
+static void query_clear(struct query *q)
+{
+    Py_CLEAR(q->packed);
+    for (Py_ssize_t t = 0; t < q->r; t++)
+        Py_CLEAR(q->words[t]);
+    q->r = 0;
+}
+
+static int query_init(struct query *q, PyObject *ds, PyObject *state)
+{
+    PyObject *params = NULL, *directory = NULL, *tables = NULL, *v = NULL;
+    int ok = -1;
+
+    q->r = 0;
+    q->packed = NULL;
+    if (get_keyed(state, &q->k) < 0)
+        return -1;
+    params = attr(ds, s_params);
+    v = attr(params, s_force_leading_one);
+    if (!v || attr_u64(params, s_L, &q->L) < 0 || (q->lead = PyObject_IsTrue(v)) < 0)
+        goto done;
+    directory = attr(ds, s_directory);
+    if (attr_u64(directory, s_num_chunks, &q->num_chunks) < 0
+        || !(q->packed = attr(directory, s_packed)) || !(tables = attr(ds, s_tables)))
+        goto done;
+    if (q->L < 1 || q->L > 128 || q->num_chunks < 1) {
+        PyErr_SetString(PyExc_ValueError, "query needs 1 <= L <= 128 and at least one chunk");
+        goto done;
+    }
+    Py_ssize_t r = PySequence_Size(tables);
+    if (r < 0)
+        goto done;
+    if (r > 64) {
+        PyErr_SetString(PyExc_ValueError, "query answers at most 64 planes");
+        goto done;
+    }
+    for (; q->r < r; q->r++) {
+        PyObject *plane = PySequence_GetItem(tables, q->r);
+        q->words[q->r] = attr(plane, s_words);
+        Py_XDECREF(plane);
+        if (!q->words[q->r])
+            goto done;
+    }
+    ok = 0;
+done:
+    Py_XDECREF(params);
+    Py_XDECREF(directory);
+    Py_XDECREF(tables);
+    Py_XDECREF(v);
+    if (ok < 0)
+        query_clear(q);
+    return ok;
+}
+
+static int query_key(const struct query *q, PyObject *key, uint64_t *value)
+{
+    uint64_t hi, lo, p0, p1, L = q->L;
+    if (key_words(&q->k, key, &hi, &lo) < 0)
+        return -1;
+    uint64_t chunk = mulhi(hi, q->num_chunks), s = hi * q->num_chunks;
+    if (read_word(q->packed, chunk, &p0) < 0 || read_word(q->packed, chunk + 1, &p1) < 0)
+        return -1;
+    uint64_t offset = p0 & OFFSET_MASK, retry = p0 >> OFFSET_BITS, end = p1 & OFFSET_MASK;
+    if (end < offset + L) {
+        PyErr_Format(PyExc_ValueError, "directory gives chunk %llu fewer than L bits",
+                     (unsigned long long)chunk);
+        return -1;
+    }
+    if (retry) {
+        s = remix(s, retry);
+        lo = remix(lo, retry);
+    }
+    uint64_t start = 1 + mulhi(s, end - offset - (L - 1));
+    uint64_t w0 = lo, w1 = L > 64 ? remix(lo, EXTRA + 1) : 0;
+    if (L < 64)
+        w0 &= (1ULL << L) - 1;
+    else if (L > 64 && L < 128)
+        w1 &= (1ULL << (L - 64)) - 1;
+    w0 |= (uint64_t)q->lead;
+
+    /* the pattern shifted to the window's bit offset, over words wi.. */
+    uint64_t bit = offset + start - 1, wi = bit >> 6, span = ((bit + L - 1) >> 6) - wi;
+    unsigned sh = bit & 63;
+    uint64_t mask[3] = {w0 << sh, sh ? w0 >> (64 - sh) | w1 << sh : w1, sh ? w1 >> (64 - sh) : 0};
+    *value = 0;
+    for (Py_ssize_t t = 0; t < q->r; t++) {
+        uint64_t acc = 0, w;
+        for (uint64_t k = 0; k <= span; k++) {
+            if (read_word(q->words[t], wi + k, &w) < 0)
+                return -1;
+            acc ^= w & mask[k];
+        }
+        *value |= (uint64_t)__builtin_parityll(acc) << t;
+    }
+    return 0;
+}
+
+/* query(ds, key, state) -> int */
+static PyObject *py_query(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    struct query q;
+    uint64_t value;
+    if (check_nargs("query", nargs, 3) < 0 || query_init(&q, args[0], args[2]) < 0)
+        return NULL;
+    int bad = query_key(&q, args[1], &value);
+    query_clear(&q);
+    return bad ? NULL : PyLong_FromUnsignedLongLong(value);
+}
+
+/* query_many(ds, keys, state) -> list of int, one per key */
+static PyObject *py_query_many(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    struct query q;
+    if (check_nargs("query_many", nargs, 3) < 0 || query_init(&q, args[0], args[2]) < 0)
+        return NULL;
+    PyObject *it = PyObject_GetIter(args[1]);
+    PyObject *out = it ? PyList_New(0) : NULL;
+    PyObject *key;
+    while (out && (key = PyIter_Next(it))) {
+        uint64_t value;
+        PyObject *v = query_key(&q, key, &value) < 0 ? NULL : PyLong_FromUnsignedLongLong(value);
+        Py_DECREF(key);
+        if (!v || PyList_Append(out, v) < 0)
+            Py_CLEAR(out);
+        Py_XDECREF(v);
+    }
+    Py_XDECREF(it);
+    query_clear(&q);
+    if (out && PyErr_Occurred())
+        Py_CLEAR(out);
+    return out;
+}
+
+static PyMethodDef methods[] = {
+    {"solve", py_solve, METH_VARARGS, "Solve one band system into byte-per-bit planes."},
+    {"keyed", py_keyed, METH_O, "BLAKE2b state after the key block of a 64-bit seed."},
+    {"digests", (PyCFunction)(void (*)(void))py_digests, METH_FASTCALL, "16-byte digests of keys."},
+    {"query", (PyCFunction)(void (*)(void))py_query, METH_FASTCALL, "The value of one key."},
+    {"query_many", (PyCFunction)(void (*)(void))py_query_many, METH_FASTCALL,
+     "The values of many keys."},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "bandset._band", NULL, -1, methods};
+
+PyMODINIT_FUNC PyInit__band(void)
+{
+    PyObject **names[] = {&s_params, &s_directory, &s_tables, &s_L, &s_force_leading_one,
+                          &s_num_chunks, &s_packed, &s_words};
+    const char *text[] = {"params", "directory", "tables", "L", "force_leading_one",
+                          "num_chunks", "packed", "words"};
+    for (size_t i = 0; i < sizeof names / sizeof *names; i++)
+        if (!*names[i] && !(*names[i] = PyUnicode_InternFromString(text[i])))
+            return NULL;
+    return PyModule_Create(&module);
 }

@@ -20,6 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
+from . import retrieval_flat
 from .bitkit import BitVec, dot_window
 from .retrieval_flat import construct_flat, normalize_pairs, positions_for
 from .row_gen import (
@@ -28,6 +29,7 @@ from .row_gen import (
     chunks_and_words,
     digest_keys,
     key_digest,
+    native_keyed,
     row_for_words,
 )
 
@@ -38,6 +40,7 @@ __all__ = [
     "FormatError",
     "construct_chunked",
     "query_chunked",
+    "query_many",
     "serialize",
     "deserialize",
     "overhead",
@@ -171,8 +174,15 @@ def construct_chunked(pairs, params: ChunkedParams, threads: int = 1) -> Chunked
 
 
 def query_chunked(ds: ChunkedRetrieval, key: bytes) -> int:
-    """One hash, two directory reads, then one windowed dot product per
-    plane.
+    """The value of ``key``: one hash, two directory reads, then one
+    windowed dot product per plane. ``key`` is bytes-like; a ``str``
+    raises TypeError.
+
+    Where the native module loaded (``retrieval_flat._kernel()``), L <= 128
+    and r <= 64, one native call does the whole lookup, reading
+    ``ds.directory.packed`` and each plane's ``words`` where they are.
+    Otherwise the Python body below does, which is also the reference the
+    tests check the native lookup against.
 
     For L <= 64 each plane's window is read inline from the words ``wi``
     and ``last`` that hold its first and last bit: the pattern, shifted to
@@ -182,6 +192,9 @@ def query_chunked(ds: ChunkedRetrieval, key: bytes) -> int:
     padding word is needed. Longer windows go through ``dot_window``.
     """
     params = ds.params
+    native = retrieval_flat._kernel()
+    if native is not None and params.L <= 128 and params.r <= 64:
+        return native.query(ds, key, native_keyed(params.base_seed))
     L = params.L
     directory = ds.directory
     hi, lo = key_digest(key, params.base_seed)
@@ -208,6 +221,17 @@ def query_chunked(ds: ChunkedRetrieval, key: bytes) -> int:
     for t, plane in enumerate(ds.tables):
         value |= dot_window(plane, bit_offset, bits, L) << t
     return value
+
+
+def query_many(ds: ChunkedRetrieval, keys) -> list[int]:
+    """``query_chunked`` of every key of the iterable ``keys``, in order:
+    one native call for all of them where ``query_chunked`` would run
+    natively, one ``query_chunked`` call per key otherwise."""
+    params = ds.params
+    native = retrieval_flat._kernel()
+    if native is not None and params.L <= 128 and params.r <= 64:
+        return native.query_many(ds, keys, native_keyed(params.base_seed))
+    return [query_chunked(ds, key) for key in keys]
 
 
 def serialize(ds: ChunkedRetrieval) -> bytes:

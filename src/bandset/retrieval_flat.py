@@ -9,12 +9,17 @@ over the whole key set. The paper's sorted elimination lives on in
 ``band_solver`` as the reference that the model checks and the
 differential tests use; the build does not load it.
 
-``solve`` runs a small C kernel (``_band.c``) where it can: the first
-solve compiles it with ``cc`` into ``$XDG_CACHE_HOME/bandset`` (default
-``~/.cache/bandset``) unless it is cached there, and loads it through
-ctypes. Without a compiler, or when the cache directory is not private
-to the user, one RuntimeWarning says why and every solve runs the
-pure-Python branch, which writes the same bytes.
+This module also loads the native backend, the CPython extension module
+``_band.c``: the pivot-insertion kernel that ``solve`` runs, the keyed
+BLAKE2b-128 that ``row_gen.digest_keys`` runs, and the one-call lookup
+that ``query_chunked`` and ``query_many`` run. ``_kernel()`` is the one
+switch for all three. Its first call, whichever of them makes it, compiles
+``_band.c`` with ``cc`` and the CPython headers into
+``$XDG_CACHE_HOME/bandset`` (default ``~/.cache/bandset``) unless it is
+cached there, and imports it. Without a compiler or the headers, or when
+the cache directory is not private to the user, one RuntimeWarning says
+why and everything runs in pure Python, which writes the same bytes and
+gives the same answers.
 """
 
 from __future__ import annotations
@@ -84,23 +89,26 @@ def positions_for(m: int, epsilon: float) -> int:
 _CTZ8 = [8] + [(i & -i).bit_length() - 1 for i in range(1, 256)]
 
 _KERNEL_SOURCE = Path(__file__).with_name("_band.c")
+_KERNEL_MODULE = "bandset._band"
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 _kernel_lock = threading.Lock()
-_kernel_loaded: list = []  # [band_solve or None] once the first solve tried to load it
+_kernel_loaded: list = []  # [module or None] once the first use tried to load it
 
 
 def _kernel():
-    """The C kernel's ``band_solve``, or None when it cannot be built or
-    loaded. The first call loads it (compiling it first if the cache lacks
-    it) or issues one RuntimeWarning naming why not; later calls return
-    the same answer."""
+    """The native module, or None when it cannot be built or loaded. The
+    first call loads it (compiling it first if the cache lacks it) or
+    issues one RuntimeWarning naming why not; later calls return the same
+    answer."""
     if not _kernel_loaded:
         with _kernel_lock:
             if not _kernel_loaded:
                 try:
                     kernel = _load_kernel()
-                except (OSError, RuntimeError) as exc:  # RuntimeError: no home directory
-                    warnings.warn(f"bandset: C kernel unavailable, solving in Python: {exc}",
+                # RuntimeError: no home directory; ImportError: a cached
+                # file that does not load
+                except (OSError, RuntimeError, ImportError) as exc:
+                    warnings.warn(f"bandset: native module unavailable, running in Python: {exc}",
                                   RuntimeWarning, stacklevel=2)
                     kernel = None
                 _kernel_loaded.append(kernel)
@@ -108,25 +116,32 @@ def _kernel():
 
 
 def _load_kernel():
-    """Load ``band-<hash>.so`` from ``$XDG_CACHE_HOME/bandset`` (default
-    ``~/.cache/bandset``), compiling ``_band.c`` with ``cc`` first when it
-    is missing. The hash covers the source, the flags and the machine."""
-    import ctypes
+    """Import ``band-<hash><EXT_SUFFIX>`` from ``$XDG_CACHE_HOME/bandset``
+    (default ``~/.cache/bandset``) as ``bandset._band``, compiling
+    ``_band.c`` with ``cc`` first when it is missing. The hash covers the
+    source, the flags (the CPython include directory among them), the
+    machine and the interpreter's extension suffix."""
     import hashlib
+    import importlib.machinery
+    import importlib.util
     import platform
     import shutil
+    import sys
+    import sysconfig
     import tempfile
 
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    flags = (*_CFLAGS, "-I" + sysconfig.get_path("include"))
     source = _KERNEL_SOURCE.read_bytes()
     tag = hashlib.sha256(
-        source + " ".join(_CFLAGS).encode() + platform.machine().encode()
+        source + " ".join(flags).encode() + platform.machine().encode() + suffix.encode()
     ).hexdigest()[:16]
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "bandset"
     cache.mkdir(mode=0o700, parents=True, exist_ok=True)
     st = cache.stat()
     if st.st_uid != os.getuid() or st.st_mode & 0o022:
         raise OSError(f"cache directory {cache} is not private to this user")
-    lib = cache / f"band-{tag}.so"
+    lib = cache / f"band-{tag}{suffix}"
     if not lib.exists():
         cc = shutil.which("cc")
         if cc is None:
@@ -134,24 +149,25 @@ def _load_kernel():
         fd, tmp = tempfile.mkstemp(suffix=".so.tmp", dir=cache)
         os.close(fd)
         try:
-            _compile(cc, _KERNEL_SOURCE, tmp)
+            _compile(cc, flags, _KERNEL_SOURCE, tmp)
             os.replace(tmp, lib)
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-    fn = ctypes.CDLL(str(lib)).band_solve
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = [i64, i64, i64, ptr, ptr, ptr, ptr, i64, ctypes.POINTER(ptr), i64]
-    fn.restype = ctypes.c_int
-    return fn
+    loader = importlib.machinery.ExtensionFileLoader(_KERNEL_MODULE, str(lib))
+    spec = importlib.util.spec_from_file_location(_KERNEL_MODULE, lib, loader=loader)
+    module = importlib.util.module_from_spec(spec)
+    loader.exec_module(module)
+    sys.modules[_KERNEL_MODULE] = module
+    return module
 
 
-def _compile(cc: str, source: Path, out: str) -> None:
-    """Compile the kernel into the shared library ``out``; OSError when
-    the compiler cannot run or fails."""
+def _compile(cc: str, flags: tuple[str, ...], source: Path, out: str) -> None:
+    """Compile the extension module into ``out``; OSError when the
+    compiler cannot run or fails."""
     import subprocess
 
-    done = subprocess.run([cc, *_CFLAGS, "-o", out, str(source)], capture_output=True, text=True)
+    done = subprocess.run([cc, *flags, "-o", out, str(source)], capture_output=True, text=True)
     if done.returncode:
         raise OSError(f"{cc} exited {done.returncode}: {done.stderr.strip()}")
 
@@ -178,11 +194,12 @@ def solve(n: int, L: int, starts, words, rhs, planes: list[bytearray], offset: i
     bits or a plane is too short for the columns the rows reach, and
     MemoryError when the pivot table cannot be allocated.
 
-    The C kernel (``_band.c``) solves when it loaded, L <= 128, there are
-    at most 64 planes and ``rhs`` is uint64; otherwise the pure-Python
-    branch below does. Both insert the rows the same way and write the
-    same bytes. The kernel releases the GIL, so threads overlap their
-    solves.
+    The native module's ``solve`` (``_band.c``) runs when it loaded,
+    L <= 128, there are at most 64 planes and ``rhs`` is uint64; otherwise
+    the pure-Python branch below does. Both insert the rows the same way
+    and write the same bytes. The native call takes the arrays and the
+    planes through the buffer protocol and releases the GIL while it
+    solves, so threads overlap their solves.
 
     Row order cannot change the result. The pivot columns of any echelon
     basis are the columns where some vector of the row space has its
@@ -212,17 +229,8 @@ def solve(n: int, L: int, starts, words, rhs, planes: list[bytearray], offset: i
     kernel = _kernel()
     if (kernel is not None and L <= 128 and n < 1 << 62 and len(planes) <= 64
             and rhs.dtype == np.uint64):
-        import ctypes
-
-        bufs = [(ctypes.c_char * len(z)).from_buffer(z) for z in planes]
-        ptrs = (ctypes.c_void_p * len(bufs))(*map(ctypes.addressof, bufs))
-        rhs = np.ascontiguousarray(rhs)
-        status = kernel(n, L, m, starts.ctypes.data, words[0].ctypes.data,
-                        words[1].ctypes.data if L > 64 else None, rhs.ctypes.data,
-                        len(planes), ptrs, offset)
-        if status < 0:
-            raise MemoryError(f"no memory for the pivot table of {n + L - 1} columns")
-        return bool(status)
+        return kernel.solve(n, L, starts, words[0], words[1] if L > 64 else None,
+                            np.ascontiguousarray(rhs), planes, offset)
 
     patterns = words[0].tolist()
     for k in range(1, len(words)):

@@ -15,9 +15,13 @@ Everything else is cheap arithmetic on those words, so replaying the same
 * the start is ``1 + mulhi(s, n)``, the pattern's low 64 bits are ``lo``,
   and pattern word k >= 1 (for L > 64) is ``_remix(lo, _EXTRA + k)``.
 
-The scalar functions are what a query runs; the ``numpy`` twins (plural
-names) are what a build runs over a whole chunk. They hold the same
-formulas and a test checks that both give identical ints.
+The scalar functions are what a query runs on the pure-Python path; the
+``numpy`` twins (plural names) are what a build runs over a whole chunk.
+They hold the same formulas and a test checks that both give identical
+ints. Where the native module loaded (see ``retrieval_flat``), its C twins
+of the hash and of the query's arithmetic run instead: ``digest_keys``
+hashes in C, while ``key_digest`` stays pure ``hashlib``, the fallback and
+the independent reference the tests check the C hash against.
 """
 
 from __future__ import annotations
@@ -48,8 +52,25 @@ def key_digest(key: bytes, base_seed: int) -> tuple[int, int]:
     return d >> 64, d & MASK64
 
 
+@lru_cache(maxsize=256)
+def native_keyed(base_seed: int) -> bytes:
+    """The native hash's state after the key block of ``base_seed``, which
+    the native module's digest and query functions take; computed once per
+    seed. Call it only while ``retrieval_flat._kernel()`` returns the
+    module."""
+    from .retrieval_flat import _kernel
+
+    return _kernel().keyed(base_seed)
+
+
 def digest_keys(keys, base_seed: int) -> bytearray:
-    """The 16-byte digests of ``keys``, concatenated in iteration order."""
+    """The 16-byte digests of ``keys``, concatenated in iteration order;
+    hashed in C where the native module loaded."""
+    from .retrieval_flat import _kernel
+
+    native = _kernel()
+    if native is not None:
+        return native.digests(keys, native_keyed(base_seed))
     base = _keyed_hasher(base_seed)
     out = bytearray()
     for key in keys:

@@ -9,9 +9,12 @@ from __future__ import annotations
 import hashlib
 import random
 import shutil
+import sysconfig
 import tempfile
 import types
+from pathlib import Path
 from typing import NamedTuple
+from unittest import mock
 
 import pytest
 
@@ -30,6 +33,40 @@ def pytest_configure(config):
     mp.setenv("XDG_CACHE_HOME", cache)
     config.add_cleanup(lambda: shutil.rmtree(cache, ignore_errors=True))
     config.add_cleanup(mp.undo)
+
+
+# What building the native module needs: a C compiler and the CPython headers.
+HAVE_CC = (shutil.which("cc") is not None
+           and Path(sysconfig.get_path("include"), "Python.h").is_file())
+
+
+def python_branch():
+    """Run in pure Python while the context is open: the native module's
+    solve, hash and query all step aside."""
+    return mock.patch.object(retrieval_flat, "_kernel", lambda: None)
+
+
+@pytest.fixture(params=["python", "native"])
+def backend(request):
+    """Run the test in pure Python, then with the native module (skipped
+    when no ``cc`` is on PATH)."""
+    if request.param == "python":
+        with python_branch():
+            yield request.param
+    elif not HAVE_CC:
+        pytest.skip("no C compiler (cc) on PATH or no CPython headers")
+    else:
+        assert retrieval_flat._kernel() is not None
+        yield request.param
+
+
+@pytest.fixture(scope="session")
+def native():
+    """The native module; the test is skipped where it did not load."""
+    module = retrieval_flat._kernel()
+    if module is None:
+        pytest.skip("native module unavailable (no cc or no CPython headers)")
+    return module
 
 
 def naive_dot_window(z_bits: list[int], offset: int, pattern_bits: list[int]) -> int:
@@ -226,9 +263,12 @@ def make_pairs(m: int, r: int = 1, tag: str = "key") -> list[tuple[bytes, int]]:
 
 @pytest.fixture
 def blake2b_spy(monkeypatch):
-    """``hashlib.blake2b`` replaced by a wrapper that counts the digests it
-    hands out (``spy.digests``) and gives every input in ``spy.collide``
-    the digest ``spy.collision_digest``."""
+    """The key hash spied on, on whichever backend runs: ``hashlib.blake2b``
+    (the pure-Python path) and, where the native module loaded, its
+    ``digests`` and ``query`` are replaced by wrappers that count the
+    digests they hand out (``spy.digests``; a native query hashes its key
+    once inside the call) and give every build key in ``spy.collide`` the
+    digest ``spy.collision_digest``."""
     real = hashlib.blake2b
     spy = types.SimpleNamespace(digests=0, collide=set(), collision_digest=b"\xff" * 16)
 
@@ -248,6 +288,25 @@ def blake2b_spy(monkeypatch):
             spy.digests += 1
             return spy.collision_digest if self.data in spy.collide else self.inner.digest()
 
+    native = retrieval_flat._kernel()
+    if native is not None:
+        real_digests, real_query = native.digests, native.query
+
+        def digests(keys, state):
+            keys = list(keys)
+            out = real_digests(keys, state)
+            spy.digests += len(keys)
+            for i, key in enumerate(keys):
+                if key in spy.collide:
+                    out[16 * i : 16 * i + 16] = spy.collision_digest
+            return out
+
+        def query(ds, key, state):
+            spy.digests += 1
+            return real_query(ds, key, state)
+
+        monkeypatch.setattr(native, "digests", digests)
+        monkeypatch.setattr(native, "query", query)
     row_gen._keyed_hasher.cache_clear()
     monkeypatch.setattr(hashlib, "blake2b", Blake2bSpy)
     yield spy

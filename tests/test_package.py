@@ -6,6 +6,8 @@ from pathlib import Path
 
 import bandset
 
+from conftest import HAVE_CC
+
 RETRIEVAL_API = {
     "ChunkedParams",
     "ChunkDirectory",
@@ -13,6 +15,7 @@ RETRIEVAL_API = {
     "FormatError",
     "construct_chunked",
     "query_chunked",
+    "query_many",
     "serialize",
     "deserialize",
     "overhead",
@@ -49,7 +52,7 @@ def _loaded_by(code: str, names: tuple[str, ...]) -> list[str]:
 
 
 def test_import_loads_neither_numpy_nor_the_model_layer():
-    names = ("numpy", "ctypes", "bandset.analysis_sim", "bandset.band_solver")
+    names = ("numpy", "ctypes", "bandset._band", "bandset.analysis_sim", "bandset.band_solver")
     assert _loaded_by("import bandset", names) == []
 
 
@@ -64,3 +67,17 @@ def test_build_does_not_load_the_reference_solver():
     )
     names = ("numpy", "bandset.band_solver")
     assert _loaded_by(build, names) == ["numpy"]
+
+
+def test_build_runs_natively_without_ctypes():
+    # numpy imports ctypes if it can; blocked, numpy does without it, and
+    # the build and its queries must still run on the native module
+    build = (
+        "sys.modules['ctypes'] = None\n"
+        "import bandset\n"
+        "pairs = [(b'key%d' % i, i & 3) for i in range(3000)]\n"
+        "ds = bandset.construct_chunked(pairs, bandset.ChunkedParams(epsilon=0.05, r=2, C=1000))\n"
+        "assert bandset.query_many(ds, [k for k, _ in pairs]) == [v for _, v in pairs]\n"
+        "assert (bandset.retrieval_flat._kernel() is not None) == " + repr(HAVE_CC)
+    )
+    assert _loaded_by(build, ("bandset._band",)) == (["bandset._band"] if HAVE_CC else [])

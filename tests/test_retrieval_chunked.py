@@ -19,6 +19,7 @@ from bandset.retrieval_chunked import (
     deserialize,
     overhead,
     query_chunked,
+    query_many,
     serialize,
 )
 from bandset.retrieval_flat import ConstructError, DuplicateKey, RetriesExhausted
@@ -326,6 +327,109 @@ def test_query_matches_reference_query(L, r, force_leading_one):
     for i in range(200):
         key = f"never{i}".encode()
         assert query_chunked(ds, key) == reference_query(ds, key)
+
+
+@pytest.mark.parametrize("force_leading_one", [False, True])
+@pytest.mark.parametrize("r", [1, 3, 8, 64])
+@pytest.mark.parametrize("L", [1, 7, 63, 64, 65, 80, 128])
+def test_query_and_query_many_match_reference_on_both_backends(L, r, force_leading_one, backend):
+    # the native lookup covers L <= 128 and r <= 64; it and the Python body
+    # must both agree with one dot_window per plane
+    params = _differential_params(L, r, force_leading_one)
+    pairs = make_pairs(60 if L < 8 else 200, r=r, tag=f"both{L}")
+    ds = construct_chunked(pairs, params)
+    keys = [key for key, _ in pairs] + [f"never{i}".encode() for i in range(200)]
+    want = [reference_query(ds, key) for key in keys]
+    assert want[: len(pairs)] == [v for _, v in pairs]
+    assert [query_chunked(ds, key) for key in keys] == want
+    assert query_many(ds, keys) == want
+    assert query_many(ds, iter(keys)) == want
+
+
+@pytest.mark.parametrize("L, r", [(130, 3), (64, 65), (130, 65)])
+def test_wide_rows_or_values_fall_back_to_python(L, r, native, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the native lookup ran")
+
+    monkeypatch.setattr(native, "query", refuse)
+    monkeypatch.setattr(native, "query_many", refuse)
+    pairs = make_pairs(200, r=r, tag="wide")
+    ds = construct_chunked(pairs, ChunkedParams(epsilon=0.1, L=L, r=r, C=100, base_seed=9))
+    keys = [key for key, _ in pairs] + [b"never"]
+    want = [reference_query(ds, key) for key in keys]
+    assert want[:-1] == [v for _, v in pairs]
+    assert [query_chunked(ds, key) for key in keys] == want == query_many(ds, keys)
+
+
+def test_keys_must_be_bytes_like(backend):
+    pairs, ds = build(300, C=100, r=3)
+    key, v = pairs[7]
+    assert query_chunked(ds, bytearray(key)) == query_chunked(ds, memoryview(key)) == v
+    assert query_many(ds, [bytearray(key), memoryview(key)]) == [v, v]
+    with pytest.raises(TypeError):
+        query_chunked(ds, key.decode())
+    with pytest.raises(TypeError):
+        query_many(ds, [key, key.decode()])
+
+
+@pytest.mark.parametrize("words", [list, CountingWords])
+def test_short_plane_word_lists_raise_index_error(words, backend):
+    # every plane loses its last word: keys whose window reaches it raise,
+    # the others still answer
+    pairs, ds = build(2_000, C=1_000, r=2)
+    last_word = len(ds.tables[0].words) - 1
+    for plane in ds.tables:
+        plane.words = words(plane.words[:-1])
+    raised = 0
+    for key, v in pairs:
+        if (query_window(ds, key)[0] + ds.params.L - 1) >> 6 == last_word:
+            with pytest.raises(IndexError):
+                query_chunked(ds, key)
+            raised += 1
+        else:
+            assert query_chunked(ds, key) == v
+    assert raised
+    with pytest.raises(IndexError):
+        query_many(ds, [key for key, _ in pairs])
+
+
+@pytest.mark.parametrize("edit", ["empty chunk", "end past the planes", "negative",
+                                  "over 64 bits", "more chunks than entries"])
+def test_edited_directory_raises_instead_of_reading_past_it(edit, native):
+    # the native lookup checks every directory entry and word index it
+    # uses; keys of the damaged chunks raise, the others still answer
+    pairs, ds = build(3_000, C=1_000, r=2)
+    d = ds.directory
+    if edit == "empty chunk":
+        d.packed[1] = d.packed[0] & ((1 << 48) - 1)  # chunk 0 ends where it starts
+    elif edit == "end past the planes":
+        d.packed[-1] += 1 << 40
+    elif edit == "negative":
+        d.packed[0] -= 1 << 64  # the same low 64 bits
+    elif edit == "over 64 bits":
+        d.packed[0] += 1 << 64
+    else:
+        d.num_chunks += 5
+    errors = 0
+    for key, v in pairs:
+        try:
+            got = query_chunked(ds, key)
+        except (IndexError, ValueError):
+            errors += 1
+        else:
+            assert 0 <= got < 4
+    assert 0 < errors < len(pairs)
+    with pytest.raises((IndexError, ValueError)):
+        query_many(ds, [key for key, _ in pairs])
+
+
+@pytest.mark.parametrize("shift", [1 << 64, -(1 << 64)])
+def test_plane_words_outside_64_bits_raise_value_error(shift, native):
+    pairs, ds = build(300, C=100, r=2)
+    ds.tables[1].words = [w + shift for w in ds.tables[1].words]
+    for key, _ in pairs[:20]:
+        with pytest.raises(ValueError):
+            query_chunked(ds, key)
 
 
 @pytest.mark.parametrize("L, eps, C, m, base_seed", [(8, 0.3, 50, 200, 0), (64, 0.22, 1_000, 100, 4)])

@@ -9,11 +9,11 @@ import random
 import shutil
 import subprocess
 import sys
+import sysconfig
 import threading
 import time
 import warnings
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,28 +27,7 @@ from bandset.bitkit import BitVec
 from bandset.retrieval_flat import positions_for, solve
 from bandset.row_gen import MASK64, rows_for_words
 
-from conftest import bits_of, make_pairs
-
-HAVE_CC = shutil.which("cc") is not None
-
-
-def python_branch():
-    """Solve in pure Python while the context is open."""
-    return mock.patch.object(retrieval_flat, "_kernel", lambda: None)
-
-
-@pytest.fixture(params=["python", "native"])
-def backend(request):
-    """Run the test with the pure-Python branch of ``solve``, then with the
-    C kernel (skipped when no ``cc`` is on PATH)."""
-    if request.param == "python":
-        with python_branch():
-            yield request.param
-    elif not HAVE_CC:
-        pytest.skip("no C compiler (cc) on PATH")
-    else:
-        assert retrieval_flat._kernel() is not None
-        yield request.param
+from conftest import HAVE_CC, bits_of, make_pairs, python_branch
 
 
 def solve_both(n: int, L: int, starts, words, rhs, planes: list[bytearray], offset: int) -> bool:
@@ -243,6 +222,30 @@ def test_solve_rejects_rows_outside_its_table(bad, backend):
     assert planes == [bytearray(size)]
 
 
+@pytest.mark.parametrize("bad", ["start 0", "start n + 1", "short plane", "missing high words",
+                                 "short rhs"])
+def test_native_solve_checks_its_own_bounds(bad, native):
+    # the module function is callable without solve's checks in front of
+    # it; it must still write nothing outside its buffers
+    n, L = 20, 100
+    starts, words, rhs = arrays([(1, 1, 1), (20, 3, 0)], L, 1)
+    size = n + L - 1
+    if bad == "start 0":
+        starts[0] = 0
+    elif bad == "start n + 1":
+        starts[1] = n + 1
+    elif bad == "short plane":
+        size = 19  # the highest pivot is column 20
+    elif bad == "missing high words":
+        words[1] = None
+    else:
+        rhs = rhs[:1]
+    planes = [bytearray(size)]
+    with pytest.raises(ValueError):
+        native.solve(n, L, starts, words[0], words[1], rhs, planes, 0)
+    assert planes == [bytearray(size)]
+
+
 @st.composite
 def _small_systems(draw):
     L = draw(st.integers(1, 16))
@@ -347,3 +350,57 @@ def test_world_writable_cache_directory_is_refused(fresh_loader):
     with pytest.warns(RuntimeWarning, match="not private"):
         assert retrieval_flat._kernel() is None
     assert list(fresh_loader.iterdir()) == []
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler (cc) on PATH")
+def test_missing_python_headers_warn_once_and_build_the_same_file(tmp_path, monkeypatch):
+    want = _build_bytes()
+    empty = tmp_path / "include"
+    empty.mkdir()
+    get_path = sysconfig.get_path
+    monkeypatch.setattr(sysconfig, "get_path",
+                        lambda name, *args: str(empty) if name == "include" else get_path(name, *args))
+    cache = _fresh_cache(tmp_path, monkeypatch)
+    with pytest.warns(RuntimeWarning, match="Python.h") as record:
+        assert _build_bytes() == want
+    assert len(record) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _build_bytes() == want
+        pairs = make_pairs(500, r=3)
+        ds = construct_chunked(pairs, ChunkedParams(epsilon=0.05, r=3, C=100, base_seed=2))
+        assert bandset.query_many(ds, [k for k, _ in pairs]) == [v for _, v in pairs]
+    assert retrieval_flat._kernel() is None
+    assert list(cache.iterdir()) == []
+
+
+def test_threads_share_one_structure_and_the_seed_cache(native):
+    # queries, batch queries and builds with several base seeds at once, on
+    # a short switch interval: every answer and every file must come out
+    # as in one thread
+    params = [ChunkedParams(epsilon=0.05, r=3, C=500, base_seed=seed) for seed in range(4)]
+    pairs = make_pairs(2_000, r=3, tag="threads")
+    want = [serialize(construct_chunked(pairs, p)) for p in params]
+    ds = construct_chunked(pairs, params[0])
+    keys = [k for k, _ in pairs]
+    values = [v for _, v in pairs]
+    results = []
+
+    def work(i):
+        p = params[i % 4]
+        results.append(serialize(construct_chunked(pairs, p)) == want[i % 4]
+                       and bandset.query_many(ds, keys) == values
+                       and [bandset.query_chunked(ds, k) for k in keys[:500]] == values[:500])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [True] * 6

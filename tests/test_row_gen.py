@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from bandset.retrieval_chunked import ChunkedParams, construct_chunked, query_chunked
@@ -10,6 +12,9 @@ from bandset.row_gen import (
     MASK64,
     chunk_and_word,
     chunks_and_words,
+    digest_keys,
+    key_digest,
+    native_keyed,
     row_for_words,
     rows_for_words,
 )
@@ -181,3 +186,43 @@ def test_build_hashes_each_key_once_and_query_once(blake2b_spy):
         blake2b_spy.digests = 0
         assert query_chunked(ds, key) == value
         assert blake2b_spy.digests == 1
+
+
+def _digest_bytes(key: bytes, base_seed: int) -> bytes:
+    hi, lo = key_digest(key, base_seed)
+    return (hi << 64 | lo).to_bytes(16, "little")
+
+
+@pytest.mark.parametrize("seed", [0, 1, MASK64])
+def test_native_digest_equals_key_digest(seed, native):
+    # every key length from 0 to 300 crosses the 128-byte block edges; the
+    # empty key hashes the key block as the last block
+    rnd = random.Random(seed & 0xFFFF)
+    keys = [rnd.randbytes(n) for n in range(301)]
+    want = b"".join(_digest_bytes(key, seed) for key in keys)
+    for kind in (bytes, bytearray, memoryview):
+        assert native.digests(map(kind, keys), native_keyed(seed)) == want
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(key=st.binary(max_size=520), seed=st.integers(0, MASK64))
+def test_native_digest_property(key, seed):
+    from bandset import retrieval_flat
+
+    native = retrieval_flat._kernel()
+    if native is None:
+        pytest.skip("native module unavailable")
+    assert native.digests([key], native_keyed(seed)) == _digest_bytes(key, seed)
+
+
+def test_digest_keys_matches_key_digest(backend):
+    seed = 2**63 + 5
+    keys = [b"", b"a", bytearray(b"b" * 128), memoryview(b"c" * 129)] + [
+        f"dk{i}".encode() * (i % 40) for i in range(500)
+    ]
+    want = b"".join(_digest_bytes(bytes(k), seed) for k in keys)
+    assert digest_keys(keys, seed) == want
+    assert digest_keys(iter(keys), seed) == want  # no length known up front
+    assert digest_keys([], seed) == b""
+    with pytest.raises(TypeError):
+        digest_keys([b"ok", "text"], seed)
