@@ -1,4 +1,4 @@
-/* Native backend of bandset, a CPython extension module with three parts:
+/* Native backend of bandset, a CPython extension module with four parts:
 
    * ``solve``: pivot insertion (the Ribbon construction of Dillinger &
      Walzer, 2021) and per-plane back-substitution of one band system over
@@ -6,8 +6,12 @@
      exactly as the Python branch of ``retrieval_flat.solve`` does, so both
      write the same bytes.
    * keyed BLAKE2b-128 (RFC 7693): ``keyed(seed)`` is the state after the
-     key block, and ``digests`` hashes keys from it. The digests equal
-     ``hashlib.blake2b(key, digest_size=16, key=<seed as 8 LE bytes>)``.
+     key block. The digests equal ``hashlib.blake2b(key, digest_size=16,
+     key=<seed as 8 LE bytes>)``.
+   * ``digest_pairs``: a build's one pass over its input, the C twin of
+     ``row_gen.digest_pairs``. It unpacks and checks each (key, value)
+     pair with the messages of the Python pass, hashes the key and keeps
+     the value as a uint64; repeated keys are left to the caller.
    * ``query`` and ``query_many``: the whole lookup of ``query_chunked``
      for L <= 128 and at most 64 planes, reading the directory and the
      plane words where the structure keeps them.
@@ -285,7 +289,7 @@ static void digest(const struct keyed *k, const uint8_t *p, size_t n, uint64_t *
     *hi = h[1];
 }
 
-/* keyed(seed) -> bytes: the state that digests, query and query_many
+/* keyed(seed) -> bytes: the state that digest_pairs, query and query_many
    take. */
 static PyObject *py_keyed(PyObject *self, PyObject *seed_obj)
 {
@@ -326,39 +330,157 @@ static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t want)
     return -1;
 }
 
-/* digests(keys, state) -> bytearray: the 16-byte digests (lo, then hi,
-   little-endian) of an iterable of keys, in iteration order. */
-static PyObject *py_digests(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+/* A little-endian word into 8 bytes. */
+static void store64(uint8_t *p, uint64_t x)
+{
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    x = __builtin_bswap64(x);
+#endif
+    memcpy(p, &x, 8);
+}
+
+/* The key and the value of one pair as `key, value = pair` unpacks them,
+   with the messages of CPython's unpacking: new references, or -1 with the
+   exception set. An exact 2-tuple or 2-list takes the short way. */
+static int unpack_pair(PyObject *pair, PyObject **key, PyObject **value)
+{
+    if ((PyTuple_CheckExact(pair) || PyList_CheckExact(pair)) && Py_SIZE(pair) == 2) {
+        *key = PySequence_Fast_ITEMS(pair)[0];
+        *value = PySequence_Fast_ITEMS(pair)[1];
+        Py_INCREF(*key);
+        Py_INCREF(*value);
+        return 0;
+    }
+    PyObject *it = PyObject_GetIter(pair), *got[3];
+    if (!it) {
+        if (PyErr_ExceptionMatches(PyExc_TypeError) && !Py_TYPE(pair)->tp_iter
+            && !PySequence_Check(pair)) {
+            PyErr_Clear();
+            PyErr_Format(PyExc_TypeError, "cannot unpack non-iterable %.200s object",
+                         Py_TYPE(pair)->tp_name);
+        }
+        return -1;
+    }
+    int n = 0;
+    while (n < 3 && (got[n] = PyIter_Next(it)))
+        n++;
+    Py_DECREF(it);
+    if (n == 2 && !PyErr_Occurred()) {
+        *key = got[0];
+        *value = got[1];
+        return 0;
+    }
+    if (!PyErr_Occurred()) {
+        if (n < 2)
+            PyErr_Format(PyExc_ValueError, "not enough values to unpack (expected 2, got %d)", n);
+        else
+            PyErr_SetString(PyExc_ValueError, "too many values to unpack (expected 2)");
+    }
+    while (n > 0)
+        Py_DECREF(got[--n]);
+    return -1;
+}
+
+/* Check one pair as row_gen.digest_pairs does and write the key's digest
+   (lo, then hi, little-endian) to d and its value to *v: a byte-string key
+   and an integer value in [0, 2^r). */
+static int pair_words(const struct keyed *k, PyObject *key, PyObject *value, int r, uint8_t *d,
+                      uint64_t *v)
+{
+    if (!PyBytes_Check(key) && !PyByteArray_Check(key)) {
+        PyErr_SetString(PyExc_TypeError, "keys must be byte strings");
+        return -1;
+    }
+    PyObject *index = PyNumber_Index(value);
+    if (!index) {
+        if (PyErr_ExceptionMatches(PyExc_TypeError)) {
+            PyErr_Clear();
+            PyErr_Format(PyExc_TypeError, "value %R is not an integer", value);
+        }
+        return -1;
+    }
+    int overflow, fits;
+    long long small = PyLong_AsLongLongAndOverflow(index, &overflow);
+    if (overflow)
+        fits = overflow > 0 && r == 64 && _PyLong_NumBits(index) <= 64;
+    else
+        fits = small >= 0 && (r == 64 || (uint64_t)small >> r == 0);
+    if (!fits) {
+        PyErr_Format(PyExc_ValueError, "value %S does not fit in %d bits", index, r);
+        Py_DECREF(index);
+        return -1;
+    }
+    *v = PyLong_AsUnsignedLongLongMask(index);
+    Py_DECREF(index);
+    /* the key is read only now: __index__ above may have resized a
+       bytearray key */
+    uint64_t hi, lo;
+    if (PyBytes_Check(key))
+        digest(k, (const uint8_t *)PyBytes_AS_STRING(key), (size_t)PyBytes_GET_SIZE(key), &hi, &lo);
+    else
+        digest(k, (const uint8_t *)PyByteArray_AS_STRING(key), (size_t)PyByteArray_GET_SIZE(key),
+               &hi, &lo);
+    store64(d, lo);
+    store64(d + 8, hi);
+    return 0;
+}
+
+/* digest_pairs(pairs, state, r) -> (digests, values, items) for
+   1 <= r <= 64: one pass over an iterable of (key, value) pairs that
+   checks each pair, hashes its key and keeps its value. digests is a
+   bytearray of 16 bytes per pair (lo, then hi, little-endian), values a
+   bytearray of one native-endian uint64 per pair, items the pairs as a
+   list or tuple (the argument itself when it is an exact list or tuple). */
+static PyObject *py_digest_pairs(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     struct keyed k;
-    if (check_nargs("digests", nargs, 2) < 0 || get_keyed(args[1], &k) < 0)
+    if (check_nargs("digest_pairs", nargs, 3) < 0 || get_keyed(args[1], &k) < 0)
         return NULL;
-    Py_ssize_t hint = PyObject_LengthHint(args[0], 0);
-    PyObject *it = hint < 0 ? NULL : PyObject_GetIter(args[0]);
-    PyObject *out = it ? PyByteArray_FromStringAndSize(NULL, 16 * hint) : NULL;
-    PyObject *key;
-    Py_ssize_t count = 0;
-    if (!out) {
-        Py_XDECREF(it);
+    long r = PyLong_AsLong(args[2]);
+    if (r == -1 && PyErr_Occurred())
+        return NULL;
+    if (r < 1 || r > 64) {
+        PyErr_SetString(PyExc_ValueError, "digest_pairs takes 1 <= r <= 64");
         return NULL;
     }
-    while ((key = PyIter_Next(it))) {
-        uint64_t words[2];
-        int bad = (count == hint && PyByteArray_Resize(out, 16 * (hint = 2 * hint + 16)) < 0)
-                  || key_words(&k, key, &words[1], &words[0]) < 0;
-        Py_DECREF(key);
+    PyObject *items = PyList_CheckExact(args[0]) || PyTuple_CheckExact(args[0])
+                          ? Py_NewRef(args[0]) : PySequence_List(args[0]);
+    if (!items)
+        return NULL;
+    Py_ssize_t cap = PySequence_Fast_GET_SIZE(items), n = 0;
+    PyObject *digests = PyByteArray_FromStringAndSize(NULL, 16 * cap);
+    PyObject *values = PyByteArray_FromStringAndSize(NULL, 8 * cap);
+    if (!digests || !values)
+        goto fail;
+    /* the size is read at every step: a value's __index__ may change a
+       list while it is walked */
+    for (; n < PySequence_Fast_GET_SIZE(items); n++) {
+        PyObject *key, *value, *pair = PySequence_Fast_GET_ITEM(items, n);
+        if (n == cap && (PyByteArray_Resize(digests, 16 * (cap = 2 * cap + 16)) < 0
+                         || PyByteArray_Resize(values, 8 * cap) < 0))
+            goto fail;
+        Py_INCREF(pair);
+        int bad = unpack_pair(pair, &key, &value);
+        Py_DECREF(pair);
         if (bad)
-            break;
-        uint8_t *d = (uint8_t *)PyByteArray_AS_STRING(out) + 16 * count++;
-        for (int i = 0; i < 16; i++)
-            d[i] = (uint8_t)(words[i >> 3] >> (8 * (i & 7)));
+            goto fail;
+        uint64_t v;
+        bad = pair_words(&k, key, value, (int)r,
+                         (uint8_t *)PyByteArray_AS_STRING(digests) + 16 * n, &v);
+        Py_DECREF(key);
+        Py_DECREF(value);
+        if (bad)
+            goto fail;
+        memcpy(PyByteArray_AS_STRING(values) + 8 * n, &v, 8);
     }
-    Py_DECREF(it);
-    if (PyErr_Occurred() || PyByteArray_Resize(out, 16 * count) < 0) {
-        Py_DECREF(out);
-        return NULL;
-    }
-    return out;
+    if (n < cap && (PyByteArray_Resize(digests, 16 * n) < 0 || PyByteArray_Resize(values, 8 * n) < 0))
+        goto fail;
+    return Py_BuildValue("NNN", digests, values, items);
+fail:
+    Py_XDECREF(digests);
+    Py_XDECREF(values);
+    Py_DECREF(items);
+    return NULL;
 }
 
 /* ------------------------------------------------------------------------
@@ -596,7 +718,8 @@ static PyObject *py_query_many(PyObject *self, PyObject *const *args, Py_ssize_t
 static PyMethodDef methods[] = {
     {"solve", py_solve, METH_VARARGS, "Solve one band system into byte-per-bit planes."},
     {"keyed", py_keyed, METH_O, "BLAKE2b state after the key block of a 64-bit seed."},
-    {"digests", (PyCFunction)(void (*)(void))py_digests, METH_FASTCALL, "16-byte digests of keys."},
+    {"digest_pairs", (PyCFunction)(void (*)(void))py_digest_pairs, METH_FASTCALL,
+     "Check (key, value) pairs, hash each key and keep each value."},
     {"query", (PyCFunction)(void (*)(void))py_query, METH_FASTCALL, "The value of one key."},
     {"query_many", (PyCFunction)(void (*)(void))py_query_many, METH_FASTCALL,
      "The values of many keys."},

@@ -14,6 +14,7 @@ import struct
 import sys
 import time
 from collections import Counter
+from itertools import islice
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .retrieval_chunked import (
     deserialize,
     overhead,
     query_chunked,
+    query_many,
     serialize,
 )
 from .retrieval_flat import ConstructError, DuplicateKey
@@ -185,9 +187,15 @@ def cmd_build(
     return EXIT_OK
 
 
+# Keys per query_many call in `query`: enough that the cost of a call is
+# spread thin, few enough that a block's keys and answers take little memory.
+QUERY_BLOCK = 4096
+
+
 def cmd_query(path: str, in_stream=None, out_stream=None, binary_keys: bool = False) -> int:
     """Answer keys, one per line of text or, with ``binary_keys``, one per
-    length-prefixed record of a binary stream; one hex line each."""
+    length-prefixed record of a binary stream; one hex line each, written
+    a block of ``QUERY_BLOCK`` keys at a time."""
     if in_stream is None:
         in_stream = sys.stdin.buffer if binary_keys else sys.stdin
     out_stream = out_stream if out_stream is not None else sys.stdout
@@ -198,9 +206,8 @@ def cmd_query(path: str, in_stream=None, out_stream=None, binary_keys: bool = Fa
     else:
         keys = (line.rstrip("\n").rstrip("\r").encode("utf-8") for line in in_stream)
     width = _hex_width(ds.params.r)
-    for key in keys:
-        value = query_chunked(ds, key)
-        out_stream.write(f"{value:0{width}x}\n")
+    while block := list(islice(keys, QUERY_BLOCK)):
+        out_stream.write("".join([f"{value:0{width}x}\n" for value in query_many(ds, block)]))
     return EXIT_OK
 
 

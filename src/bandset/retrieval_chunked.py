@@ -22,12 +22,12 @@ from itertools import repeat
 
 from . import retrieval_flat
 from .bitkit import BitVec, dot_window
-from .retrieval_flat import construct_flat, normalize_pairs, positions_for
+from .retrieval_flat import ConstructError, DuplicateKey, construct_flat, positions_for
 from .row_gen import (
     MASK64,
     chunk_and_word,
     chunks_and_words,
-    digest_keys,
+    digest_pairs,
     key_digest,
     native_keyed,
     row_for_words,
@@ -128,28 +128,47 @@ def num_chunks_for(m: int, C: int) -> int:
 
 
 def construct_chunked(pairs, params: ChunkedParams, threads: int = 1) -> ChunkedRetrieval:
-    """Normalize once, hash every key once, partition, lay out the chunk
-    tables, solve each chunk into its slice.
+    """Check and hash every pair in one pass, drop repeated pairs by
+    sorting the digests, partition, lay out the chunk tables, solve each
+    chunk into its slice.
 
-    Raises ValueError when the table does not fit 48-bit offsets (before
-    any chunk is solved) or ``threads`` is below 1, and RetriesExhausted
-    naming the first chunk (in chunk order) that no retry could solve.
+    ``pairs`` is an iterable of (key, value) pairs: bytes or bytearray
+    keys, integer values in [0, 2^r). A key may repeat with the same
+    value. Raises TypeError or ValueError for the first bad pair,
+    DuplicateKey for a key repeated with another value, and
+    ConstructError naming the chunk when two distinct keys share one
+    digest, all before any chunk is solved. Raises ValueError when the
+    table does not fit 48-bit offsets (also before any solve) or
+    ``threads`` is below 1, and RetriesExhausted naming the first chunk (in
+    chunk order) that no retry could solve.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     import numpy as np
 
-    mapping = normalize_pairs(pairs, params.r)
-    m = len(mapping)
+    digests, values, items = digest_pairs(pairs, params.base_seed, params.r)
+    words = np.frombuffer(digests, "<u8").reshape(-1, 2)
+    # The chunk (hi * num_chunks) >> 64 only grows with hi, so one sort by
+    # hi gives the chunk bounds for any chunk count and puts repeated
+    # digests side by side. Order within a chunk does not matter: the
+    # planes do not depend on row order.
+    order = np.argsort(words[:, 1])
+    hi, lo, values = words[:, 1][order], words[:, 0][order], values[order]
+    del digests, words
+    collided = None
+    if np.any(hi[1:] == hi[:-1]):
+        keep, collided = _drop_repeats(hi, lo, values, order, items)
+        hi, lo, values = hi[keep], lo[keep], values[keep]
+    del order, items
+    m = len(hi)
     num_chunks = num_chunks_for(m, params.C)
-    values = np.fromiter(mapping.values(), np.uint64 if params.r <= 64 else object, count=m)
-    digests = np.frombuffer(digest_keys(mapping, params.base_seed), dtype="<u8").reshape(m, 2)
-    del mapping  # the largest object of a build; the rest needs only the arrays
-    chunk_of, s = chunks_and_words(digests[:, 1], num_chunks)
-    order = np.argsort(chunk_of, kind="stable")
-    bounds = np.searchsorted(chunk_of, np.arange(num_chunks + 1), sorter=order).tolist()
-    s, lo, values = s[order], digests[:, 0][order], values[order]
-    del digests, chunk_of, order
+    if collided is not None:
+        raise ConstructError(f"two keys share one digest in chunk "
+                             f"{chunk_and_word(collided, num_chunks)[0]}; "
+                             "build with another base seed")
+    chunk_of, s = chunks_and_words(hi, num_chunks)
+    bounds = np.searchsorted(chunk_of, np.arange(num_chunks + 1, dtype=np.uint64)).tolist()
+    del hi, chunk_of
 
     offsets = [0]
     for a, b in zip(bounds, bounds[1:]):
@@ -173,6 +192,45 @@ def construct_chunked(pairs, params: ChunkedParams, threads: int = 1) -> Chunked
     return ChunkedRetrieval(params, directory, tables, m)
 
 
+def _drop_repeats(hi, lo, values, order, items):
+    """The slow path for runs of equal ``hi`` in the hi-sorted arrays.
+
+    Within the runs, entries are ordered by (``hi``, ``lo``, input
+    position), so equal digests sit side by side and each group is led by
+    its first pair in input order. A later pair of a group with the
+    leader's key and value is dropped, one with its key and another value
+    raises DuplicateKey, and one with another key is a digest collision.
+    ``order`` maps sorted positions to input positions, ``items`` are the
+    input pairs. Returns the mask of entries to keep and the ``hi`` of the
+    first collision in ``hi`` order, or None.
+    """
+    import numpy as np
+
+    same = hi[1:] == hi[:-1]
+    in_run = np.zeros(len(hi), bool)
+    in_run[1:] = same
+    in_run[:-1] |= same
+    run = np.flatnonzero(in_run)
+    run = run[np.lexsort((order[run], lo[run], hi[run]))]
+    keep = np.ones(len(hi), bool)
+    collided = lead_digest = lead_key = lead_value = None
+    digests = zip(hi[run].tolist(), lo[run].tolist())
+    for p, digest, i, value in zip(run.tolist(), digests, order[run].tolist(),
+                                   values[run].tolist()):
+        key, _ = items[i]
+        key = bytes(key)
+        if digest != lead_digest:
+            lead_digest, lead_key, lead_value = digest, key, value
+        elif key != lead_key:
+            if collided is None:
+                collided = digest[0]
+        elif value == lead_value:
+            keep[p] = False
+        else:
+            raise DuplicateKey(key)
+    return keep, collided
+
+
 def query_chunked(ds: ChunkedRetrieval, key: bytes) -> int:
     """The value of ``key``: one hash, two directory reads, then one
     windowed dot product per plane. ``key`` is bytes-like; a ``str``
@@ -182,7 +240,9 @@ def query_chunked(ds: ChunkedRetrieval, key: bytes) -> int:
     and r <= 64, one native call does the whole lookup, reading
     ``ds.directory.packed`` and each plane's ``words`` where they are.
     Otherwise the Python body below does, which is also the reference the
-    tests check the native lookup against.
+    tests check the native lookup against. Both check the two directory
+    entries they read: IndexError past the directory, ValueError for an
+    entry outside [0, 2^64) or a chunk with fewer than L bits.
 
     For L <= 64 each plane's window is read inline from the words ``wi``
     and ``last`` that hold its first and last bit: the pattern, shifted to
@@ -202,9 +262,14 @@ def query_chunked(ds: ChunkedRetrieval, key: bytes) -> int:
     packed = directory.packed
     p0 = packed[chunk]
     p1 = packed[chunk + 1]
+    if not (0 <= p0 <= MASK64 and 0 <= p1 <= MASK64):
+        raise ValueError(f"directory entry of chunk {chunk} is not in [0, 2**64)")
     offset = p0 & _OFFSET_MASK
     retry = p0 >> _OFFSET_BITS
-    n_chunk = (p1 & _OFFSET_MASK) - offset - (L - 1)
+    end = p1 & _OFFSET_MASK
+    if end < offset + L:
+        raise ValueError(f"directory gives chunk {chunk} fewer than L bits")
+    n_chunk = end - offset - (L - 1)
     start, bits = row_for_words(s, lo, retry, n_chunk, L, params.force_leading_one)
     bit_offset = offset + start - 1
     value = 0

@@ -1,5 +1,7 @@
 """One band system per chunk: the per-chunk builder of the retrieval
-structure, plus input normalization and the construction errors.
+structure, plus the construction errors. Input checks and repeated keys
+are handled before it, by ``row_gen.digest_pairs`` and
+``construct_chunked``.
 
 Construction turns the digest words of a chunk's keys into rows, solves
 the resulting system by pivot insertion (``solve``) straight into the
@@ -10,10 +12,11 @@ over the whole key set. The paper's sorted elimination lives on in
 differential tests use; the build does not load it.
 
 This module also loads the native backend, the CPython extension module
-``_band.c``: the pivot-insertion kernel that ``solve`` runs, the keyed
-BLAKE2b-128 that ``row_gen.digest_keys`` runs, and the one-call lookup
-that ``query_chunked`` and ``query_many`` run. ``_kernel()`` is the one
-switch for all three. Its first call, whichever of them makes it, compiles
+``_band.c``: the pivot-insertion kernel that ``solve`` runs, the one
+pass over a build's pairs with keyed BLAKE2b-128 that
+``row_gen.digest_pairs`` runs, and the one-call lookup that
+``query_chunked`` and ``query_many`` run. ``_kernel()`` is the one switch
+for all three. Its first call, whichever of them makes it, compiles
 ``_band.c`` with ``cc`` and the CPython headers into
 ``$XDG_CACHE_HOME/bandset`` (default ``~/.cache/bandset``) unless it is
 cached there, and imports it. Without a compiler or the headers, or when
@@ -25,7 +28,6 @@ gives the same answers.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import threading
 import warnings
@@ -53,28 +55,6 @@ class RetriesExhausted(ConstructError):
         super().__init__(f"construction failed after {retries} retries in chunk {chunk}")
         self.retries = retries
         self.chunk = chunk
-
-
-def normalize_pairs(pairs, r: int) -> dict[bytes, int]:
-    """Dedup (key, value) pairs; equal keys must agree on the value."""
-    out: dict[bytes, int] = {}
-    limit = 1 << r
-    for key, value in pairs:
-        if not isinstance(key, (bytes, bytearray)):
-            raise TypeError("keys must be byte strings")
-        key = bytes(key)
-        try:
-            value = operator.index(value)
-        except TypeError:
-            raise TypeError(f"value {value!r} is not an integer") from None
-        if not 0 <= value < limit:
-            raise ValueError(f"value {value} does not fit in {r} bits")
-        old = out.get(key)
-        if old is None:
-            out[key] = value
-        elif old != value:
-            raise DuplicateKey(key)
-    return out
 
 
 def positions_for(m: int, epsilon: float) -> int:
@@ -279,11 +259,12 @@ def construct_flat(
 
     ``s``, ``lo`` and ``values`` are the chunk's start words, low digest
     words (uint64 arrays, see ``row_gen``) and values (an array), one entry
-    per key. ``planes`` are the structure's r one-byte-per-bit planes (see
+    per key, with no digest twice (``construct_chunked`` rejects two keys
+    with one digest before any chunk is solved: they get one row at every
+    retry). ``planes`` are the structure's r one-byte-per-bit planes (see
     ``solve``); the chunk's n + L - 1 columns must be zero on entry. Raises
-    ConstructError naming the chunk when two of its keys share one digest,
-    and RetriesExhausted naming it when every retry produced a dependent
-    system.
+    RetriesExhausted naming the chunk when every retry produced a
+    dependent system.
     """
     import numpy as np
 
@@ -296,11 +277,4 @@ def construct_flat(
         order = np.argsort(starts, kind="stable")
         if solve(n, L, starts[order], [w[order] for w in words], values[order], planes, offset):
             return retry
-        if retry == 0:
-            # Keys with one digest get one row at every retry.
-            by_digest = np.lexsort((lo, s))
-            s_o, lo_o = s[by_digest], lo[by_digest]
-            if np.any((s_o[1:] == s_o[:-1]) & (lo_o[1:] == lo_o[:-1])):
-                raise ConstructError(f"two keys share one digest in chunk {chunk}; "
-                                     "build with another base seed")
     raise RetriesExhausted(params.max_retries, chunk)

@@ -18,15 +18,18 @@ Everything else is cheap arithmetic on those words, so replaying the same
 The scalar functions are what a query runs on the pure-Python path; the
 ``numpy`` twins (plural names) are what a build runs over a whole chunk.
 They hold the same formulas and a test checks that both give identical
-ints. Where the native module loaded (see ``retrieval_flat``), its C twins
-of the hash and of the query's arithmetic run instead: ``digest_keys``
-hashes in C, while ``key_digest`` stays pure ``hashlib``, the fallback and
-the independent reference the tests check the C hash against.
+ints. A build hashes its keys in ``digest_pairs``, the one pass over its
+input that also checks every pair and keeps its value. Where the native
+module loaded (see ``retrieval_flat``), its C twins of that pass and of the
+query's arithmetic run instead, while ``key_digest`` stays pure
+``hashlib``, the fallback and the independent reference the tests check
+the C hash against.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 import struct
 from functools import lru_cache
 
@@ -55,29 +58,56 @@ def key_digest(key: bytes, base_seed: int) -> tuple[int, int]:
 @lru_cache(maxsize=256)
 def native_keyed(base_seed: int) -> bytes:
     """The native hash's state after the key block of ``base_seed``, which
-    the native module's digest and query functions take; computed once per
-    seed. Call it only while ``retrieval_flat._kernel()`` returns the
-    module."""
+    the native module's ``digest_pairs`` and query functions take;
+    computed once per seed. Call it only while ``retrieval_flat._kernel()``
+    returns the module."""
     from .retrieval_flat import _kernel
 
     return _kernel().keyed(base_seed)
 
 
-def digest_keys(keys, base_seed: int) -> bytearray:
-    """The 16-byte digests of ``keys``, concatenated in iteration order;
-    hashed in C where the native module loaded."""
+def digest_pairs(pairs, base_seed: int, r: int):
+    """A build's one pass over its (key, value) pairs: unpack each as
+    ``for key, value in pairs`` does, check it, hash its key once and keep
+    its value. Returns ``(digests, values, items)``: the 16-byte digests
+    concatenated in input order (``lo``, then ``hi``, little-endian), the
+    values as a numpy array (uint64, or object ints for r > 64), and the
+    pairs as a list or tuple, which the caller reads again only for
+    repeated digests. Repeated keys are kept; ``construct_chunked`` finds
+    them by sorting the digests.
+
+    Raises TypeError for a key that is not bytes or bytearray or a value
+    that is not an integer, and ValueError for a value outside [0, 2^r),
+    both for the first bad pair in input order. The native module's twin
+    runs where it loaded and r <= 64, with the same checks and messages.
+    """
+    import numpy as np
+
     from .retrieval_flat import _kernel
 
     native = _kernel()
-    if native is not None:
-        return native.digests(keys, native_keyed(base_seed))
+    if native is not None and r <= 64:
+        digests, values, items = native.digest_pairs(pairs, native_keyed(base_seed), r)
+        return digests, np.frombuffer(values, np.uint64), items
+    items = pairs if type(pairs) in (list, tuple) else list(pairs)
     base = _keyed_hasher(base_seed)
-    out = bytearray()
-    for key in keys:
+    limit = 1 << r
+    digests = bytearray()
+    values = []
+    for key, value in items:
+        if not isinstance(key, (bytes, bytearray)):
+            raise TypeError("keys must be byte strings")
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise TypeError(f"value {value!r} is not an integer") from None
+        if not 0 <= value < limit:
+            raise ValueError(f"value {value} does not fit in {r} bits")
         h = base.copy()
         h.update(key)
-        out += h.digest()
-    return out
+        digests += h.digest()
+        values.append(value)
+    return digests, np.array(values, np.uint64 if r <= 64 else object), items
 
 
 def _remix(x: int, t: int) -> int:

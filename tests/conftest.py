@@ -265,12 +265,21 @@ def make_pairs(m: int, r: int = 1, tag: str = "key") -> list[tuple[bytes, int]]:
 def blake2b_spy(monkeypatch):
     """The key hash spied on, on whichever backend runs: ``hashlib.blake2b``
     (the pure-Python path) and, where the native module loaded, its
-    ``digests`` and ``query`` are replaced by wrappers that count the
+    ``digest_pairs`` and ``query`` are replaced by wrappers that count the
     digests they hand out (``spy.digests``; a native query hashes its key
-    once inside the call) and give every build key in ``spy.collide`` the
-    digest ``spy.collision_digest``."""
+    once inside the call) and force chosen build digests: every key in
+    ``spy.collide`` gets ``spy.collision_digest``, and every key in the
+    dict ``spy.forced`` gets its value there (16 bytes, ``lo`` then ``hi``,
+    little-endian)."""
     real = hashlib.blake2b
-    spy = types.SimpleNamespace(digests=0, collide=set(), collision_digest=b"\xff" * 16)
+    spy = types.SimpleNamespace(digests=0, collide=set(), collision_digest=b"\xff" * 16,
+                                forced={})
+
+    def forced(key):
+        key = bytes(key)
+        if key in spy.forced:
+            return spy.forced[key]
+        return spy.collision_digest if key in spy.collide else None
 
     class Blake2bSpy:
         def __init__(self, *args, inner=None, data=b"", **kwargs):
@@ -286,26 +295,26 @@ def blake2b_spy(monkeypatch):
 
         def digest(self):
             spy.digests += 1
-            return spy.collision_digest if self.data in spy.collide else self.inner.digest()
+            return forced(self.data) or self.inner.digest()
 
     native = retrieval_flat._kernel()
     if native is not None:
-        real_digests, real_query = native.digests, native.query
+        real_digest_pairs, real_query = native.digest_pairs, native.query
 
-        def digests(keys, state):
-            keys = list(keys)
-            out = real_digests(keys, state)
-            spy.digests += len(keys)
-            for i, key in enumerate(keys):
-                if key in spy.collide:
-                    out[16 * i : 16 * i + 16] = spy.collision_digest
-            return out
+        def digest_pairs(pairs, state, r):
+            digests, values, items = real_digest_pairs(pairs, state, r)
+            spy.digests += len(items)
+            for i, (key, _) in enumerate(items):
+                digest = forced(key)
+                if digest is not None:
+                    digests[16 * i : 16 * i + 16] = digest
+            return digests, values, items
 
         def query(ds, key, state):
             spy.digests += 1
             return real_query(ds, key, state)
 
-        monkeypatch.setattr(native, "digests", digests)
+        monkeypatch.setattr(native, "digest_pairs", digest_pairs)
         monkeypatch.setattr(native, "query", query)
     row_gen._keyed_hasher.cache_clear()
     monkeypatch.setattr(hashlib, "blake2b", Blake2bSpy)

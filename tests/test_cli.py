@@ -223,6 +223,30 @@ def test_query_unknown_keys_and_empty_stdin(tmp_path, capsys, monkeypatch):
     assert code == 0 and stdout == ""
 
 
+@pytest.mark.parametrize("binary_keys", [False, True])
+@pytest.mark.parametrize("count", [0, 1, 5, 6, 7, 13])
+def test_query_answers_in_blocks_with_unchanged_output(count, binary_keys, tmp_path, capsys,
+                                                       monkeypatch):
+    # blocks of 3 keys: an empty input, a part block, block edges and a
+    # block plus one; the text input's last line has no newline
+    inp = tmp_path / "in.tsv"
+    write_tsv(inp, [(f"k{i}", format(i % 16, "x")) for i in range(20)])
+    out = tmp_path / "ds.bin"
+    assert run(["build", str(inp), str(out), "--value-bits", "4", "--seed", "3"], capsys)[0] == 0
+    ds = deserialize(out.read_bytes())
+    keys = [f"k{i}".encode() for i in range(count - 2)] + [b"stranger", b"k19"][:count]
+    want = "".join(f"{query_chunked(ds, key):x}\n" for key in keys)
+    monkeypatch.setattr("bandset.cli.QUERY_BLOCK", 3)
+    if binary_keys:
+        stdin = io.TextIOWrapper(io.BytesIO(binary_records(keys)))
+    else:
+        stdin = io.StringIO("\n".join(key.decode() for key in keys))
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, stdout, _ = run(["query", str(out)] + ["--binary-keys"] * binary_keys, capsys)
+    assert code == 0
+    assert stdout == want
+
+
 def test_query_bad_file_exits_3(tmp_path, capsys):
     bad = tmp_path / "junk.bin"
     bad.write_bytes(b"not a structure at all")

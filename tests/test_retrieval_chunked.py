@@ -395,9 +395,9 @@ def test_short_plane_word_lists_raise_index_error(words, backend):
 
 @pytest.mark.parametrize("edit", ["empty chunk", "end past the planes", "negative",
                                   "over 64 bits", "more chunks than entries"])
-def test_edited_directory_raises_instead_of_reading_past_it(edit, native):
-    # the native lookup checks every directory entry and word index it
-    # uses; keys of the damaged chunks raise, the others still answer
+def test_edited_directory_raises_instead_of_reading_past_it(edit, backend):
+    # both lookups check every directory entry and word index they use;
+    # keys of the damaged chunks raise, the others still answer
     pairs, ds = build(3_000, C=1_000, r=2)
     d = ds.directory
     if edit == "empty chunk":
@@ -540,7 +540,41 @@ def test_colliding_digests_fail_on_the_first_attempt(C, blake2b_spy, solve_calls
     assert not isinstance(exc_info.value, RetriesExhausted)
     last = 3_000 // C - 1
     assert f"chunk {last}" in str(exc_info.value)
-    assert solve_calls.chunks[-1] == last and solve_calls.attempts[last] == 1
+    assert solve_calls.chunks == []
+
+
+@pytest.mark.parametrize("conflict", [False, True])
+def test_repeated_key_in_the_middle_of_a_run_of_one_hi(conflict, blake2b_spy, solve_calls):
+    # keys a, b, c share one hi with lo in that order, and b comes again
+    # last: in input order the run is a b c b, so only the order by lo puts
+    # the two b side by side
+    pairs = make_pairs(500, tag="run")
+    a, b, c = (pairs[i][0] for i in (5, 6, 7))
+    for key, lo in ((a, 0x1111_1111_1111_1111), (b, 0x5555_5555_5555_5555),
+                    (c, 0x9999_9999_9999_9999)):
+        blake2b_spy.forced[key] = (1 << 127 | lo).to_bytes(16, "little")
+    params = ChunkedParams(epsilon=0.1, L=64, C=200, base_seed=4)
+    repeated = pairs + [(b, pairs[6][1] ^ conflict)]
+    if conflict:
+        with pytest.raises(DuplicateKey) as exc_info:
+            construct_chunked(repeated, params)
+        assert exc_info.value.key == b
+        assert solve_calls.chunks == []
+    else:
+        ds = construct_chunked(repeated, params)
+        assert ds.m == len(pairs)
+        assert serialize(ds) == serialize(construct_chunked(pairs, params))
+
+
+def test_same_value_repeats_write_the_same_file(backend):
+    pairs = make_pairs(3_000, r=3, tag="repeats")
+    rnd = random.Random(7)
+    mixed = pairs + rnd.sample(pairs, 500) + rnd.sample(pairs, 200)
+    rnd.shuffle(mixed)
+    params = ChunkedParams(epsilon=0.1, r=3, C=1_000, base_seed=5)
+    ds = construct_chunked(mixed, params)
+    assert ds.m == len(pairs)
+    assert serialize(ds) == serialize(construct_chunked(pairs, params))
 
 
 def _round_trip_seconds(plane_bits: int) -> float:

@@ -7,19 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from bandset.retrieval_chunked import ChunkedParams, construct_chunked, query_chunked
+from bandset.retrieval_chunked import ChunkedParams, construct_chunked, query_chunked, serialize
+from bandset.retrieval_flat import DuplicateKey
 from bandset.row_gen import (
     MASK64,
     chunk_and_word,
     chunks_and_words,
-    digest_keys,
+    digest_pairs,
     key_digest,
     native_keyed,
     row_for_words,
     rows_for_words,
 )
 
-from conftest import chunk_for_key, make_pairs, row_for_key
+from conftest import chunk_for_key, make_pairs, python_branch, row_for_key
 
 SEED = 0xC0FFEE
 
@@ -200,8 +201,9 @@ def test_native_digest_equals_key_digest(seed, native):
     rnd = random.Random(seed & 0xFFFF)
     keys = [rnd.randbytes(n) for n in range(301)]
     want = b"".join(_digest_bytes(key, seed) for key in keys)
-    for kind in (bytes, bytearray, memoryview):
-        assert native.digests(map(kind, keys), native_keyed(seed)) == want
+    for kind in (bytes, bytearray):
+        pairs = [(kind(key), 0) for key in keys]
+        assert native.digest_pairs(pairs, native_keyed(seed), 1)[0] == want
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -212,17 +214,117 @@ def test_native_digest_property(key, seed):
     native = retrieval_flat._kernel()
     if native is None:
         pytest.skip("native module unavailable")
-    assert native.digests([key], native_keyed(seed)) == _digest_bytes(key, seed)
+    assert native.digest_pairs([(key, 1)], native_keyed(seed), 1)[0] == _digest_bytes(key, seed)
 
 
-def test_digest_keys_matches_key_digest(backend):
+def test_digest_pairs_matches_key_digest(backend):
     seed = 2**63 + 5
-    keys = [b"", b"a", bytearray(b"b" * 128), memoryview(b"c" * 129)] + [
+    keys = [b"", b"a", bytearray(b"b" * 128), bytearray(b"c" * 129)] + [
         f"dk{i}".encode() * (i % 40) for i in range(500)
     ]
+    pairs = [(key, i & 7) for i, key in enumerate(keys)]
     want = b"".join(_digest_bytes(bytes(k), seed) for k in keys)
-    assert digest_keys(keys, seed) == want
-    assert digest_keys(iter(keys), seed) == want  # no length known up front
-    assert digest_keys([], seed) == b""
-    with pytest.raises(TypeError):
-        digest_keys([b"ok", "text"], seed)
+    for given_pairs in (pairs, tuple(pairs), iter(pairs)):  # iter: no length up front
+        digests, values, items = digest_pairs(given_pairs, seed, 3)
+        assert digests == want
+        assert values.tolist() == [v for _, v in pairs]
+        assert list(items) == pairs
+    assert digest_pairs(pairs, seed, 3)[2] is pairs
+    digests, values, items = digest_pairs([], seed, 3)
+    assert (digests, values.tolist(), items) == (b"", [], [])
+
+
+def _ingest(make, r: int):
+    """What ``digest_pairs`` and a build make of the pairs ``make()``
+    gives: (digests, values, m, file bytes), or the type and message of
+    the exception that stops them."""
+    try:
+        digests, values, _ = digest_pairs(make(), 77, r)
+        ds = construct_chunked(make(), ChunkedParams(epsilon=0.2, r=r, C=40, base_seed=77))
+    except Exception as exc:  # compared across backends, whatever it is
+        return type(exc), str(exc)
+    return bytes(digests), values.tolist(), ds.m, serialize(ds)
+
+
+def _both_backends(make, r: int):
+    with python_branch():
+        python = _ingest(make, r)
+    assert _ingest(make, r) == python
+    return python
+
+
+class _Index:
+    """An object with ``__index__`` but no int base class."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"_Index({self.value})"
+
+
+@pytest.mark.parametrize("r", [1, 8, 64, 65])
+@pytest.mark.parametrize("case", [
+    "ok", "str key", "float value", "bool values", "np.int64 values", "top value",
+    "2**r", "negative", "np.int64 negative", "lists", "3-tuple", "1-tuple", "not iterable",
+    "bytearray keys", "iterator", "generator pairs", "__index__", "bad after good",
+    "repeats", "conflict",
+])
+def test_digest_pairs_native_and_python_agree(case, r, native):
+    top = (1 << r) - 1
+    base = [(f"in{i}".encode(), (i * 0x9E3779B97F4A7C15) & top) for i in range(100)]
+    make = {
+        "ok": lambda: base,
+        "str key": lambda: base + [("text", 0)],
+        "float value": lambda: base + [(b"f", 0.5)],
+        "bool values": lambda: [(k, bool(v & 1)) for k, v in base],
+        "np.int64 values": lambda: [(k, np.int64(v & 0x7FFF)) for k, v in base],
+        "top value": lambda: base + [(b"top", top)],
+        "2**r": lambda: base + [(b"over", 1 << r)],
+        "negative": lambda: base + [(b"neg", -1)],
+        "np.int64 negative": lambda: base + [(b"neg", np.int64(-3))],
+        "lists": lambda: [[k, v] for k, v in base],
+        "3-tuple": lambda: base + [(b"three", 0, 0)],
+        "1-tuple": lambda: base + [(b"one",)],
+        "not iterable": lambda: base + [7],
+        "bytearray keys": lambda: [(bytearray(k), v) for k, v in base],
+        "iterator": lambda: iter(base),
+        "generator pairs": lambda: (iter(pair) for pair in base),
+        "__index__": lambda: [(k, _Index(v)) for k, v in base] + [(b"x", _Index(1 << r))],
+        "bad after good": lambda: base + [(b"bad", 0.5), ("text", 0)],
+        "repeats": lambda: base + base[::3] + base[:5],
+        "conflict": lambda: base + [(base[40][0], base[40][1] ^ 1)],
+    }[case]
+    got = _both_backends(make, r)
+    expect_error = {"str key": TypeError, "float value": TypeError, "2**r": ValueError,
+                    "negative": ValueError, "np.int64 negative": ValueError,
+                    "3-tuple": ValueError, "1-tuple": ValueError, "not iterable": TypeError,
+                    "__index__": ValueError, "bad after good": TypeError}
+    if case in expect_error:
+        assert got[0] is expect_error[case]
+    elif case == "conflict":
+        assert got[0] is DuplicateKey and repr(base[40][0]) in got[1]
+    else:
+        assert got[2] == 100 + (case == "top value")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(pairs=st.lists(st.tuples(st.binary(max_size=3), st.integers(0, 3)), max_size=60),
+       r=st.sampled_from([2, 65]))
+def test_digest_pairs_property_with_repeats(pairs, r):
+    from bandset import retrieval_flat
+
+    if retrieval_flat._kernel() is None:
+        pytest.skip("native module unavailable")
+    got = _both_backends(lambda: pairs, r)
+    first = {}
+    for key, value in pairs:
+        first.setdefault(key, value)
+    if any(first[key] != value for key, value in pairs):
+        assert got[0] is DuplicateKey
+    else:
+        assert got[2] == len(first)
+        assert got[3] == _ingest(lambda: list(first.items()), r)[3]
