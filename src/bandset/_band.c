@@ -13,8 +13,8 @@
      pair with the messages of the Python pass, hashes the key and keeps
      the value as a uint64; repeated keys are left to the caller.
    * ``query`` and ``query_many``: the whole lookup of ``query_chunked``
-     for L <= 128 and at most 64 planes, reading the directory and the
-     plane words where the structure keeps them.
+     for L <= 128 and at most 64 planes, reading the directory where the
+     structure keeps it and the plane words in place in ``ds.planes``.
 
    The Python callers check shapes and pick the backend; the checks here
    only keep every read and write in bounds. */
@@ -341,7 +341,9 @@ static void store64(uint8_t *p, uint64_t x)
 
 /* The key and the value of one pair as `key, value = pair` unpacks them,
    with the messages of CPython's unpacking: new references, or -1 with the
-   exception set. An exact 2-tuple or 2-list takes the short way. */
+   exception set. An exact 2-tuple or 2-list takes the short way and
+   returns 0; anything else is read through the iterator protocol, which
+   may not read it again, and returns 1. */
 static int unpack_pair(PyObject *pair, PyObject **key, PyObject **value)
 {
     if ((PyTuple_CheckExact(pair) || PyList_CheckExact(pair)) && Py_SIZE(pair) == 2) {
@@ -368,7 +370,7 @@ static int unpack_pair(PyObject *pair, PyObject **key, PyObject **value)
     if (n == 2 && !PyErr_Occurred()) {
         *key = got[0];
         *value = got[1];
-        return 0;
+        return 1;
     }
     if (!PyErr_Occurred()) {
         if (n < 2)
@@ -425,12 +427,28 @@ static int pair_words(const struct keyed *k, PyObject *key, PyObject *value, int
     return 0;
 }
 
+/* Replace items[n] by the tuple (key, value), first copying *items into a
+   new list when it is the caller's own sequence arg. */
+static int keep_pair(PyObject **items, PyObject *arg, Py_ssize_t n, PyObject *key, PyObject *value)
+{
+    if (*items == arg) {
+        PyObject *copy = PySequence_List(arg);
+        if (!copy)
+            return -1;
+        Py_SETREF(*items, copy);
+    }
+    PyObject *pair = PyTuple_Pack(2, key, value);
+    return pair ? PyList_SetItem(*items, n, pair) : -1;
+}
+
 /* digest_pairs(pairs, state, r) -> (digests, values, items) for
    1 <= r <= 64: one pass over an iterable of (key, value) pairs that
    checks each pair, hashes its key and keeps its value. digests is a
    bytearray of 16 bytes per pair (lo, then hi, little-endian), values a
    bytearray of one native-endian uint64 per pair, items the pairs as a
-   list or tuple (the argument itself when it is an exact list or tuple). */
+   list or tuple (the argument itself when it is an exact list or tuple
+   of exact 2-tuples and 2-lists); a pair of another type is kept there as
+   the (key, value) tuple it gave, since it may not read again. */
 static PyObject *py_digest_pairs(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     struct keyed k;
@@ -460,13 +478,14 @@ static PyObject *py_digest_pairs(PyObject *self, PyObject *const *args, Py_ssize
                          || PyByteArray_Resize(values, 8 * cap) < 0))
             goto fail;
         Py_INCREF(pair);
-        int bad = unpack_pair(pair, &key, &value);
+        int once = unpack_pair(pair, &key, &value);
         Py_DECREF(pair);
-        if (bad)
+        if (once < 0)
             goto fail;
         uint64_t v;
-        bad = pair_words(&k, key, value, (int)r,
-                         (uint8_t *)PyByteArray_AS_STRING(digests) + 16 * n, &v);
+        int bad = (once && keep_pair(&items, args[0], n, key, value) < 0)
+                  || pair_words(&k, key, value, (int)r,
+                                (uint8_t *)PyByteArray_AS_STRING(digests) + 16 * n, &v) < 0;
         Py_DECREF(key);
         Py_DECREF(value);
         if (bad)
@@ -506,41 +525,31 @@ static uint64_t mulhi(uint64_t a, uint64_t b)
     return (uint64_t)((u128)a * b >> 64);
 }
 
-static PyObject *s_params, *s_directory, *s_tables, *s_L, *s_force_leading_one, *s_num_chunks,
-    *s_packed, *s_words;
+static PyObject *s_params, *s_directory, *s_planes, *s_L, *s_r, *s_force_leading_one,
+    *s_num_chunks, *s_packed;
 
-/* What a query needs of a structure, read once per call. */
+/* What a query needs of a structure, read once per call: plane t is the
+   nwords little-endian words from byte 8 * nwords * t of planes. */
 struct query {
     struct keyed k;
-    uint64_t L, num_chunks;
+    uint64_t L, r, num_chunks, nwords;
     int lead;
-    Py_ssize_t r;
-    PyObject *packed, *words[64];
+    PyObject *packed;
+    Py_buffer planes;
 };
 
-/* Item i of a sequence of 64-bit words: PyList_GET_ITEM for an exact
-   list, the sequence protocol (and so any __getitem__) otherwise.
-   IndexError past the end, ValueError for a value outside 64 bits. */
+/* Item i of a sequence of 64-bit words, read through the sequence protocol
+   (and so any __getitem__): IndexError past the end, ValueError for a
+   value outside 64 bits. */
 static int read_word(PyObject *seq, uint64_t i, uint64_t *out)
 {
-    PyObject *item;
-    if (PyList_CheckExact(seq)) {
-        if (i >= (uint64_t)PyList_GET_SIZE(seq)) {
-            PyErr_Format(PyExc_IndexError, "word %llu is past the end of a list of %zd",
-                         (unsigned long long)i, PyList_GET_SIZE(seq));
-            return -1;
-        }
-        item = PyList_GET_ITEM(seq, (Py_ssize_t)i);
-        Py_INCREF(item);
-    } else {
-        if (i > (uint64_t)PY_SSIZE_T_MAX) {
-            PyErr_SetString(PyExc_IndexError, "word index out of range");
-            return -1;
-        }
-        item = PySequence_GetItem(seq, (Py_ssize_t)i);
-        if (!item)
-            return -1;
+    if (i > (uint64_t)PY_SSIZE_T_MAX) {
+        PyErr_SetString(PyExc_IndexError, "word index out of range");
+        return -1;
     }
+    PyObject *item = PySequence_GetItem(seq, (Py_ssize_t)i);
+    if (!item)
+        return -1;
     if (!PyLong_Check(item)) {
         Py_SETREF(item, PyNumber_Index(item));
         if (!item)
@@ -585,51 +594,40 @@ static int attr_u64(PyObject *obj, PyObject *name, uint64_t *out)
 static void query_clear(struct query *q)
 {
     Py_CLEAR(q->packed);
-    for (Py_ssize_t t = 0; t < q->r; t++)
-        Py_CLEAR(q->words[t]);
-    q->r = 0;
+    PyBuffer_Release(&q->planes); /* no-op while planes.obj is NULL */
 }
 
 static int query_init(struct query *q, PyObject *ds, PyObject *state)
 {
-    PyObject *params = NULL, *directory = NULL, *tables = NULL, *v = NULL;
+    PyObject *params = NULL, *directory = NULL, *planes = NULL, *v = NULL;
     int ok = -1;
 
-    q->r = 0;
     q->packed = NULL;
+    q->planes.obj = NULL;
     if (get_keyed(state, &q->k) < 0)
         return -1;
     params = attr(ds, s_params);
     v = attr(params, s_force_leading_one);
-    if (!v || attr_u64(params, s_L, &q->L) < 0 || (q->lead = PyObject_IsTrue(v)) < 0)
+    if (!v || attr_u64(params, s_L, &q->L) < 0 || attr_u64(params, s_r, &q->r) < 0
+        || (q->lead = PyObject_IsTrue(v)) < 0)
         goto done;
     directory = attr(ds, s_directory);
     if (attr_u64(directory, s_num_chunks, &q->num_chunks) < 0
-        || !(q->packed = attr(directory, s_packed)) || !(tables = attr(ds, s_tables)))
+        || !(q->packed = attr(directory, s_packed)) || !(planes = attr(ds, s_planes))
+        || PyObject_GetBuffer(planes, &q->planes, PyBUF_SIMPLE) < 0)
         goto done;
-    if (q->L < 1 || q->L > 128 || q->num_chunks < 1) {
-        PyErr_SetString(PyExc_ValueError, "query needs 1 <= L <= 128 and at least one chunk");
-        goto done;
-    }
-    Py_ssize_t r = PySequence_Size(tables);
-    if (r < 0)
-        goto done;
-    if (r > 64) {
-        PyErr_SetString(PyExc_ValueError, "query answers at most 64 planes");
+    if (q->L < 1 || q->L > 128 || q->r < 1 || q->r > 64 || q->num_chunks < 1
+        || q->planes.len % (8 * q->r)) {
+        PyErr_SetString(PyExc_ValueError, "query needs 1 <= L <= 128, 1 <= r <= 64, a chunk "
+                        "and planes that are r runs of whole 64-bit words");
         goto done;
     }
-    for (; q->r < r; q->r++) {
-        PyObject *plane = PySequence_GetItem(tables, q->r);
-        q->words[q->r] = attr(plane, s_words);
-        Py_XDECREF(plane);
-        if (!q->words[q->r])
-            goto done;
-    }
+    q->nwords = (uint64_t)q->planes.len / (8 * q->r);
     ok = 0;
 done:
     Py_XDECREF(params);
     Py_XDECREF(directory);
-    Py_XDECREF(tables);
+    Py_XDECREF(planes);
     Py_XDECREF(v);
     if (ok < 0)
         query_clear(q);
@@ -666,14 +664,17 @@ static int query_key(const struct query *q, PyObject *key, uint64_t *value)
     uint64_t bit = offset + start - 1, wi = bit >> 6, span = ((bit + L - 1) >> 6) - wi;
     unsigned sh = bit & 63;
     uint64_t mask[3] = {w0 << sh, sh ? w0 >> (64 - sh) | w1 << sh : w1, sh ? w1 >> (64 - sh) : 0};
+    if (wi + span >= q->nwords) {
+        PyErr_Format(PyExc_IndexError, "window ends past a plane of %llu words",
+                     (unsigned long long)q->nwords);
+        return -1;
+    }
+    const uint8_t *window = (const uint8_t *)q->planes.buf + 8 * wi;
     *value = 0;
-    for (Py_ssize_t t = 0; t < q->r; t++) {
-        uint64_t acc = 0, w;
-        for (uint64_t k = 0; k <= span; k++) {
-            if (read_word(q->words[t], wi + k, &w) < 0)
-                return -1;
-            acc ^= w & mask[k];
-        }
+    for (uint64_t t = 0; t < q->r; t++) {
+        uint64_t acc = 0;
+        for (uint64_t k = 0; k <= span; k++)
+            acc ^= load64(window + 8 * (t * q->nwords + k)) & mask[k];
         *value |= (uint64_t)__builtin_parityll(acc) << t;
     }
     return 0;
@@ -730,10 +731,10 @@ static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "bandset._band", NULL
 
 PyMODINIT_FUNC PyInit__band(void)
 {
-    PyObject **names[] = {&s_params, &s_directory, &s_tables, &s_L, &s_force_leading_one,
-                          &s_num_chunks, &s_packed, &s_words};
-    const char *text[] = {"params", "directory", "tables", "L", "force_leading_one",
-                          "num_chunks", "packed", "words"};
+    PyObject **names[] = {&s_params, &s_directory, &s_planes, &s_L, &s_r, &s_force_leading_one,
+                          &s_num_chunks, &s_packed};
+    const char *text[] = {"params", "directory", "planes", "L", "r", "force_leading_one",
+                          "num_chunks", "packed"};
     for (size_t i = 0; i < sizeof names / sizeof *names; i++)
         if (!*names[i] && !(*names[i] = PyUnicode_InternFromString(text[i])))
             return NULL;

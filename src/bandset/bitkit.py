@@ -2,8 +2,8 @@
 
 Bit order is LSB-first: bit ``j`` of a vector lives in bit ``j % 64`` of
 word ``j // 64``. This makes an unaligned L-bit window extractable with a
-single shift over at most ``ceil(L/64) + 1`` consecutive words, which is
-the access pattern everything above this module relies on.
+single shift over at most ``ceil(L/64) + 1`` consecutive words. It serves
+the reference solver and the tests; queries read the packed plane bytes.
 """
 
 from __future__ import annotations

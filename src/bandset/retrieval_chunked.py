@@ -4,10 +4,11 @@ there is one chunk, which is the unpartitioned structure.
 
 Every chunk's table size follows from its key count, so the offsets are
 fixed before any chunk is solved. Each chunk then solves straight into its
-own slice of one buffer per plane (optionally on a thread pool; the slices
-are disjoint), so the output is a pure function of the key/value set and
-the base seed. The in-memory directory packs each chunk's retry seed into
-the top 16 bits of its 48-bit table offset, letting a query resolve
+slice of one buffer of all the planes (optionally on a thread pool; the
+slices are disjoint), so the output is a pure function of the key/value set
+and the base seed. The planes stay in the file's form, packed little-endian
+words, in memory too. The in-memory directory packs each chunk's retry seed
+into the top 16 bits of its 48-bit table offset, letting a query resolve
 offset, seed, and table span with two directory reads; the on-disk format
 keeps seeds and offsets as separate arrays.
 """
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from . import retrieval_flat
-from .bitkit import BitVec, dot_window
 from .retrieval_flat import ConstructError, DuplicateKey, construct_flat, positions_for
 from .row_gen import (
     MASK64,
@@ -113,14 +113,19 @@ class ChunkDirectory:
 
 @dataclass(slots=True)
 class ChunkedRetrieval:
+    """``planes`` is the file's plane payload: r runs of
+    ceil(plane_bits / 64) little-endian 64-bit words, plane t from word
+    t * ceil(plane_bits / 64) on, each the concatenation over chunks with
+    bit j in bit j % 64 of word j // 64 and zero padding."""
+
     params: ChunkedParams
     directory: ChunkDirectory
-    tables: list[BitVec]  # r planes, each the concatenation over chunks
+    planes: bytes
     m: int
 
     @property
     def plane_bits(self) -> int:
-        return self.tables[0].length
+        return self.directory.packed[-1] & _OFFSET_MASK
 
 
 def num_chunks_for(m: int, C: int) -> int:
@@ -174,8 +179,11 @@ def construct_chunked(pairs, params: ChunkedParams, threads: int = 1) -> Chunked
     for a, b in zip(bounds, bounds[1:]):
         offsets.append(offsets[-1] + positions_for(b - a, params.epsilon) + params.L - 1)
     ChunkDirectory.from_parts(offsets, [0] * num_chunks)  # an oversized table fails here
-    # One byte per bit, rounded up to whole words for the packing below.
-    planes = [bytearray((offsets[-1] + 63) & ~63) for _ in range(params.r)]
+    # One byte per bit, each plane rounded up to whole words, so one packing
+    # gives the file's planes.
+    stride = (offsets[-1] + 63) & ~63
+    buffer = bytearray(params.r * stride)
+    planes = [memoryview(buffer)[t * stride : (t + 1) * stride] for t in range(params.r)]
     parts = [(s[a:b], lo[a:b], values[a:b]) for a, b in zip(bounds, bounds[1:])]
     args = (*zip(*parts), repeat(params), repeat(planes), offsets[:-1], range(num_chunks))
     if threads > 1:
@@ -185,11 +193,8 @@ def construct_chunked(pairs, params: ChunkedParams, threads: int = 1) -> Chunked
         retries = list(map(construct_flat, *args))
 
     directory = ChunkDirectory.from_parts(offsets, retries)
-    tables = [
-        BitVec(offsets[-1], np.packbits(z, bitorder="little").view("<u8").tolist())
-        for z in planes
-    ]
-    return ChunkedRetrieval(params, directory, tables, m)
+    planes = np.packbits(np.frombuffer(buffer, np.uint8), bitorder="little").tobytes()
+    return ChunkedRetrieval(params, directory, planes, m)
 
 
 def _drop_repeats(hi, lo, values, order, items):
@@ -217,8 +222,7 @@ def _drop_repeats(hi, lo, values, order, items):
     digests = zip(hi[run].tolist(), lo[run].tolist())
     for p, digest, i, value in zip(run.tolist(), digests, order[run].tolist(),
                                    values[run].tolist()):
-        key, _ = items[i]
-        key = bytes(key)
+        key = bytes(items[i][0])
         if digest != lead_digest:
             lead_digest, lead_key, lead_value = digest, key, value
         elif key != lead_key:
@@ -238,18 +242,18 @@ def query_chunked(ds: ChunkedRetrieval, key: bytes) -> int:
 
     Where the native module loaded (``retrieval_flat._kernel()``), L <= 128
     and r <= 64, one native call does the whole lookup, reading
-    ``ds.directory.packed`` and each plane's ``words`` where they are.
-    Otherwise the Python body below does, which is also the reference the
-    tests check the native lookup against. Both check the two directory
-    entries they read: IndexError past the directory, ValueError for an
-    entry outside [0, 2^64) or a chunk with fewer than L bits.
+    ``ds.directory.packed`` and ``ds.planes`` where they are. Otherwise the
+    Python body below does, which is also the reference the tests check
+    the native lookup against. Both check the two directory entries they
+    read (IndexError past the directory, ValueError for an entry outside
+    [0, 2^64) or a chunk with fewer than L bits) and take the plane length
+    from ``ds.planes``: ValueError unless it is r equal runs of whole
+    words, IndexError for a window that ends past a plane.
 
-    For L <= 64 each plane's window is read inline from the words ``wi``
-    and ``last`` that hold its first and last bit: the pattern, shifted to
-    the window's bit offset, splits into a ``low`` mask for word ``wi`` and
-    a ``high`` mask for word ``last``. A window inside one word has
-    ``last == wi`` and ``high == 0``, so no read leaves the plane and no
-    padding word is needed. Longer windows go through ``dot_window``.
+    Each plane's window is one read of the words ``wi`` to ``last`` that
+    hold its first and last bit, ANDed with the pattern shifted to the
+    window's bit offset. A window inside one word has ``last == wi``, so no
+    read leaves the plane and no padding word is needed.
     """
     params = ds.params
     native = retrieval_flat._kernel()
@@ -272,19 +276,19 @@ def query_chunked(ds: ChunkedRetrieval, key: bytes) -> int:
     n_chunk = end - offset - (L - 1)
     start, bits = row_for_words(s, lo, retry, n_chunk, L, params.force_leading_one)
     bit_offset = offset + start - 1
+    planes = ds.planes
+    size, rest = divmod(len(planes), params.r)  # bytes per plane
+    if rest or size & 7:
+        raise ValueError("planes are not r runs of whole 64-bit words")
+    a = 8 * (bit_offset >> 6)
+    b = 8 * ((bit_offset + L - 1) >> 6) + 8
+    if b > size:
+        raise IndexError(f"window ends past a plane of {size // 8} words")
+    bits <<= bit_offset & 63
     value = 0
-    if L <= 64:
-        wi = bit_offset >> 6
-        last = (bit_offset + L - 1) >> 6
-        bits <<= bit_offset & 63
-        low = bits & MASK64
-        high = bits >> 64
-        for plane in reversed(ds.tables):
-            w = plane.words
-            value = value << 1 | ((w[wi] & low ^ w[last] & high).bit_count() & 1)
-        return value
-    for t, plane in enumerate(ds.tables):
-        value |= dot_window(plane, bit_offset, bits, L) << t
+    for t in range(params.r):
+        w = int.from_bytes(planes[t * size + a : t * size + b], "little")
+        value |= ((w & bits).bit_count() & 1) << t
     return value
 
 
@@ -300,21 +304,13 @@ def query_many(ds: ChunkedRetrieval, keys) -> list[int]:
 
 
 def serialize(ds: ChunkedRetrieval) -> bytes:
-    p = ds.params
+    """The file: header, retry seeds, offsets, then ``ds.planes`` as they are."""
+    p, d = ds.params, ds.directory
     flags = FLAG_FORCE_LEADING_ONE if p.force_leading_one else 0
-    out = [
-        _HEADER.pack(
-            MAGIC, VERSION, flags, p.r, p.L, p.epsilon, p.C, ds.m,
-            ds.directory.num_chunks, p.base_seed,
-        )
-    ]
-    num_chunks = ds.directory.num_chunks
-    out.append(struct.pack(f"<{num_chunks}H", *ds.directory.seeds))
-    out.append(struct.pack(f"<{num_chunks + 1}Q", *ds.directory.offsets))
-    nwords = len(ds.tables[0].words)
-    for plane in ds.tables:
-        out.append(struct.pack(f"<{nwords}Q", *plane.words))
-    return b"".join(out)
+    header = _HEADER.pack(MAGIC, VERSION, flags, p.r, p.L, p.epsilon, p.C, ds.m,
+                          d.num_chunks, p.base_seed)
+    return b"".join([header, struct.pack(f"<{d.num_chunks}H", *d.seeds),
+                     struct.pack(f"<{d.num_chunks + 1}Q", *d.offsets), ds.planes])
 
 
 def deserialize(data: bytes) -> ChunkedRetrieval:
@@ -361,15 +357,11 @@ def deserialize(data: bytes) -> ChunkedRetrieval:
     if len(data) != pos + r * nwords * 8:
         raise FormatError("plane payload length mismatch")
     tail_bits = plane_bits - (nwords - 1) * 64
-    planes = []
-    for _ in range(r):
-        words = list(struct.unpack_from(f"<{nwords}Q", data, pos))
-        if words[-1] >> tail_bits:
+    for end in range(pos + nwords * 8, len(data) + 1, nwords * 8):
+        if int.from_bytes(data[end - 8 : end], "little") >> tail_bits:
             raise FormatError("nonzero padding bits in plane")
-        planes.append(BitVec(plane_bits, words))
-        pos += nwords * 8
     directory = ChunkDirectory.from_parts(offsets, seeds)
-    return ChunkedRetrieval(params, directory, planes, m)
+    return ChunkedRetrieval(params, directory, bytes(data[pos:]), m)
 
 
 def overhead(ds: ChunkedRetrieval) -> float:

@@ -73,8 +73,9 @@ def digest_pairs(pairs, base_seed: int, r: int):
     concatenated in input order (``lo``, then ``hi``, little-endian), the
     values as a numpy array (uint64, or object ints for r > 64), and the
     pairs as a list or tuple, which the caller reads again only for
-    repeated digests. Repeated keys are kept; ``construct_chunked`` finds
-    them by sorting the digests.
+    repeated digests; a pair that is not an exact tuple or list (it may
+    read only once) is kept there as the (key, value) it gave. Repeated
+    keys are kept; ``construct_chunked`` finds them by sorting the digests.
 
     Raises TypeError for a key that is not bytes or bytearray or a value
     that is not an integer, and ValueError for a value outside [0, 2^r),
@@ -94,7 +95,11 @@ def digest_pairs(pairs, base_seed: int, r: int):
     limit = 1 << r
     digests = bytearray()
     values = []
-    for key, value in items:
+    for i, pair in enumerate(items):
+        key, value = pair
+        if type(pair) is not tuple and type(pair) is not list:
+            items = list(items) if items is pairs else items
+            items[i] = key, value
         if not isinstance(key, (bytes, bytearray)):
             raise TypeError("keys must be byte strings")
         try:

@@ -119,11 +119,15 @@ def query_window(ds, key: bytes) -> tuple[int, int]:
 
 
 def reference_query(ds, key: bytes) -> int:
-    """The key's value with one ``dot_window`` per plane: the reference for
-    the inline plane read in ``query_chunked``."""
+    """The key's value with one ``dot_window`` per plane, on ``BitVec``s
+    rebuilt from ``ds.planes`` with numpy: the reference for the plane read
+    in ``query_chunked``."""
+    import numpy as np
+
     bit_offset, bits = query_window(ds, key)
     value = 0
-    for t, plane in enumerate(ds.tables):
+    for t, words in enumerate(np.frombuffer(ds.planes, "<u8").reshape(ds.params.r, -1)):
+        plane = BitVec(ds.plane_bits, words.tolist())
         value |= dot_window(plane, bit_offset, bits, ds.params.L) << t
     return value
 
@@ -146,7 +150,8 @@ class CountingWords(list):
 
     Swap it in for ``BitVec.words`` or ``ChunkDirectory.packed`` to check
     the contiguous-access contracts: ``reads``/``writes`` accumulate
-    indices in access order.
+    indices in access order. The native query reads a word list through
+    the sequence protocol, so both backends' directory reads are counted.
     """
 
     def __init__(self, iterable=()):
@@ -165,6 +170,44 @@ class CountingWords(list):
     def reset(self) -> None:
         self.reads.clear()
         self.writes.clear()
+
+
+class CountingPlanes(bytes):
+    """A plane buffer that records the words each slice of it covers.
+
+    Swap it in for ``ChunkedRetrieval.planes`` to check what the Python
+    body of ``query_chunked`` reads: ``reads`` accumulates one range of
+    buffer word indices per slice, in access order. The native query
+    reads the buffer's memory directly, which no wrapper sees; see
+    ``noisy_planes`` for its check.
+    """
+
+    def __init__(self, data=b""):
+        self.reads: list[range] = []
+
+    def __getitem__(self, i: slice):
+        start, stop, _ = i.indices(len(self))
+        self.reads.append(range(start // 8, (stop + 7) // 8))
+        return super().__getitem__(i)
+
+    def plane_words(self, r: int) -> list[list[int]]:
+        """The words read so far, per plane, as sorted word indices within
+        the plane."""
+        nwords = len(self) // 8 // r
+        out = [[] for _ in range(r)]
+        for w in sorted({w for words in self.reads for w in words}):
+            out[w // nwords].append(w % nwords)
+        return out
+
+
+def noisy_planes(planes: bytes, reads, rnd: random.Random) -> bytes:
+    """``planes`` with every word outside the word ranges ``reads``
+    overwritten by random bytes: a lookup that reads only those words
+    answers as it did on ``planes``."""
+    noise = bytearray(rnd.randbytes(len(planes)))
+    for words in reads:
+        noise[8 * words.start : 8 * words.stop] = planes[8 * words.start : 8 * words.stop]
+    return bytes(noise)
 
 
 class RandomSystem(NamedTuple):

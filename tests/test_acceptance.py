@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from bandset import retrieval_flat
 from bandset.analysis_sim import (
     coupled_replay,
     make_rng,
@@ -31,8 +32,11 @@ from bandset.retrieval_chunked import (
 )
 
 from conftest import (
+    CountingPlanes,
     CountingWords,
     make_pairs,
+    noisy_planes,
+    python_branch,
     random_band_system,
     solve_system,
     verify_system,
@@ -232,28 +236,39 @@ def test_criterion_10_query_word_locality():
     pairs = make_pairs(5_000, r=2, tag="loc")
     params = ChunkedParams(epsilon=0.1, L=64, r=2, C=1_000, base_seed=1010)
     ds = construct_chunked(pairs, params)
-    ds.directory.packed = CountingWords(ds.directory.packed)
-    counters = []
-    for plane in ds.tables:
-        plane.words = CountingWords(plane.words)
-        counters.append(plane.words)
+    planes = ds.planes
+    packed = ds.directory.packed = CountingWords(ds.directory.packed)
+    ds.planes = counting = CountingPlanes(planes)
     per_plane_budget = (64 + 63) // 64 + 1
     worst_dir = worst_plane = 0
     noncontig = 0
-    for key, v in pairs:
-        ds.directory.packed.reset()
-        for c in counters:
-            c.reset()
-        assert query_chunked(ds, key) == v
-        worst_dir = max(worst_dir, len(ds.directory.packed.reads))
-        for c in counters:
-            worst_plane = max(worst_plane, len(c.reads))
-            span = sorted(set(c.reads))
-            noncontig += span != list(range(span[0], span[-1] + 1))
+    windows = []
+    with python_branch():
+        for key, v in pairs:
+            packed.reset()
+            counting.reads.clear()
+            assert query_chunked(ds, key) == v
+            worst_dir = max(worst_dir, len(packed.reads))
+            for words in counting.plane_words(params.r):
+                worst_plane = max(worst_plane, len(words))
+                noncontig += words != list(range(words[0], words[-1] + 1))
+            windows.append(list(counting.reads))
     ok = worst_dir <= 2 and worst_plane <= per_plane_budget and noncontig == 0
-    report(10, "query reads 2 directory words + short table window", ok,
-           f"max dir reads {worst_dir}, max plane reads {worst_plane} "
-           f"(budget {per_plane_budget}), noncontiguous {noncontig}")
+    detail = (f"max dir reads {worst_dir}, max plane reads {worst_plane} "
+              f"(budget {per_plane_budget}), noncontiguous {noncontig}")
+    # The native query reads the plane memory directly: it must give every
+    # answer unchanged with all plane words outside the counted window random.
+    if retrieval_flat._kernel() is not None:
+        rnd = random.Random(1010)
+        native_dir = changed = 0
+        for (key, v), reads in zip(pairs, windows):
+            packed.reset()
+            ds.planes = noisy_planes(planes, reads, rnd)
+            changed += query_chunked(ds, key) != v
+            native_dir = max(native_dir, len(packed.reads))
+        ok &= native_dir <= 2 and changed == 0
+        detail += f"; native: max dir reads {native_dir}, answers changed by noise {changed}"
+    report(10, "query reads 2 directory words + short table window", ok, detail)
 
 
 def test_criterion_11_first_seed_success_rate():

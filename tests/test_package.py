@@ -1,10 +1,15 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
 
+import pytest
+
 import bandset
+from bandset import retrieval_flat
 
 from conftest import HAVE_CC
 
@@ -81,3 +86,11 @@ def test_build_runs_natively_without_ctypes():
         "assert (bandset.retrieval_flat._kernel() is not None) == " + repr(HAVE_CC)
     )
     assert _loaded_by(build, ("bandset._band",)) == (["bandset._band"] if HAVE_CC else [])
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler (cc) on PATH or no CPython headers")
+def test_native_module_compiles_without_warnings(tmp_path):
+    # the loader's flags plus -Wall -Werror: a helper left unused fails here
+    flags = (*retrieval_flat._CFLAGS, "-I" + sysconfig.get_path("include"), "-Wall", "-Werror")
+    retrieval_flat._compile(shutil.which("cc"), flags, retrieval_flat._KERNEL_SOURCE,
+                            str(tmp_path / "band.so"))

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandset import retrieval_chunked
-from bandset.bitkit import BitVec
+from bandset import retrieval_chunked, retrieval_flat
 from bandset.retrieval_chunked import (
     ChunkDirectory,
     ChunkedParams,
@@ -24,9 +23,11 @@ from bandset.retrieval_chunked import (
 )
 from bandset.retrieval_flat import ConstructError, DuplicateKey, RetriesExhausted
 from conftest import (
-    CountingWords,
+    CountingPlanes,
     chunk_for_key,
     make_pairs,
+    noisy_planes,
+    python_branch,
     query_window,
     reference_query,
 )
@@ -284,23 +285,28 @@ def test_threads_below_1_rejected(threads):
         construct_chunked(make_pairs(10), ChunkedParams(epsilon=0.1), threads=threads)
 
 
-def test_query_word_budget():
-    pairs, ds = build(3_000, C=1_000, r=2)
-    ds.directory.packed = CountingWords(ds.directory.packed)
-    plane_counters = []
-    for plane in ds.tables:
-        plane.words = CountingWords(plane.words)
-        plane_counters.append(plane.words)
-    budget_per_plane = (64 + 63) // 64 + 1
-    for key, v in pairs[:300]:
-        ds.directory.packed.reset()
-        for c in plane_counters:
-            c.reset()
-        assert query_chunked(ds, key) == v
-        assert len(ds.directory.packed.reads) <= 2
-        for c in plane_counters:
-            assert len(c.reads) <= budget_per_plane
-            assert sorted(set(c.reads)) == list(range(min(c.reads), max(c.reads) + 1))
+def _plane_reads(ds, keys) -> list[list[list[int]]]:
+    """Per key, the words of each plane that the Python body of
+    ``query_chunked`` reads, with its answers checked against
+    ``reference_query``. Where the native module loaded, its answers must
+    be the same with every other plane word random."""
+    planes = ds.planes
+    want = [reference_query(ds, key) for key in keys]
+    ds.planes = counting = CountingPlanes(planes)
+    reads, words = [], []
+    with python_branch():
+        for key, value in zip(keys, want):
+            counting.reads.clear()
+            assert query_chunked(ds, key) == value
+            reads.append(list(counting.reads))
+            words.append(counting.plane_words(ds.params.r))
+    if retrieval_flat._kernel() is not None:
+        rnd = random.Random(len(planes))
+        for key, value, read in zip(keys, want, reads):
+            ds.planes = noisy_planes(planes, read, rnd)
+            assert query_chunked(ds, key) == value
+    ds.planes = planes
+    return words
 
 
 def _differential_params(L, r, force_leading_one):
@@ -315,8 +321,8 @@ def _differential_params(L, r, force_leading_one):
 @pytest.mark.parametrize("r", [1, 3, 8, 65])
 @pytest.mark.parametrize("L", [1, 7, 63, 64, 65, 80, 130])
 def test_query_matches_reference_query(L, r, force_leading_one):
-    # the inline plane read (L <= 64) and the dot_window path (L > 64)
-    # against one dot_window per plane, stored and never-inserted keys
+    # the one plane read of the Python body, for every L, against one
+    # dot_window per plane, stored and never-inserted keys
     params = _differential_params(L, r, force_leading_one)
     pairs = make_pairs(60 if L < 8 else 200, r=r, tag=f"diff{L}")
     ds = construct_chunked(pairs, params)
@@ -372,14 +378,20 @@ def test_keys_must_be_bytes_like(backend):
         query_many(ds, [key, key.decode()])
 
 
-@pytest.mark.parametrize("words", [list, CountingWords])
-def test_short_plane_word_lists_raise_index_error(words, backend):
+@pytest.mark.parametrize("buffer", [bytes, CountingPlanes])
+def test_short_plane_word_lists_raise_index_error(buffer, backend):
     # every plane loses its last word: keys whose window reaches it raise,
-    # the others still answer
+    # the others still answer; a buffer that is not r runs of whole words
+    # raises ValueError
     pairs, ds = build(2_000, C=1_000, r=2)
-    last_word = len(ds.tables[0].words) - 1
-    for plane in ds.tables:
-        plane.words = words(plane.words[:-1])
+    planes = ds.planes
+    size = len(planes) // 2
+    last_word = size // 8 - 1
+    for cut in (1, 8):
+        ds.planes = buffer(planes[:-cut])
+        with pytest.raises(ValueError, match="runs of whole 64-bit words"):
+            query_chunked(ds, pairs[0][0])
+    ds.planes = buffer(planes[: size - 8] + planes[size:-8])
     raised = 0
     for key, v in pairs:
         if (query_window(ds, key)[0] + ds.params.L - 1) >> 6 == last_word:
@@ -423,15 +435,6 @@ def test_edited_directory_raises_instead_of_reading_past_it(edit, backend):
         query_many(ds, [key for key, _ in pairs])
 
 
-@pytest.mark.parametrize("shift", [1 << 64, -(1 << 64)])
-def test_plane_words_outside_64_bits_raise_value_error(shift, native):
-    pairs, ds = build(300, C=100, r=2)
-    ds.tables[1].words = [w + shift for w in ds.tables[1].words]
-    for key, _ in pairs[:20]:
-        with pytest.raises(ValueError):
-            query_chunked(ds, key)
-
-
 @pytest.mark.parametrize("L, eps, C, m, base_seed", [(8, 0.3, 50, 200, 0), (64, 0.22, 1_000, 100, 4)])
 def test_windows_in_the_last_plane_word_answer_exactly(L, eps, C, m, base_seed):
     # at L = 64 the one chunk has n = 129 and 192 plane bits, so a key that
@@ -441,14 +444,9 @@ def test_windows_in_the_last_plane_word_answer_exactly(L, eps, C, m, base_seed):
     last_word = (ds.plane_bits - 1) >> 6
     tail = [(key, v) for key, v in pairs if query_window(ds, key)[0] >> 6 == last_word]
     assert tail
-    counters = [CountingWords(plane.words) for plane in ds.tables]
-    for plane, words in zip(ds.tables, counters):
-        plane.words = words
-    for key, v in tail:
-        for words in counters:
-            words.reset()
-        assert query_chunked(ds, key) == reference_query(ds, key) == v
-        assert all(set(words.reads) == {last_word} for words in counters)
+    assert [query_chunked(ds, key) for key, _ in tail] == [v for _, v in tail]
+    for words in _plane_reads(ds, [key for key, _ in tail]):
+        assert words == [[last_word]] * 3
 
 
 @pytest.mark.parametrize("L", [8, 64])
@@ -459,14 +457,9 @@ def test_empty_structure_reads_its_one_word(L):
     rnd = random.Random(L)
     keys = [f"ghost{i}".encode() for i in range(100)]
     assert all(query_chunked(ds, key) == 0 for key in keys)
-    counters = [CountingWords([rnd.getrandbits(L)]) for _ in ds.tables]
-    for plane, words in zip(ds.tables, counters):
-        plane.words = words
-    for key in keys:
-        for words in counters:
-            words.reset()
-        assert query_chunked(ds, key) == reference_query(ds, key)
-        assert all(set(words.reads) == {0} for words in counters)
+    ds.planes = b"".join(rnd.getrandbits(L).to_bytes(8, "little") for _ in range(3))
+    for words in _plane_reads(ds, keys):
+        assert words == [[0]] * 3
 
 
 def test_overhead_counts_directory_and_r_scales_it():
@@ -577,18 +570,38 @@ def test_same_value_repeats_write_the_same_file(backend):
     assert serialize(ds) == serialize(construct_chunked(pairs, params))
 
 
+def test_pairs_that_read_once_deduplicate(backend):
+    # pairs given as one-shot iterators: the repeat check reads the pairs
+    # of a repeated digest again, so the build keeps what it unpacked
+    ds = construct_chunked([iter((b"a", 1)), iter((b"b", 0)), iter((b"a", 1))],
+                           ChunkedParams(epsilon=0.1))
+    assert ds.m == 2
+    pairs = make_pairs(2_000, r=3, tag="once")
+    params = ChunkedParams(epsilon=0.1, r=3, C=1_000, base_seed=6)
+    given = [iter(pair) for pair in pairs + pairs[:50]]
+    iterators = list(given)
+    ds = construct_chunked(given, params)
+    assert given == iterators  # the caller's list is left alone
+    assert ds.m == len(pairs)
+    assert serialize(ds) == serialize(construct_chunked(pairs, params))
+    key, value = pairs[7]
+    with pytest.raises(DuplicateKey) as exc_info:
+        construct_chunked(tuple(iter(pair) for pair in pairs + [(key, value ^ 1)]), params)
+    assert exc_info.value.key == key
+
+
 def _round_trip_seconds(plane_bits: int) -> float:
-    rnd = random.Random(plane_bits)
-    plane = BitVec(plane_bits, [rnd.getrandbits(64) for _ in range((plane_bits + 63) // 64)])
+    # plane_bits is a multiple of 64, so random words have no padding bits
+    planes = random.Random(plane_bits).randbytes(plane_bits // 8)
     ds = ChunkedRetrieval(
-        ChunkedParams(epsilon=0.05), ChunkDirectory.from_parts([0, plane_bits], [0]), [plane], 1
+        ChunkedParams(epsilon=0.05), ChunkDirectory.from_parts([0, plane_bits], [0]), planes, 1
     )
     best = math.inf
     for _ in range(3):
         t0 = time.perf_counter()
         ds2 = deserialize(serialize(ds))
         best = min(best, time.perf_counter() - t0)
-    assert ds2.tables[0] == plane
+    assert ds2.planes == planes
     return best
 
 
