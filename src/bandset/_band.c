@@ -8,13 +8,16 @@
    * keyed BLAKE2b-128 (RFC 7693): ``keyed(seed)`` is the state after the
      key block. The digests equal ``hashlib.blake2b(key, digest_size=16,
      key=<seed as 8 LE bytes>)``.
-   * ``digest_pairs``: a build's one pass over its input, the C twin of
-     ``row_gen.digest_pairs``. It unpacks and checks each (key, value)
-     pair with the messages of the Python pass, hashes the key and keeps
-     the value as a uint64; repeated keys are left to the caller.
+   * ``digest_pairs``: a build's one pass over its input, the fast path
+     of ``row_gen.digest_pairs``. It takes only well-formed pairs (exact
+     2-tuples and 2-lists of a byte-string key and an integer value in
+     [0, 2^r)), hashes each key and keeps each value as a uint64, and
+     returns None at the first other pair: the Python pass owns every
+     ingest error. Repeated keys are left to the caller.
    * ``query`` and ``query_many``: the whole lookup of ``query_chunked``
-     for L <= 128 and at most 64 planes, reading the directory where the
-     structure keeps it and the plane words in place in ``ds.planes``.
+     for L <= 128 and at most 64 planes, reading the directory words in
+     place in ``ds.directory.packed`` and the plane words in place in
+     ``ds.planes``.
 
    The Python callers check shapes and pick the backend; the checks here
    only keep every read and write in bounds. */
@@ -339,81 +342,39 @@ static void store64(uint8_t *p, uint64_t x)
     memcpy(p, &x, 8);
 }
 
-/* The key and the value of one pair as `key, value = pair` unpacks them,
-   with the messages of CPython's unpacking: new references, or -1 with the
-   exception set. An exact 2-tuple or 2-list takes the short way and
-   returns 0; anything else is read through the iterator protocol, which
-   may not read it again, and returns 1. */
-static int unpack_pair(PyObject *pair, PyObject **key, PyObject **value)
+/* One pair as row_gen.digest_pairs takes it without a second look: an
+   exact 2-tuple or 2-list of a byte-string key and an integer value in
+   [0, 2^r). Writes the key's digest (lo, then hi, little-endian) to d and
+   the value to *v and returns 0. Returns 1 for any other pair, and for a
+   value whose __index__ raises TypeError, so that the Python pass raises
+   its error or takes the pair; -1 when __index__ raises anything else. */
+static int pair_words(const struct keyed *k, PyObject *pair, int r, uint8_t *d, uint64_t *v)
 {
-    if ((PyTuple_CheckExact(pair) || PyList_CheckExact(pair)) && Py_SIZE(pair) == 2) {
-        *key = PySequence_Fast_ITEMS(pair)[0];
-        *value = PySequence_Fast_ITEMS(pair)[1];
-        Py_INCREF(*key);
-        Py_INCREF(*value);
-        return 0;
-    }
-    PyObject *it = PyObject_GetIter(pair), *got[3];
-    if (!it) {
-        if (PyErr_ExceptionMatches(PyExc_TypeError) && !Py_TYPE(pair)->tp_iter
-            && !PySequence_Check(pair)) {
-            PyErr_Clear();
-            PyErr_Format(PyExc_TypeError, "cannot unpack non-iterable %.200s object",
-                         Py_TYPE(pair)->tp_name);
-        }
-        return -1;
-    }
-    int n = 0;
-    while (n < 3 && (got[n] = PyIter_Next(it)))
-        n++;
-    Py_DECREF(it);
-    if (n == 2 && !PyErr_Occurred()) {
-        *key = got[0];
-        *value = got[1];
+    if (!(PyTuple_CheckExact(pair) || PyList_CheckExact(pair)) || Py_SIZE(pair) != 2)
         return 1;
-    }
-    if (!PyErr_Occurred()) {
-        if (n < 2)
-            PyErr_Format(PyExc_ValueError, "not enough values to unpack (expected 2, got %d)", n);
-        else
-            PyErr_SetString(PyExc_ValueError, "too many values to unpack (expected 2)");
-    }
-    while (n > 0)
-        Py_DECREF(got[--n]);
-    return -1;
-}
-
-/* Check one pair as row_gen.digest_pairs does and write the key's digest
-   (lo, then hi, little-endian) to d and its value to *v: a byte-string key
-   and an integer value in [0, 2^r). */
-static int pair_words(const struct keyed *k, PyObject *key, PyObject *value, int r, uint8_t *d,
-                      uint64_t *v)
-{
-    if (!PyBytes_Check(key) && !PyByteArray_Check(key)) {
-        PyErr_SetString(PyExc_TypeError, "keys must be byte strings");
-        return -1;
-    }
+    PyObject *key = PySequence_Fast_ITEMS(pair)[0], *value = PySequence_Fast_ITEMS(pair)[1];
+    if (!PyBytes_Check(key) && !PyByteArray_Check(key))
+        return 1;
+    /* held: __index__ may edit a 2-list pair */
+    Py_INCREF(key);
+    Py_INCREF(value);
     PyObject *index = PyNumber_Index(value);
+    int ret = 1, overflow, fits;
     if (!index) {
-        if (PyErr_ExceptionMatches(PyExc_TypeError)) {
+        if (PyErr_ExceptionMatches(PyExc_TypeError))
             PyErr_Clear();
-            PyErr_Format(PyExc_TypeError, "value %R is not an integer", value);
-        }
-        return -1;
+        else
+            ret = -1;
+        goto done;
     }
-    int overflow, fits;
     long long small = PyLong_AsLongLongAndOverflow(index, &overflow);
     if (overflow)
         fits = overflow > 0 && r == 64 && _PyLong_NumBits(index) <= 64;
     else
         fits = small >= 0 && (r == 64 || (uint64_t)small >> r == 0);
-    if (!fits) {
-        PyErr_Format(PyExc_ValueError, "value %S does not fit in %d bits", index, r);
-        Py_DECREF(index);
-        return -1;
-    }
+    if (!fits)
+        goto done;
     *v = PyLong_AsUnsignedLongLongMask(index);
-    Py_DECREF(index);
     /* the key is read only now: __index__ above may have resized a
        bytearray key */
     uint64_t hi, lo;
@@ -424,31 +385,19 @@ static int pair_words(const struct keyed *k, PyObject *key, PyObject *value, int
                &hi, &lo);
     store64(d, lo);
     store64(d + 8, hi);
-    return 0;
+    ret = 0;
+done:
+    Py_DECREF(key);
+    Py_DECREF(value);
+    Py_XDECREF(index);
+    return ret;
 }
 
-/* Replace items[n] by the tuple (key, value), first copying *items into a
-   new list when it is the caller's own sequence arg. */
-static int keep_pair(PyObject **items, PyObject *arg, Py_ssize_t n, PyObject *key, PyObject *value)
-{
-    if (*items == arg) {
-        PyObject *copy = PySequence_List(arg);
-        if (!copy)
-            return -1;
-        Py_SETREF(*items, copy);
-    }
-    PyObject *pair = PyTuple_Pack(2, key, value);
-    return pair ? PyList_SetItem(*items, n, pair) : -1;
-}
-
-/* digest_pairs(pairs, state, r) -> (digests, values, items) for
-   1 <= r <= 64: one pass over an iterable of (key, value) pairs that
-   checks each pair, hashes its key and keeps its value. digests is a
-   bytearray of 16 bytes per pair (lo, then hi, little-endian), values a
-   bytearray of one native-endian uint64 per pair, items the pairs as a
-   list or tuple (the argument itself when it is an exact list or tuple
-   of exact 2-tuples and 2-lists); a pair of another type is kept there as
-   the (key, value) tuple it gave, since it may not read again. */
+/* digest_pairs(items, state, r) -> (digests, values) or None, for a list
+   or tuple items and 1 <= r <= 64: one pass that hashes each pair's key
+   and keeps its value. digests is a bytearray of 16 bytes per pair (lo,
+   then hi, little-endian), values a bytearray of one native-endian uint64
+   per pair. None at the first pair that pair_words declines. */
 static PyObject *py_digest_pairs(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     struct keyed k;
@@ -461,45 +410,38 @@ static PyObject *py_digest_pairs(PyObject *self, PyObject *const *args, Py_ssize
         PyErr_SetString(PyExc_ValueError, "digest_pairs takes 1 <= r <= 64");
         return NULL;
     }
-    PyObject *items = PyList_CheckExact(args[0]) || PyTuple_CheckExact(args[0])
-                          ? Py_NewRef(args[0]) : PySequence_List(args[0]);
+    PyObject *items = PySequence_Fast(args[0], "digest_pairs takes a list or tuple");
     if (!items)
         return NULL;
     Py_ssize_t cap = PySequence_Fast_GET_SIZE(items), n = 0;
     PyObject *digests = PyByteArray_FromStringAndSize(NULL, 16 * cap);
     PyObject *values = PyByteArray_FromStringAndSize(NULL, 8 * cap);
+    PyObject *out = NULL;
     if (!digests || !values)
-        goto fail;
+        goto done;
     /* the size is read at every step: a value's __index__ may change a
        list while it is walked */
     for (; n < PySequence_Fast_GET_SIZE(items); n++) {
-        PyObject *key, *value, *pair = PySequence_Fast_GET_ITEM(items, n);
         if (n == cap && (PyByteArray_Resize(digests, 16 * (cap = 2 * cap + 16)) < 0
                          || PyByteArray_Resize(values, 8 * cap) < 0))
-            goto fail;
-        Py_INCREF(pair);
-        int once = unpack_pair(pair, &key, &value);
-        Py_DECREF(pair);
-        if (once < 0)
-            goto fail;
+            goto done;
+        PyObject *pair = Py_NewRef(PySequence_Fast_GET_ITEM(items, n));
         uint64_t v;
-        int bad = (once && keep_pair(&items, args[0], n, key, value) < 0)
-                  || pair_words(&k, key, value, (int)r,
-                                (uint8_t *)PyByteArray_AS_STRING(digests) + 16 * n, &v) < 0;
-        Py_DECREF(key);
-        Py_DECREF(value);
-        if (bad)
-            goto fail;
+        int got = pair_words(&k, pair, (int)r, (uint8_t *)PyByteArray_AS_STRING(digests) + 16 * n, &v);
+        Py_DECREF(pair);
+        if (got)
+            goto done;
         memcpy(PyByteArray_AS_STRING(values) + 8 * n, &v, 8);
     }
-    if (n < cap && (PyByteArray_Resize(digests, 16 * n) < 0 || PyByteArray_Resize(values, 8 * n) < 0))
-        goto fail;
-    return Py_BuildValue("NNN", digests, values, items);
-fail:
+    if (n == cap || (PyByteArray_Resize(digests, 16 * n) == 0 && PyByteArray_Resize(values, 8 * n) == 0))
+        out = PyTuple_Pack(2, digests, values);
+done:
+    if (!out && !PyErr_Occurred())
+        out = Py_NewRef(Py_None);
     Py_XDECREF(digests);
     Py_XDECREF(values);
     Py_DECREF(items);
-    return NULL;
+    return out;
 }
 
 /* ------------------------------------------------------------------------
@@ -525,48 +467,18 @@ static uint64_t mulhi(uint64_t a, uint64_t b)
     return (uint64_t)((u128)a * b >> 64);
 }
 
-static PyObject *s_params, *s_directory, *s_planes, *s_L, *s_r, *s_force_leading_one,
-    *s_num_chunks, *s_packed;
+static PyObject *s_params, *s_directory, *s_planes, *s_L, *s_r, *s_force_leading_one, *s_packed;
 
-/* What a query needs of a structure, read once per call: plane t is the
-   nwords little-endian words from byte 8 * nwords * t of planes. */
+/* What a query needs of a structure, read once per call: directory is
+   num_chunks + 1 little-endian words, each offset | seed << 48, and plane
+   t is the nwords little-endian words from byte 8 * nwords * t of
+   planes. */
 struct query {
     struct keyed k;
     uint64_t L, r, num_chunks, nwords;
     int lead;
-    PyObject *packed;
-    Py_buffer planes;
+    Py_buffer directory, planes;
 };
-
-/* Item i of a sequence of 64-bit words, read through the sequence protocol
-   (and so any __getitem__): IndexError past the end, ValueError for a
-   value outside 64 bits. */
-static int read_word(PyObject *seq, uint64_t i, uint64_t *out)
-{
-    if (i > (uint64_t)PY_SSIZE_T_MAX) {
-        PyErr_SetString(PyExc_IndexError, "word index out of range");
-        return -1;
-    }
-    PyObject *item = PySequence_GetItem(seq, (Py_ssize_t)i);
-    if (!item)
-        return -1;
-    if (!PyLong_Check(item)) {
-        Py_SETREF(item, PyNumber_Index(item));
-        if (!item)
-            return -1;
-    }
-    /* PyLong_AsUnsignedLongLong goes through a byte array and costs more
-       than the rest of a lookup's reads together; the mask version loops
-       over the digits, so the range is checked first. */
-    int fits = _PyLong_Sign(item) >= 0 && _PyLong_NumBits(item) <= 64;
-    *out = PyLong_AsUnsignedLongLongMask(item);
-    Py_DECREF(item);
-    if (!fits) {
-        PyErr_Format(PyExc_ValueError, "word %llu is not in [0, 2**64)", (unsigned long long)i);
-        return -1;
-    }
-    return 0;
-}
 
 static PyObject *attr(PyObject *obj, PyObject *name)
 {
@@ -593,17 +505,17 @@ static int attr_u64(PyObject *obj, PyObject *name, uint64_t *out)
 
 static void query_clear(struct query *q)
 {
-    Py_CLEAR(q->packed);
-    PyBuffer_Release(&q->planes); /* no-op while planes.obj is NULL */
+    /* no-ops while obj is NULL */
+    PyBuffer_Release(&q->directory);
+    PyBuffer_Release(&q->planes);
 }
 
 static int query_init(struct query *q, PyObject *ds, PyObject *state)
 {
-    PyObject *params = NULL, *directory = NULL, *planes = NULL, *v = NULL;
+    PyObject *params = NULL, *directory = NULL, *packed = NULL, *planes = NULL, *v = NULL;
     int ok = -1;
 
-    q->packed = NULL;
-    q->planes.obj = NULL;
+    q->directory.obj = q->planes.obj = NULL;
     if (get_keyed(state, &q->k) < 0)
         return -1;
     params = attr(ds, s_params);
@@ -612,21 +524,23 @@ static int query_init(struct query *q, PyObject *ds, PyObject *state)
         || (q->lead = PyObject_IsTrue(v)) < 0)
         goto done;
     directory = attr(ds, s_directory);
-    if (attr_u64(directory, s_num_chunks, &q->num_chunks) < 0
-        || !(q->packed = attr(directory, s_packed)) || !(planes = attr(ds, s_planes))
-        || PyObject_GetBuffer(planes, &q->planes, PyBUF_SIMPLE) < 0)
+    packed = attr(directory, s_packed);
+    if (!packed || PyObject_GetBuffer(packed, &q->directory, PyBUF_SIMPLE) < 0
+        || !(planes = attr(ds, s_planes)) || PyObject_GetBuffer(planes, &q->planes, PyBUF_SIMPLE) < 0)
         goto done;
-    if (q->L < 1 || q->L > 128 || q->r < 1 || q->r > 64 || q->num_chunks < 1
-        || q->planes.len % (8 * q->r)) {
-        PyErr_SetString(PyExc_ValueError, "query needs 1 <= L <= 128, 1 <= r <= 64, a chunk "
-                        "and planes that are r runs of whole 64-bit words");
+    if (q->L < 1 || q->L > 128 || q->r < 1 || q->r > 64 || q->directory.len < 16
+        || q->directory.len % 8 || q->planes.len % (8 * q->r)) {
+        PyErr_SetString(PyExc_ValueError, "query needs 1 <= L <= 128, 1 <= r <= 64, a directory "
+                        "of two or more whole words and planes that are r runs of whole 64-bit words");
         goto done;
     }
+    q->num_chunks = (uint64_t)q->directory.len / 8 - 1;
     q->nwords = (uint64_t)q->planes.len / (8 * q->r);
     ok = 0;
 done:
     Py_XDECREF(params);
     Py_XDECREF(directory);
+    Py_XDECREF(packed);
     Py_XDECREF(planes);
     Py_XDECREF(v);
     if (ok < 0)
@@ -636,12 +550,12 @@ done:
 
 static int query_key(const struct query *q, PyObject *key, uint64_t *value)
 {
-    uint64_t hi, lo, p0, p1, L = q->L;
+    uint64_t hi, lo, L = q->L;
     if (key_words(&q->k, key, &hi, &lo) < 0)
         return -1;
     uint64_t chunk = mulhi(hi, q->num_chunks), s = hi * q->num_chunks;
-    if (read_word(q->packed, chunk, &p0) < 0 || read_word(q->packed, chunk + 1, &p1) < 0)
-        return -1;
+    const uint8_t *entry = (const uint8_t *)q->directory.buf + 8 * chunk;
+    uint64_t p0 = load64(entry), p1 = load64(entry + 8);
     uint64_t offset = p0 & OFFSET_MASK, retry = p0 >> OFFSET_BITS, end = p1 & OFFSET_MASK;
     if (end < offset + L) {
         PyErr_Format(PyExc_ValueError, "directory gives chunk %llu fewer than L bits",
@@ -732,9 +646,8 @@ static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "bandset._band", NULL
 PyMODINIT_FUNC PyInit__band(void)
 {
     PyObject **names[] = {&s_params, &s_directory, &s_planes, &s_L, &s_r, &s_force_leading_one,
-                          &s_num_chunks, &s_packed};
-    const char *text[] = {"params", "directory", "planes", "L", "r", "force_leading_one",
-                          "num_chunks", "packed"};
+                          &s_packed};
+    const char *text[] = {"params", "directory", "planes", "L", "r", "force_leading_one", "packed"};
     for (size_t i = 0; i < sizeof names / sizeof *names; i++)
         if (!*names[i] && !(*names[i] = PyUnicode_InternFromString(text[i])))
             return NULL;

@@ -181,8 +181,9 @@ def cmd_build(
     t0 = time.perf_counter()
     ds = construct_chunked(pairs, params, threads=threads)
     construct_seconds = time.perf_counter() - t0
+    blob = serialize(ds)  # before the output is opened, which truncates it
     with open(output_path, "wb") as fh:
-        fh.write(serialize(ds))
+        fh.write(blob)
     print(json.dumps(_build_report(ds, construct_seconds), sort_keys=True))
     return EXIT_OK
 
@@ -343,6 +344,8 @@ def _simulate_sweep(args, out) -> int:
 def cmd_simulate(args, out_stream=None) -> int:
     if not 0.0 < args.eps < 1.0:
         raise InputError("--eps must be in (0, 1)")
+    if not all(0.0 < eps < 1.0 for eps in args.eps_list):
+        raise InputError("--eps-list entries must be in (0, 1)")
     if args.block_len < 1:
         raise InputError("--block-len must be >= 1")
     if args.kind in ("cfrh", "sweep") and args.n < 1:

@@ -7,10 +7,13 @@ fixed before any chunk is solved. Each chunk then solves straight into its
 slice of one buffer of all the planes (optionally on a thread pool; the
 slices are disjoint), so the output is a pure function of the key/value set
 and the base seed. The planes stay in the file's form, packed little-endian
-words, in memory too. The in-memory directory packs each chunk's retry seed
-into the top 16 bits of its 48-bit table offset, letting a query resolve
-offset, seed, and table span with two directory reads; the on-disk format
-keeps seeds and offsets as separate arrays.
+words, in memory too. The in-memory directory is one buffer of the same
+kind: a little-endian 64-bit word per chunk that packs the chunk's retry
+seed into the top 16 bits of its 48-bit table offset, plus a terminal
+offset, so a query resolves offset, seed, and table span with one read of
+two adjacent words. The on-disk format keeps seeds and offsets as
+separate arrays; ``ChunkDirectory.from_parts`` packs them at build and at
+load.
 """
 
 from __future__ import annotations
@@ -75,6 +78,8 @@ class ChunkedParams:
             raise ValueError("epsilon must be in (0, 1)")
         if self.L < 1 or self.r < 1 or self.C < 1:
             raise ValueError("L, r, C must all be >= 1")
+        if self.C > MASK64:
+            raise ValueError("C must fit in 64 bits")
         if self.L >= (1 << 16) or self.r >= (1 << 16):
             raise ValueError("L and r must fit in 16 bits")
         if not 1 <= self.max_retries <= (1 << 16):
@@ -86,10 +91,11 @@ class ChunkedParams:
 @dataclass(slots=True)
 class ChunkDirectory:
     """Per-chunk table offsets (bit positions, prefix sums with a terminal
-    entry) and retry seeds, stored packed: entry k is offset | seed << 48."""
+    entry) and retry seeds, in one buffer: ``packed`` is num_chunks + 1
+    little-endian 64-bit words, word k offset_k | seed_k << 48 (the
+    terminal word holds the last offset alone). Made by ``from_parts``."""
 
-    num_chunks: int
-    packed: list[int]
+    packed: bytes
 
     @classmethod
     def from_parts(cls, offsets: list[int], seeds: list[int]) -> "ChunkDirectory":
@@ -98,17 +104,23 @@ class ChunkDirectory:
             raise ValueError("need one more offset than seeds")
         if offsets[-1] > _OFFSET_MASK:
             raise ValueError("table too large for 48-bit offsets")
-        packed = [offsets[k] | (seeds[k] << _OFFSET_BITS) for k in range(num_chunks)]
-        packed.append(offsets[num_chunks])
-        return cls(num_chunks, packed)
+        words = [offset | seed << _OFFSET_BITS for offset, seed in zip(offsets, seeds)]
+        return cls(struct.pack(f"<{num_chunks + 1}Q", *words, offsets[-1]))
+
+    def _words(self) -> tuple[int, ...]:
+        return struct.unpack(f"<{len(self.packed) // 8}Q", self.packed)
+
+    @property
+    def num_chunks(self) -> int:
+        return len(self.packed) // 8 - 1
 
     @property
     def offsets(self) -> list[int]:
-        return [p & _OFFSET_MASK for p in self.packed]
+        return [w & _OFFSET_MASK for w in self._words()]
 
     @property
     def seeds(self) -> list[int]:
-        return [self.packed[k] >> _OFFSET_BITS for k in range(self.num_chunks)]
+        return [w >> _OFFSET_BITS for w in self._words()[:-1]]
 
 
 @dataclass(slots=True)
@@ -125,7 +137,7 @@ class ChunkedRetrieval:
 
     @property
     def plane_bits(self) -> int:
-        return self.directory.packed[-1] & _OFFSET_MASK
+        return int.from_bytes(self.directory.packed[-8:], "little") & _OFFSET_MASK
 
 
 def num_chunks_for(m: int, C: int) -> int:
@@ -244,11 +256,12 @@ def query_chunked(ds: ChunkedRetrieval, key: bytes) -> int:
     and r <= 64, one native call does the whole lookup, reading
     ``ds.directory.packed`` and ``ds.planes`` where they are. Otherwise the
     Python body below does, which is also the reference the tests check
-    the native lookup against. Both check the two directory entries they
-    read (IndexError past the directory, ValueError for an entry outside
-    [0, 2^64) or a chunk with fewer than L bits) and take the plane length
-    from ``ds.planes``: ValueError unless it is r equal runs of whole
-    words, IndexError for a window that ends past a plane.
+    the native lookup against. Both take the chunk count from the length
+    of ``ds.directory.packed`` (ValueError unless it is two or more whole
+    64-bit words), check the two entries they read (ValueError for a chunk
+    with fewer than L bits) and take the plane length from ``ds.planes``:
+    ValueError unless it is r equal runs of whole words, IndexError for a
+    window that ends past a plane.
 
     Each plane's window is one read of the words ``wi`` to ``last`` that
     hold its first and last bit, ANDed with the pattern shifted to the
@@ -260,17 +273,16 @@ def query_chunked(ds: ChunkedRetrieval, key: bytes) -> int:
     if native is not None and params.L <= 128 and params.r <= 64:
         return native.query(ds, key, native_keyed(params.base_seed))
     L = params.L
-    directory = ds.directory
     hi, lo = key_digest(key, params.base_seed)
-    chunk, s = chunk_and_word(hi, directory.num_chunks)
-    packed = directory.packed
-    p0 = packed[chunk]
-    p1 = packed[chunk + 1]
-    if not (0 <= p0 <= MASK64 and 0 <= p1 <= MASK64):
-        raise ValueError(f"directory entry of chunk {chunk} is not in [0, 2**64)")
-    offset = p0 & _OFFSET_MASK
-    retry = p0 >> _OFFSET_BITS
-    end = p1 & _OFFSET_MASK
+    packed = ds.directory.packed
+    entries, rest = divmod(len(packed), 8)
+    if rest or entries < 2:
+        raise ValueError("directory is not two or more whole 64-bit words")
+    chunk, s = chunk_and_word(hi, entries - 1)
+    p = int.from_bytes(packed[8 * chunk : 8 * chunk + 16], "little")
+    offset = p & _OFFSET_MASK
+    retry = (p & MASK64) >> _OFFSET_BITS
+    end = (p >> 64) & _OFFSET_MASK
     if end < offset + L:
         raise ValueError(f"directory gives chunk {chunk} fewer than L bits")
     n_chunk = end - offset - (L - 1)

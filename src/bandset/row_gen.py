@@ -79,18 +79,22 @@ def digest_pairs(pairs, base_seed: int, r: int):
 
     Raises TypeError for a key that is not bytes or bytearray or a value
     that is not an integer, and ValueError for a value outside [0, 2^r),
-    both for the first bad pair in input order. The native module's twin
-    runs where it loaded and r <= 64, with the same checks and messages.
+    both for the first bad pair in input order. Where the native module
+    loaded and r <= 64, its ``digest_pairs`` runs first and takes the
+    pairs when all are exact 2-tuples or 2-lists that pass these checks;
+    at the first other pair it gives up, and the Python loop below runs
+    over the same items and raises the error or takes the pair.
     """
     import numpy as np
 
     from .retrieval_flat import _kernel
 
+    items = pairs if type(pairs) in (list, tuple) else list(pairs)
     native = _kernel()
     if native is not None and r <= 64:
-        digests, values, items = native.digest_pairs(pairs, native_keyed(base_seed), r)
-        return digests, np.frombuffer(values, np.uint64), items
-    items = pairs if type(pairs) in (list, tuple) else list(pairs)
+        done = native.digest_pairs(items, native_keyed(base_seed), r)
+        if done is not None:
+            return done[0], np.frombuffer(done[1], np.uint64), items
     base = _keyed_hasher(base_seed)
     limit = 1 << r
     digests = bytearray()

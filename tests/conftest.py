@@ -10,7 +10,6 @@ import hashlib
 import random
 import shutil
 import sysconfig
-import tempfile
 import types
 from pathlib import Path
 from typing import NamedTuple
@@ -22,17 +21,6 @@ from bandset import retrieval_chunked, retrieval_flat, row_gen
 from bandset.band_solver import eliminate, solve, verify
 from bandset.bitkit import BitVec, dot_window
 from bandset.row_gen import chunk_and_word, key_digest, row_for_words
-
-
-def pytest_configure(config):
-    """Builds compile and load the C kernel from a cache private to the test
-    run, not the user's. It is set here, before collection, because
-    collecting ``test_retrieval_chunked`` already builds a structure."""
-    cache = tempfile.mkdtemp(prefix="bandset-cache-")
-    mp = pytest.MonkeyPatch()
-    mp.setenv("XDG_CACHE_HOME", cache)
-    config.add_cleanup(lambda: shutil.rmtree(cache, ignore_errors=True))
-    config.add_cleanup(mp.undo)
 
 
 # What building the native module needs: a C compiler and the CPython headers.
@@ -148,10 +136,10 @@ def reference_back_substitute(out, n: int, L: int, r: int) -> list[BitVec]:
 class CountingWords(list):
     """Drop-in word list that records every index read and written.
 
-    Swap it in for ``BitVec.words`` or ``ChunkDirectory.packed`` to check
-    the contiguous-access contracts: ``reads``/``writes`` accumulate
-    indices in access order. The native query reads a word list through
-    the sequence protocol, so both backends' directory reads are counted.
+    Swap it in for ``BitVec.words`` to check the contiguous-access
+    contracts: ``reads``/``writes`` accumulate indices in access order.
+    Query buffers (``ChunkDirectory.packed``, ``ChunkedRetrieval.planes``)
+    are ``bytes``; see ``CountingBytes`` for those.
     """
 
     def __init__(self, iterable=()):
@@ -172,14 +160,15 @@ class CountingWords(list):
         self.writes.clear()
 
 
-class CountingPlanes(bytes):
-    """A plane buffer that records the words each slice of it covers.
+class CountingBytes(bytes):
+    """A word buffer that records the words each slice of it covers.
 
-    Swap it in for ``ChunkedRetrieval.planes`` to check what the Python
-    body of ``query_chunked`` reads: ``reads`` accumulates one range of
-    buffer word indices per slice, in access order. The native query
-    reads the buffer's memory directly, which no wrapper sees; see
-    ``noisy_planes`` for its check.
+    Swap it in for ``ChunkedRetrieval.planes`` or
+    ``ChunkDirectory.packed`` to check what the Python body of
+    ``query_chunked`` reads: ``reads`` accumulates one range of buffer
+    word indices per slice, in access order. The native query reads the
+    buffer's memory directly, which no wrapper sees; see ``noisy_words``
+    for its check.
     """
 
     def __init__(self, data=b""):
@@ -190,9 +179,9 @@ class CountingPlanes(bytes):
         self.reads.append(range(start // 8, (stop + 7) // 8))
         return super().__getitem__(i)
 
-    def plane_words(self, r: int) -> list[list[int]]:
-        """The words read so far, per plane, as sorted word indices within
-        the plane."""
+    def words_read(self, r: int = 1) -> list[list[int]]:
+        """The words read so far, per plane of ``r`` equal planes (the
+        whole buffer for r = 1), as sorted word indices within the plane."""
         nwords = len(self) // 8 // r
         out = [[] for _ in range(r)]
         for w in sorted({w for words in self.reads for w in words}):
@@ -200,13 +189,13 @@ class CountingPlanes(bytes):
         return out
 
 
-def noisy_planes(planes: bytes, reads, rnd: random.Random) -> bytes:
-    """``planes`` with every word outside the word ranges ``reads``
+def noisy_words(buffer: bytes, reads, rnd: random.Random) -> bytes:
+    """``buffer`` with every word outside the word ranges ``reads``
     overwritten by random bytes: a lookup that reads only those words
-    answers as it did on ``planes``."""
-    noise = bytearray(rnd.randbytes(len(planes)))
+    answers as it did on ``buffer``."""
+    noise = bytearray(rnd.randbytes(len(buffer)))
     for words in reads:
-        noise[8 * words.start : 8 * words.stop] = planes[8 * words.start : 8 * words.stop]
+        noise[8 * words.start : 8 * words.stop] = buffer[8 * words.start : 8 * words.stop]
     return bytes(noise)
 
 
@@ -344,14 +333,15 @@ def blake2b_spy(monkeypatch):
     if native is not None:
         real_digest_pairs, real_query = native.digest_pairs, native.query
 
-        def digest_pairs(pairs, state, r):
-            digests, values, items = real_digest_pairs(pairs, state, r)
-            spy.digests += len(items)
-            for i, (key, _) in enumerate(items):
-                digest = forced(key)
-                if digest is not None:
-                    digests[16 * i : 16 * i + 16] = digest
-            return digests, values, items
+        def digest_pairs(items, state, r):
+            done = real_digest_pairs(items, state, r)
+            if done is not None:  # else the spied hashlib pass runs
+                spy.digests += len(items)
+                for i, (key, _) in enumerate(items):
+                    digest = forced(key)
+                    if digest is not None:
+                        done[0][16 * i : 16 * i + 16] = digest
+            return done
 
         def query(ds, key, state):
             spy.digests += 1

@@ -32,10 +32,9 @@ from bandset.retrieval_chunked import (
 )
 
 from conftest import (
-    CountingPlanes,
-    CountingWords,
+    CountingBytes,
     make_pairs,
-    noisy_planes,
+    noisy_words,
     python_branch,
     random_band_system,
     solve_system,
@@ -236,38 +235,41 @@ def test_criterion_10_query_word_locality():
     pairs = make_pairs(5_000, r=2, tag="loc")
     params = ChunkedParams(epsilon=0.1, L=64, r=2, C=1_000, base_seed=1010)
     ds = construct_chunked(pairs, params)
-    planes = ds.planes
-    packed = ds.directory.packed = CountingWords(ds.directory.packed)
-    ds.planes = counting = CountingPlanes(planes)
+    packed, planes = ds.directory.packed, ds.planes
+    ds.directory.packed = directory = CountingBytes(packed)
+    ds.planes = counting = CountingBytes(planes)
     per_plane_budget = (64 + 63) // 64 + 1
     worst_dir = worst_plane = 0
     noncontig = 0
-    windows = []
+    reads = []
     with python_branch():
         for key, v in pairs:
-            packed.reset()
+            directory.reads.clear()
             counting.reads.clear()
             assert query_chunked(ds, key) == v
-            worst_dir = max(worst_dir, len(packed.reads))
-            for words in counting.plane_words(params.r):
+            worst_dir = max(worst_dir, len(directory.words_read()[0]))
+            for words in counting.words_read(params.r):
                 worst_plane = max(worst_plane, len(words))
                 noncontig += words != list(range(words[0], words[-1] + 1))
-            windows.append(list(counting.reads))
+            reads.append((list(directory.reads), list(counting.reads)))
     ok = worst_dir <= 2 and worst_plane <= per_plane_budget and noncontig == 0
     detail = (f"max dir reads {worst_dir}, max plane reads {worst_plane} "
               f"(budget {per_plane_budget}), noncontiguous {noncontig}")
-    # The native query reads the plane memory directly: it must give every
-    # answer unchanged with all plane words outside the counted window random.
+    # The native query reads the directory and plane memory directly: it
+    # must give every answer unchanged with all directory and plane words
+    # outside the ones counted above random.
     if retrieval_flat._kernel() is not None:
         rnd = random.Random(1010)
-        native_dir = changed = 0
-        for (key, v), reads in zip(pairs, windows):
-            packed.reset()
-            ds.planes = noisy_planes(planes, reads, rnd)
-            changed += query_chunked(ds, key) != v
-            native_dir = max(native_dir, len(packed.reads))
-        ok &= native_dir <= 2 and changed == 0
-        detail += f"; native: max dir reads {native_dir}, answers changed by noise {changed}"
+        changed = 0
+        for (key, v), (dir_reads, plane_reads) in zip(pairs, reads):
+            ds.directory.packed = noisy_words(packed, dir_reads, rnd)
+            ds.planes = noisy_words(planes, plane_reads, rnd)
+            try:
+                changed += query_chunked(ds, key) != v
+            except (IndexError, ValueError):
+                changed += 1
+        ok &= changed == 0
+        detail += f"; native: answers changed by noise outside those words {changed}"
     report(10, "query reads 2 directory words + short table window", ok, detail)
 
 

@@ -80,6 +80,35 @@ def test_build_seed_outside_64_bits_exits_2(seed, tmp_path, capsys):
     assert "base_seed" in stderr
 
 
+def test_build_chunk_size_outside_64_bits_exits_2_before_reading(tmp_path, capsys, monkeypatch):
+    def no_pairs(*args):
+        raise AssertionError("build must not read its input")
+
+    monkeypatch.setattr("bandset.cli.read_tsv_pairs", no_pairs)
+    out = tmp_path / "o"
+    out.write_bytes(b"kept")
+    code, stdout, stderr = run(["build", str(tmp_path / "in.tsv"), str(out),
+                                "--chunk-size", str(1 << 64)], capsys)
+    assert code == 2
+    assert stdout == "" and "C must fit in 64 bits" in stderr
+    assert out.read_bytes() == b"kept"
+
+
+def test_build_that_cannot_serialize_leaves_the_output_alone(tmp_path, capsys, monkeypatch):
+    def refuse(ds):
+        raise ValueError("cannot serialize")
+
+    monkeypatch.setattr("bandset.cli.serialize", refuse)
+    inp = tmp_path / "in.tsv"
+    write_tsv(inp, [("a", "1")])
+    out = tmp_path / "o"
+    out.write_bytes(b"kept")
+    code, _, stderr = run(["build", str(inp), str(out)], capsys)
+    assert code == 2
+    assert "cannot serialize" in stderr
+    assert out.read_bytes() == b"kept"
+
+
 def test_build_malformed_hex_exits_2_with_line(tmp_path, capsys):
     inp = tmp_path / "bad.tsv"
     inp.write_text("good\t1\nbad\tzz\n")
@@ -406,3 +435,12 @@ def test_simulate_rejects_bad_slack_and_block_len(kind, flags, capsys):
     assert code == 2
     assert stdout == ""
     assert flags[0] in stderr
+
+
+@pytest.mark.parametrize("eps_list", ["-0.5,0.1", "1", "0.1,0", "0.1,nan"])
+def test_simulate_sweep_rejects_bad_eps_list(eps_list, capsys):
+    code, stdout, stderr = run(["simulate", "sweep", "--n", "100", f"--eps-list={eps_list}"],
+                               capsys)
+    assert code == 2
+    assert stdout == ""
+    assert "--eps-list" in stderr

@@ -23,10 +23,10 @@ from bandset.retrieval_chunked import (
 )
 from bandset.retrieval_flat import ConstructError, DuplicateKey, RetriesExhausted
 from conftest import (
-    CountingPlanes,
+    CountingBytes,
     chunk_for_key,
     make_pairs,
-    noisy_planes,
+    noisy_words,
     python_branch,
     query_window,
     reference_query,
@@ -173,6 +173,17 @@ def test_empty_structure():
         overhead(ds)
 
 
+def test_chunk_size_must_fit_in_64_bits():
+    # the header stores C as a uint64: the largest one builds and loads,
+    # one more is refused before any build
+    pairs = make_pairs(10)
+    ds = construct_chunked(pairs, ChunkedParams(epsilon=0.1, C=(1 << 64) - 1))
+    assert ds.directory.num_chunks == 1
+    assert deserialize(serialize(ds)).params.C == (1 << 64) - 1
+    with pytest.raises(ValueError, match="C must fit in 64 bits"):
+        ChunkedParams(epsilon=0.1, C=1 << 64)
+
+
 def test_directory_prefix_sums_match_chunk_sizes():
     pairs, ds = build(20_000, epsilon=0.05, C=2_000)
     num_chunks = ds.directory.num_chunks
@@ -292,18 +303,18 @@ def _plane_reads(ds, keys) -> list[list[list[int]]]:
     be the same with every other plane word random."""
     planes = ds.planes
     want = [reference_query(ds, key) for key in keys]
-    ds.planes = counting = CountingPlanes(planes)
+    ds.planes = counting = CountingBytes(planes)
     reads, words = [], []
     with python_branch():
         for key, value in zip(keys, want):
             counting.reads.clear()
             assert query_chunked(ds, key) == value
             reads.append(list(counting.reads))
-            words.append(counting.plane_words(ds.params.r))
+            words.append(counting.words_read(ds.params.r))
     if retrieval_flat._kernel() is not None:
         rnd = random.Random(len(planes))
         for key, value, read in zip(keys, want, reads):
-            ds.planes = noisy_planes(planes, read, rnd)
+            ds.planes = noisy_words(planes, read, rnd)
             assert query_chunked(ds, key) == value
     ds.planes = planes
     return words
@@ -378,7 +389,7 @@ def test_keys_must_be_bytes_like(backend):
         query_many(ds, [key, key.decode()])
 
 
-@pytest.mark.parametrize("buffer", [bytes, CountingPlanes])
+@pytest.mark.parametrize("buffer", [bytes, CountingBytes])
 def test_short_plane_word_lists_raise_index_error(buffer, backend):
     # every plane loses its last word: keys whose window reaches it raise,
     # the others still answer; a buffer that is not r runs of whole words
@@ -405,23 +416,27 @@ def test_short_plane_word_lists_raise_index_error(buffer, backend):
         query_many(ds, [key for key, _ in pairs])
 
 
-@pytest.mark.parametrize("edit", ["empty chunk", "end past the planes", "negative",
-                                  "over 64 bits", "more chunks than entries"])
+@pytest.mark.parametrize("edit", ["empty chunk", "end past the planes", "not whole words"])
 def test_edited_directory_raises_instead_of_reading_past_it(edit, backend):
-    # both lookups check every directory entry and word index they use;
-    # keys of the damaged chunks raise, the others still answer
+    # both lookups check the directory's length and every entry and word
+    # index they use; keys of the damaged chunks raise, the others still
+    # answer, and a directory cut inside a word or to one word raises for
+    # every key
     pairs, ds = build(3_000, C=1_000, r=2)
-    d = ds.directory
+    packed = bytearray(ds.directory.packed)
+    if edit == "not whole words":
+        for cut in (packed[:-1], packed[:8]):
+            ds.directory.packed = bytes(cut)
+            with pytest.raises(ValueError, match="two or more whole"):
+                query_chunked(ds, pairs[0][0])
+            with pytest.raises(ValueError, match="two or more whole"):
+                query_many(ds, [key for key, _ in pairs])
+        return
     if edit == "empty chunk":
-        d.packed[1] = d.packed[0] & ((1 << 48) - 1)  # chunk 0 ends where it starts
-    elif edit == "end past the planes":
-        d.packed[-1] += 1 << 40
-    elif edit == "negative":
-        d.packed[0] -= 1 << 64  # the same low 64 bits
-    elif edit == "over 64 bits":
-        d.packed[0] += 1 << 64
+        packed[8:16] = packed[0:6] + bytes(2)  # chunk 0 ends where it starts
     else:
-        d.num_chunks += 5
+        packed[-8:] = (int.from_bytes(packed[-8:], "little") + (1 << 40)).to_bytes(8, "little")
+    ds.directory.packed = packed
     errors = 0
     for key, v in pairs:
         try:

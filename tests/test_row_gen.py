@@ -271,7 +271,7 @@ class _Index:
     "ok", "str key", "float value", "bool values", "np.int64 values", "top value",
     "2**r", "negative", "np.int64 negative", "lists", "3-tuple", "1-tuple", "not iterable",
     "bytearray keys", "iterator", "generator pairs", "__index__", "bad after good",
-    "repeats", "conflict",
+    "repeats", "conflict", "odd after good",
 ])
 def test_digest_pairs_native_and_python_agree(case, r, native):
     top = (1 << r) - 1
@@ -297,6 +297,7 @@ def test_digest_pairs_native_and_python_agree(case, r, native):
         "bad after good": lambda: base + [(b"bad", 0.5), ("text", 0)],
         "repeats": lambda: base + base[::3] + base[:5],
         "conflict": lambda: base + [(base[40][0], base[40][1] ^ 1)],
+        "odd after good": lambda: base + [iter((b"late", 1))],
     }[case]
     got = _both_backends(make, r)
     expect_error = {"str key": TypeError, "float value": TypeError, "2**r": ValueError,
@@ -308,7 +309,7 @@ def test_digest_pairs_native_and_python_agree(case, r, native):
     elif case == "conflict":
         assert got[0] is DuplicateKey and repr(base[40][0]) in got[1]
     else:
-        assert got[2] == 100 + (case == "top value")
+        assert got[2] == 100 + (case in ("top value", "odd after good"))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
