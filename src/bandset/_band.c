@@ -14,10 +14,13 @@
      [0, 2^r)), hashes each key and keeps each value as a uint64, and
      returns None at the first other pair: the Python pass owns every
      ingest error. Repeated keys are left to the caller.
-   * ``query`` and ``query_many``: the whole lookup of ``query_chunked``
-     for L <= 128 and at most 64 planes, reading the directory words in
-     place in ``ds.directory.packed`` and the plane words in place in
-     ``ds.planes``.
+   * ``query(key, state, L, r, lead, directory, planes)`` and
+     ``query_many(keys, ...)`` with the same arguments after the keys: the
+     whole lookup of ``query_chunked`` for L <= 128 and at most 64 planes.
+     The caller hands over the structure's words, not the structure:
+     state from ``keyed(base_seed)``, the ints L, r and lead
+     (force_leading_one), and the buffers ``ds.directory.packed`` and
+     ``ds.planes``, which are read in place.
 
    The Python callers check shapes and pick the backend; the checks here
    only keep every read and write in bounds. */
@@ -467,9 +470,7 @@ static uint64_t mulhi(uint64_t a, uint64_t b)
     return (uint64_t)((u128)a * b >> 64);
 }
 
-static PyObject *s_params, *s_directory, *s_planes, *s_L, *s_r, *s_force_leading_one, *s_packed;
-
-/* What a query needs of a structure, read once per call: directory is
+/* What a query needs of a structure, checked once per call: directory is
    num_chunks + 1 little-endian words, each offset | seed << 48, and plane
    t is the nwords little-endian words from byte 8 * nwords * t of
    planes. */
@@ -480,29 +481,6 @@ struct query {
     Py_buffer directory, planes;
 };
 
-static PyObject *attr(PyObject *obj, PyObject *name)
-{
-    return obj ? PyObject_GetAttr(obj, name) : NULL;
-}
-
-/* A non-negative int attribute below 2^64 into *out. */
-static int attr_u64(PyObject *obj, PyObject *name, uint64_t *out)
-{
-    PyObject *v = attr(obj, name);
-    if (!v)
-        return -1;
-    *out = PyLong_AsUnsignedLongLong(v);
-    Py_DECREF(v);
-    if (*out == (uint64_t)-1 && PyErr_Occurred()) {
-        if (PyErr_ExceptionMatches(PyExc_OverflowError) || PyErr_ExceptionMatches(PyExc_TypeError)) {
-            PyErr_Clear();
-            PyErr_Format(PyExc_ValueError, "%U must be an int in [0, 2**64)", name);
-        }
-        return -1;
-    }
-    return 0;
-}
-
 static void query_clear(struct query *q)
 {
     /* no-ops while obj is NULL */
@@ -510,42 +488,31 @@ static void query_clear(struct query *q)
     PyBuffer_Release(&q->planes);
 }
 
-static int query_init(struct query *q, PyObject *ds, PyObject *state)
+/* args[1:] are state, L, r, lead, directory, planes. */
+static int query_init(struct query *q, PyObject *const *args)
 {
-    PyObject *params = NULL, *directory = NULL, *packed = NULL, *planes = NULL, *v = NULL;
-    int ok = -1;
-
+    long long L, r;
     q->directory.obj = q->planes.obj = NULL;
-    if (get_keyed(state, &q->k) < 0)
-        return -1;
-    params = attr(ds, s_params);
-    v = attr(params, s_force_leading_one);
-    if (!v || attr_u64(params, s_L, &q->L) < 0 || attr_u64(params, s_r, &q->r) < 0
-        || (q->lead = PyObject_IsTrue(v)) < 0)
-        goto done;
-    directory = attr(ds, s_directory);
-    packed = attr(directory, s_packed);
-    if (!packed || PyObject_GetBuffer(packed, &q->directory, PyBUF_SIMPLE) < 0
-        || !(planes = attr(ds, s_planes)) || PyObject_GetBuffer(planes, &q->planes, PyBUF_SIMPLE) < 0)
-        goto done;
-    if (q->L < 1 || q->L > 128 || q->r < 1 || q->r > 64 || q->directory.len < 16
-        || q->directory.len % 8 || q->planes.len % (8 * q->r)) {
+    if (get_keyed(args[1], &q->k) < 0 || ((L = PyLong_AsLongLong(args[2])) == -1 && PyErr_Occurred())
+        || ((r = PyLong_AsLongLong(args[3])) == -1 && PyErr_Occurred())
+        || (q->lead = PyObject_IsTrue(args[4])) < 0
+        || PyObject_GetBuffer(args[5], &q->directory, PyBUF_SIMPLE) < 0
+        || PyObject_GetBuffer(args[6], &q->planes, PyBUF_SIMPLE) < 0)
+        goto fail;
+    if (L < 1 || L > 128 || r < 1 || r > 64 || q->directory.len < 16 || q->directory.len % 8
+        || q->planes.len % (8 * r)) {
         PyErr_SetString(PyExc_ValueError, "query needs 1 <= L <= 128, 1 <= r <= 64, a directory "
                         "of two or more whole words and planes that are r runs of whole 64-bit words");
-        goto done;
+        goto fail;
     }
+    q->L = (uint64_t)L;
+    q->r = (uint64_t)r;
     q->num_chunks = (uint64_t)q->directory.len / 8 - 1;
     q->nwords = (uint64_t)q->planes.len / (8 * q->r);
-    ok = 0;
-done:
-    Py_XDECREF(params);
-    Py_XDECREF(directory);
-    Py_XDECREF(packed);
-    Py_XDECREF(planes);
-    Py_XDECREF(v);
-    if (ok < 0)
-        query_clear(q);
-    return ok;
+    return 0;
+fail:
+    query_clear(q);
+    return -1;
 }
 
 static int query_key(const struct query *q, PyObject *key, uint64_t *value)
@@ -594,25 +561,26 @@ static int query_key(const struct query *q, PyObject *key, uint64_t *value)
     return 0;
 }
 
-/* query(ds, key, state) -> int */
+/* query(key, state, L, r, lead, directory, planes) -> int */
 static PyObject *py_query(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     struct query q;
     uint64_t value;
-    if (check_nargs("query", nargs, 3) < 0 || query_init(&q, args[0], args[2]) < 0)
+    if (check_nargs("query", nargs, 7) < 0 || query_init(&q, args) < 0)
         return NULL;
-    int bad = query_key(&q, args[1], &value);
+    int bad = query_key(&q, args[0], &value);
     query_clear(&q);
     return bad ? NULL : PyLong_FromUnsignedLongLong(value);
 }
 
-/* query_many(ds, keys, state) -> list of int, one per key */
+/* query_many(keys, state, L, r, lead, directory, planes) -> list of int,
+   one per key of the iterable keys */
 static PyObject *py_query_many(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     struct query q;
-    if (check_nargs("query_many", nargs, 3) < 0 || query_init(&q, args[0], args[2]) < 0)
+    if (check_nargs("query_many", nargs, 7) < 0 || query_init(&q, args) < 0)
         return NULL;
-    PyObject *it = PyObject_GetIter(args[1]);
+    PyObject *it = PyObject_GetIter(args[0]);
     PyObject *out = it ? PyList_New(0) : NULL;
     PyObject *key;
     while (out && (key = PyIter_Next(it))) {
@@ -635,9 +603,10 @@ static PyMethodDef methods[] = {
     {"keyed", py_keyed, METH_O, "BLAKE2b state after the key block of a 64-bit seed."},
     {"digest_pairs", (PyCFunction)(void (*)(void))py_digest_pairs, METH_FASTCALL,
      "Check (key, value) pairs, hash each key and keep each value."},
-    {"query", (PyCFunction)(void (*)(void))py_query, METH_FASTCALL, "The value of one key."},
+    {"query", (PyCFunction)(void (*)(void))py_query, METH_FASTCALL,
+     "query(key, state, L, r, lead, directory, planes): the value of one key."},
     {"query_many", (PyCFunction)(void (*)(void))py_query_many, METH_FASTCALL,
-     "The values of many keys."},
+     "query_many(keys, state, L, r, lead, directory, planes): the values of many keys."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -645,11 +614,5 @@ static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "bandset._band", NULL
 
 PyMODINIT_FUNC PyInit__band(void)
 {
-    PyObject **names[] = {&s_params, &s_directory, &s_planes, &s_L, &s_r, &s_force_leading_one,
-                          &s_packed};
-    const char *text[] = {"params", "directory", "planes", "L", "r", "force_leading_one", "packed"};
-    for (size_t i = 0; i < sizeof names / sizeof *names; i++)
-        if (!*names[i] && !(*names[i] = PyUnicode_InternFromString(text[i])))
-            return NULL;
     return PyModule_Create(&module);
 }

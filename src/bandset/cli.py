@@ -287,7 +287,9 @@ def _random_band_system(m: int, eps: float, L: int, rng) -> tuple[int, list[int]
     drawn = rng.integers(1, n + 1, size=m)
     rows = []
     for s in drawn:
-        bits = int(rng.integers(0, 1 << 32)) | int(rng.integers(0, 1 << 32)) << 32
+        bits = 0
+        for shift in range(0, L, 64):  # fair coins, one 64-bit word per 64 columns
+            bits |= (int(rng.integers(0, 1 << 32)) | int(rng.integers(0, 1 << 32)) << 32) << shift
         rng.integers(0, 2)  # the rhs draw: unused, kept so a seed draws the same rows
         rows.append((int(s), bits & ((1 << L) - 1)))
     rows.sort(key=lambda row: row[0])
@@ -350,6 +352,16 @@ def cmd_simulate(args, out_stream=None) -> int:
         raise InputError("--block-len must be >= 1")
     if args.kind in ("cfrh", "sweep") and args.n < 1:
         raise InputError("--n must be >= 1")
+    if args.kind == "cfrh" and not 0.0 < args.eps_prime < 1.0:
+        raise InputError("--eps-prime must be in (0, 1)")
+    if args.kind == "queue" and not 0.0 < args.rho < 1.0:
+        raise InputError("--rho must be in (0, 1)")
+    if args.kind == "queue" and args.steps < 1:
+        raise InputError("--steps must be >= 1")
+    if args.kind == "coupling" and args.m < 1:
+        raise InputError("--m must be >= 1")
+    if args.kind == "coupling" and args.trials < 1:
+        raise InputError("--trials must be >= 1")
     out = out_stream if out_stream is not None else sys.stdout
     dispatch = {
         "cfrh": _simulate_cfrh,

@@ -253,15 +253,17 @@ def query_chunked(ds: ChunkedRetrieval, key: bytes) -> int:
     raises TypeError.
 
     Where the native module loaded (``retrieval_flat._kernel()``), L <= 128
-    and r <= 64, one native call does the whole lookup, reading
-    ``ds.directory.packed`` and ``ds.planes`` where they are. Otherwise the
-    Python body below does, which is also the reference the tests check
-    the native lookup against. Both take the chunk count from the length
-    of ``ds.directory.packed`` (ValueError unless it is two or more whole
-    64-bit words), check the two entries they read (ValueError for a chunk
-    with fewer than L bits) and take the plane length from ``ds.planes``:
-    ValueError unless it is r equal runs of whole words, IndexError for a
-    window that ends past a plane.
+    and r <= 64, one native call does the whole lookup. It is handed the
+    structure's words, not the structure: the key, the keyed hash state of
+    ``base_seed``, the ints L, r and ``force_leading_one``, and the
+    buffers ``ds.directory.packed`` and ``ds.planes``, which it reads where
+    they are. Otherwise the Python body below does, which is also the
+    reference the tests check the native lookup against. Both take the
+    chunk count from the length of ``ds.directory.packed`` (ValueError
+    unless it is two or more whole 64-bit words), check the two entries
+    they read (ValueError for a chunk with fewer than L bits) and take the
+    plane length from ``ds.planes``: ValueError unless it is r equal runs
+    of whole words, IndexError for a window that ends past a plane.
 
     Each plane's window is one read of the words ``wi`` to ``last`` that
     hold its first and last bit, ANDed with the pattern shifted to the
@@ -271,7 +273,8 @@ def query_chunked(ds: ChunkedRetrieval, key: bytes) -> int:
     params = ds.params
     native = retrieval_flat._kernel()
     if native is not None and params.L <= 128 and params.r <= 64:
-        return native.query(ds, key, native_keyed(params.base_seed))
+        return native.query(key, native_keyed(params.base_seed), params.L, params.r,
+                            params.force_leading_one, ds.directory.packed, ds.planes)
     L = params.L
     hi, lo = key_digest(key, params.base_seed)
     packed = ds.directory.packed
@@ -311,7 +314,8 @@ def query_many(ds: ChunkedRetrieval, keys) -> list[int]:
     params = ds.params
     native = retrieval_flat._kernel()
     if native is not None and params.L <= 128 and params.r <= 64:
-        return native.query_many(ds, keys, native_keyed(params.base_seed))
+        return native.query_many(keys, native_keyed(params.base_seed), params.L, params.r,
+                                 params.force_leading_one, ds.directory.packed, ds.planes)
     return [query_chunked(ds, key) for key in keys]
 
 

@@ -343,9 +343,9 @@ def blake2b_spy(monkeypatch):
                         done[0][16 * i : 16 * i + 16] = digest
             return done
 
-        def query(ds, key, state):
+        def query(*args):
             spy.digests += 1
-            return real_query(ds, key, state)
+            return real_query(*args)
 
         monkeypatch.setattr(native, "digest_pairs", digest_pairs)
         monkeypatch.setattr(native, "query", query)

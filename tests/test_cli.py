@@ -5,6 +5,8 @@ import struct
 
 import pytest
 
+from bandset import cli
+from bandset.analysis_sim import make_rng
 from bandset.cli import main
 from bandset.retrieval_chunked import deserialize, overhead, query_chunked
 
@@ -362,6 +364,16 @@ def test_simulate_coupling_golden_digest(capsys):
     assert digest == "65c2dfb0e737337453673fd88d53cdd4a47aee07d319240637d47bd704da310c"
 
 
+def test_simulate_coupling_draws_every_block_bit_above_64():
+    # a fair-coin block of L = 128 bits: almost every row has a set bit
+    # among columns 64 to 127, and none above the block
+    m = 2_000
+    _, starts, patterns = cli._random_band_system(m, 0.1, 128, make_rng(2, stream=3))
+    assert len(starts) == len(patterns) == m
+    assert sum(bits >> 64 != 0 for bits in patterns) > 0.99 * m
+    assert all(bits >> 128 == 0 for bits in patterns)
+
+
 def test_simulate_sweep_mean_height_decreasing(capsys):
     code, out, _ = run(
         ["simulate", "sweep", "--n", "4000", "--eps-list", "0.05,0.1,0.2",
@@ -429,6 +441,20 @@ def test_query_ignores_malformed_env_seed(tmp_path, capsys, monkeypatch):
     ("cfrh", ["--n", "-5"]),
     ("sweep", ["--n", "0", "--block-len", "1"]),
     ("sweep", ["--n", "-5"]),
+    ("cfrh", ["--eps-prime", "-0.5"]),
+    ("cfrh", ["--eps-prime", "0"]),
+    ("cfrh", ["--eps-prime", "1"]),
+    ("cfrh", ["--eps-prime", "1.5"]),
+    ("cfrh", ["--eps-prime", "nan"]),
+    ("queue", ["--steps", "0"]),
+    ("queue", ["--steps", "-5"]),
+    ("queue", ["--rho", "0"]),
+    ("queue", ["--rho", "1"]),
+    ("queue", ["--rho", "nan"]),
+    ("coupling", ["--m", "-3"]),
+    ("coupling", ["--m", "0"]),
+    ("coupling", ["--trials", "-1"]),
+    ("coupling", ["--trials", "0"]),
 ])
 def test_simulate_rejects_bad_slack_and_block_len(kind, flags, capsys):
     code, stdout, stderr = run(["simulate", kind, "--m", "50", "--trials", "1", *flags], capsys)

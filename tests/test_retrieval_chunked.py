@@ -450,6 +450,44 @@ def test_edited_directory_raises_instead_of_reading_past_it(edit, backend):
         query_many(ds, [key for key, _ in pairs])
 
 
+@pytest.mark.parametrize("bad", ["L 0", "L 129", "L -1", "r 0", "r 65", "one-word directory",
+                                 "15-byte directory", "17-byte directory",
+                                 "planes not r runs of words", "str directory", "short state",
+                                 "bytearray state"])
+def test_native_query_checks_its_own_bounds(bad, native):
+    # the module functions are callable without query_chunked's checks in
+    # front of them; each bad argument must raise, never answer or read
+    # outside its buffers
+    pairs, ds = build(300, C=100, r=3)
+    p = ds.params
+    args = {"state": native.keyed(p.base_seed), "L": p.L, "r": p.r, "lead": p.force_leading_one,
+            "directory": ds.directory.packed, "planes": ds.planes}
+    key, v = pairs[0]
+    assert native.query(key, *args.values()) == v
+    name, _, value = bad.partition(" ")
+    if name == "L":
+        args["L"] = int(value)
+    elif name == "r":
+        # 64 * 65 words: r runs of whole words for r = 64 or 65, so only
+        # the r check can fail
+        args["r"], args["planes"] = int(value), ds.planes[:8] * (64 * 65)
+    elif bad == "one-word directory":
+        args["directory"] = ds.directory.packed[:8]
+    elif name in ("15-byte", "17-byte"):
+        args["directory"] = ds.directory.packed[: int(name[:2])]
+    elif bad == "planes not r runs of words":
+        args["planes"] = ds.planes[:-8]
+    elif bad == "str directory":
+        args["directory"] = "x" * len(ds.directory.packed)
+    else:
+        state = args["state"]
+        args["state"] = state[:-1] if bad == "short state" else bytearray(state)
+    with pytest.raises((ValueError, TypeError, OverflowError)):
+        native.query(key, *args.values())
+    with pytest.raises((ValueError, TypeError, OverflowError)):
+        native.query_many([key], *args.values())
+
+
 @pytest.mark.parametrize("L, eps, C, m, base_seed", [(8, 0.3, 50, 200, 0), (64, 0.22, 1_000, 100, 4)])
 def test_windows_in_the_last_plane_word_answer_exactly(L, eps, C, m, base_seed):
     # at L = 64 the one chunk has n = 129 and 192 plane bits, so a key that
