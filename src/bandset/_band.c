@@ -5,22 +5,20 @@
      GF(2), for L <= 128 and at most 64 value bits. It walks and adds rows
      exactly as the Python branch of ``retrieval_flat.solve`` does, so both
      write the same bytes.
-   * keyed BLAKE2b-128 (RFC 7693): ``keyed(seed)`` is the state after the
-     key block. The digests equal ``hashlib.blake2b(key, digest_size=16,
-     key=<seed as 8 LE bytes>)``.
-   * ``digest_pairs``: a build's one pass over its input, the fast path
-     of ``row_gen.digest_pairs``. It takes only well-formed pairs (exact
-     2-tuples and 2-lists of a byte-string key and an integer value in
-     [0, 2^r)), hashes each key and keeps each value as a uint64, and
-     returns None at the first other pair: the Python pass owns every
+   * the key hash, a seeded 128-bit multiply-fold hash that gives the
+     same (hi, lo) words as its Python twin ``row_gen.key_digest``.
+   * ``digest_pairs(items, seed, r)``: a build's one pass over its input,
+     the fast path of ``row_gen.digest_pairs``. It takes only well-formed
+     pairs (exact 2-tuples and 2-lists of a byte-string key and an integer
+     value in [0, 2^r)), hashes each key and keeps each value as a uint64,
+     and returns None at the first other pair: the Python pass owns every
      ingest error. Repeated keys are left to the caller.
-   * ``query(key, state, L, r, lead, directory, planes)`` and
+   * ``query(key, seed, L, r, lead, directory, planes)`` and
      ``query_many(keys, ...)`` with the same arguments after the keys: the
      whole lookup of ``query_chunked`` for L <= 128 and at most 64 planes.
-     The caller hands over the structure's words, not the structure:
-     state from ``keyed(base_seed)``, the ints L, r and lead
-     (force_leading_one), and the buffers ``ds.directory.packed`` and
-     ``ds.planes``, which are read in place.
+     The caller hands over the structure's words, not the structure: the
+     ints base_seed, L, r and lead (force_leading_one), and the buffers
+     ``ds.directory.packed`` and ``ds.planes``, which are read in place.
 
    The Python callers check shapes and pick the backend; the checks here
    only keep every read and write in bounds. */
@@ -169,28 +167,18 @@ done:
 }
 
 /* ------------------------------------------------------------------------
-   keyed BLAKE2b-128, RFC 7693 */
+   the key hash
 
-static const uint64_t IV[8] = {
-    0x6A09E667F3BCC908ULL, 0xBB67AE8584CAA73BULL, 0x3C6EF372FE94F82BULL, 0xA54FF53A5F1D36F1ULL,
-    0x510E527FADE682D1ULL, 0x9B05688C2B3E6C1FULL, 0x1F83D9ABFB41BD6BULL, 0x5BE0CD19137E2179ULL,
-};
+   A seeded 128-bit multiply-fold hash in the style of wyhash and XXH3 (not
+   bit-compatible with either): two 64-bit lanes a and b take in the key
+   16 bytes at a time, each stripe XORed into the lanes and folded by two
+   64x64->128 multiplies whose product halves are XORed together. The seed
+   enters the first multiply and the key length the final mix, which makes
+   the lanes hi and lo. row_gen.key_digest is the Python twin. */
 
-static const uint8_t SIGMA[10][16] = {
-    {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
-    {14, 10, 4, 8, 9, 15, 13, 6, 1, 12, 0, 2, 11, 7, 5, 3},
-    {11, 8, 12, 0, 5, 2, 15, 13, 10, 14, 3, 6, 7, 1, 9, 4},
-    {7, 9, 3, 1, 13, 12, 11, 14, 2, 6, 5, 10, 4, 0, 15, 8},
-    {9, 0, 5, 7, 2, 4, 10, 15, 14, 1, 11, 12, 6, 8, 3, 13},
-    {2, 12, 6, 10, 0, 11, 8, 3, 4, 13, 7, 5, 15, 14, 1, 9},
-    {12, 5, 1, 15, 14, 13, 4, 10, 0, 7, 6, 3, 9, 2, 8, 11},
-    {13, 11, 7, 14, 12, 1, 3, 9, 5, 0, 15, 4, 8, 6, 2, 10},
-    {6, 15, 14, 9, 11, 3, 0, 8, 12, 2, 13, 7, 1, 4, 10, 5},
-    {10, 2, 8, 4, 7, 6, 1, 5, 15, 11, 9, 14, 3, 12, 13, 0},
-};
-
-/* Parameter block word 0 for a 16-byte digest and an 8-byte key. */
-#define PARAM0 (0x01010000ULL ^ (8ULL << 8) ^ 16ULL)
+/* odd words with 32 of 64 bits set (wyhash's default secret) */
+static const uint64_t P0 = 0xA0761D6478BD642FULL, P1 = 0xE7037ED1A0B428DBULL,
+                      P2 = 0x8EBC6AF09C88C6E3ULL, P3 = 0x589965CC75374CC3ULL;
 
 /* A little-endian word; memcpy compiles to one load, a byte loop does not. */
 static uint64_t load64(const uint8_t *p)
@@ -203,127 +191,49 @@ static uint64_t load64(const uint8_t *p)
     return x;
 }
 
-static uint64_t rotr64(uint64_t x, unsigned n)
+static uint64_t fold(uint64_t x, uint64_t y)
 {
-    return x >> n | x << (64 - n);
+    u128 p = (u128)x * y;
+    return (uint64_t)p ^ (uint64_t)(p >> 64);
 }
 
-#define G(a, b, c, d, x, y)                                                  \
-    do {                                                                     \
-        v[a] += v[b] + (x);                                                  \
-        v[d] = rotr64(v[d] ^ v[a], 32);                                      \
-        v[c] += v[d];                                                        \
-        v[b] = rotr64(v[b] ^ v[c], 24);                                      \
-        v[a] += v[b] + (y);                                                  \
-        v[d] = rotr64(v[d] ^ v[a], 16);                                      \
-        v[c] += v[d];                                                        \
-        v[b] = rotr64(v[b] ^ v[c], 63);                                      \
-    } while (0)
-
-/* One round; r is a constant, so every message index folds to a constant
-   and m[] stays in registers. */
-#define ROUND(r)                                                             \
-    do {                                                                     \
-        G(0, 4, 8, 12, m[SIGMA[r][0]], m[SIGMA[r][1]]);                      \
-        G(1, 5, 9, 13, m[SIGMA[r][2]], m[SIGMA[r][3]]);                      \
-        G(2, 6, 10, 14, m[SIGMA[r][4]], m[SIGMA[r][5]]);                     \
-        G(3, 7, 11, 15, m[SIGMA[r][6]], m[SIGMA[r][7]]);                     \
-        G(0, 5, 10, 15, m[SIGMA[r][8]], m[SIGMA[r][9]]);                     \
-        G(1, 6, 11, 12, m[SIGMA[r][10]], m[SIGMA[r][11]]);                   \
-        G(2, 7, 8, 13, m[SIGMA[r][12]], m[SIGMA[r][13]]);                    \
-        G(3, 4, 9, 14, m[SIGMA[r][14]], m[SIGMA[r][15]]);                    \
-    } while (0)
-
-/* Compress one 128-byte block into h; t counts the bytes hashed so far,
-   this block included. */
-static void compress(uint64_t h[8], const uint8_t *block, uint64_t t, int last)
+static void stripe(uint64_t *a, uint64_t *b, const uint8_t *p)
 {
-    uint64_t m[16], v[16];
-    for (int i = 0; i < 16; i++)
-        m[i] = load64(block + 8 * i);
-    for (int i = 0; i < 8; i++) {
-        v[i] = h[i];
-        v[i + 8] = IV[i];
-    }
-    v[12] ^= t; /* the high counter word stays 0 below 2^64 bytes */
-    if (last)
-        v[14] = ~v[14];
-    ROUND(0); ROUND(1); ROUND(2); ROUND(3); ROUND(4); ROUND(5);
-    ROUND(6); ROUND(7); ROUND(8); ROUND(9); ROUND(0); ROUND(1);
-    for (int i = 0; i < 8; i++)
-        h[i] ^= v[i] ^ v[i + 8];
+    uint64_t x = load64(p) ^ *a, y = load64(p + 8) ^ *b;
+    *a = fold(x ^ P0, y ^ P1);
+    *b = fold(x ^ P2, y ^ P3);
 }
 
-/* The hash state after the key block, computed once per base seed. The
-   key block is the last block of an empty message, so the seed is kept
-   to hash that case from the start. */
-struct keyed {
-    uint64_t h[8];
-    uint64_t seed;
-};
-
-/* h after the key block of seed, the last block when the message is
-   empty. */
-static void key_start(uint64_t h[8], uint64_t seed, int last)
+/* Every stripe but the last is read in place; the last one, 0 to 16
+   bytes, is read through a zeroed block, so no read passes the key. */
+static void digest(uint64_t seed, const uint8_t *p, size_t n, uint64_t *hi, uint64_t *lo)
 {
-    uint8_t block[128] = {0};
-    for (int i = 0; i < 8; i++)
-        block[i] = (uint8_t)(seed >> (8 * i));
-    memcpy(h, IV, sizeof IV);
-    h[0] ^= PARAM0;
-    compress(h, block, 128, last);
+    uint64_t a = seed ^ P0, b = fold(seed ^ P1, P2), len = n;
+    uint8_t tail[16] = {0};
+    for (; n > 16; p += 16, n -= 16)
+        stripe(&a, &b, p);
+    memcpy(tail, p, n);
+    stripe(&a, &b, tail);
+    b ^= len;
+    *hi = fold(a ^ P1, b ^ P2);
+    *lo = fold(a ^ P3, b ^ P0);
 }
 
-static void digest(const struct keyed *k, const uint8_t *p, size_t n, uint64_t *hi, uint64_t *lo)
+/* A seed argument: an int in [0, 2^64); OverflowError or TypeError
+   otherwise. */
+static int seed_arg(PyObject *obj, uint64_t *seed)
 {
-    uint64_t h[8];
-    if (n == 0) {
-        key_start(h, k->seed, 1);
-    } else {
-        uint8_t block[128];
-        uint64_t t = 128;
-        memcpy(h, k->h, sizeof h);
-        for (; n > 128; p += 128, n -= 128) {
-            t += 128;
-            compress(h, p, t, 0);
-        }
-        memset(block, 0, sizeof block);
-        memcpy(block, p, n);
-        compress(h, block, t + n, 1);
-    }
-    *lo = h[0];
-    *hi = h[1];
-}
-
-/* keyed(seed) -> bytes: the state that digest_pairs, query and query_many
-   take. */
-static PyObject *py_keyed(PyObject *self, PyObject *seed_obj)
-{
-    struct keyed k;
-    k.seed = PyLong_AsUnsignedLongLong(seed_obj);
-    if (k.seed == (uint64_t)-1 && PyErr_Occurred())
-        return NULL;
-    key_start(k.h, k.seed, 0);
-    return PyBytes_FromStringAndSize((const char *)&k, sizeof k);
-}
-
-static int get_keyed(PyObject *state, struct keyed *k)
-{
-    if (!PyBytes_CheckExact(state) || PyBytes_GET_SIZE(state) != sizeof *k) {
-        PyErr_SetString(PyExc_TypeError, "state must come from keyed(seed)");
-        return -1;
-    }
-    memcpy(k, PyBytes_AS_STRING(state), sizeof *k);
-    return 0;
+    *seed = PyLong_AsUnsignedLongLong(obj);
+    return *seed == (uint64_t)-1 && PyErr_Occurred() ? -1 : 0;
 }
 
 /* Digest words of a bytes-like key; TypeError for anything else. */
-static int key_words(const struct keyed *k, PyObject *key, uint64_t *hi, uint64_t *lo)
+static int key_words(uint64_t seed, PyObject *key, uint64_t *hi, uint64_t *lo)
 {
     Py_buffer view;
     if (PyObject_GetBuffer(key, &view, PyBUF_SIMPLE) < 0)
         return -1;
-    digest(k, view.buf, (size_t)view.len, hi, lo);
+    digest(seed, view.buf, (size_t)view.len, hi, lo);
     PyBuffer_Release(&view);
     return 0;
 }
@@ -351,7 +261,7 @@ static void store64(uint8_t *p, uint64_t x)
    the value to *v and returns 0. Returns 1 for any other pair, and for a
    value whose __index__ raises TypeError, so that the Python pass raises
    its error or takes the pair; -1 when __index__ raises anything else. */
-static int pair_words(const struct keyed *k, PyObject *pair, int r, uint8_t *d, uint64_t *v)
+static int pair_words(uint64_t seed, PyObject *pair, int r, uint8_t *d, uint64_t *v)
 {
     if (!(PyTuple_CheckExact(pair) || PyList_CheckExact(pair)) || Py_SIZE(pair) != 2)
         return 1;
@@ -382,9 +292,9 @@ static int pair_words(const struct keyed *k, PyObject *pair, int r, uint8_t *d, 
        bytearray key */
     uint64_t hi, lo;
     if (PyBytes_Check(key))
-        digest(k, (const uint8_t *)PyBytes_AS_STRING(key), (size_t)PyBytes_GET_SIZE(key), &hi, &lo);
+        digest(seed, (const uint8_t *)PyBytes_AS_STRING(key), (size_t)PyBytes_GET_SIZE(key), &hi, &lo);
     else
-        digest(k, (const uint8_t *)PyByteArray_AS_STRING(key), (size_t)PyByteArray_GET_SIZE(key),
+        digest(seed, (const uint8_t *)PyByteArray_AS_STRING(key), (size_t)PyByteArray_GET_SIZE(key),
                &hi, &lo);
     store64(d, lo);
     store64(d + 8, hi);
@@ -396,15 +306,15 @@ done:
     return ret;
 }
 
-/* digest_pairs(items, state, r) -> (digests, values) or None, for a list
+/* digest_pairs(items, seed, r) -> (digests, values) or None, for a list
    or tuple items and 1 <= r <= 64: one pass that hashes each pair's key
    and keeps its value. digests is a bytearray of 16 bytes per pair (lo,
    then hi, little-endian), values a bytearray of one native-endian uint64
    per pair. None at the first pair that pair_words declines. */
 static PyObject *py_digest_pairs(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    struct keyed k;
-    if (check_nargs("digest_pairs", nargs, 3) < 0 || get_keyed(args[1], &k) < 0)
+    uint64_t seed;
+    if (check_nargs("digest_pairs", nargs, 3) < 0 || seed_arg(args[1], &seed) < 0)
         return NULL;
     long r = PyLong_AsLong(args[2]);
     if (r == -1 && PyErr_Occurred())
@@ -430,7 +340,7 @@ static PyObject *py_digest_pairs(PyObject *self, PyObject *const *args, Py_ssize
             goto done;
         PyObject *pair = Py_NewRef(PySequence_Fast_GET_ITEM(items, n));
         uint64_t v;
-        int got = pair_words(&k, pair, (int)r, (uint8_t *)PyByteArray_AS_STRING(digests) + 16 * n, &v);
+        int got = pair_words(seed, pair, (int)r, (uint8_t *)PyByteArray_AS_STRING(digests) + 16 * n, &v);
         Py_DECREF(pair);
         if (got)
             goto done;
@@ -475,8 +385,7 @@ static uint64_t mulhi(uint64_t a, uint64_t b)
    t is the nwords little-endian words from byte 8 * nwords * t of
    planes. */
 struct query {
-    struct keyed k;
-    uint64_t L, r, num_chunks, nwords;
+    uint64_t seed, L, r, num_chunks, nwords;
     int lead;
     Py_buffer directory, planes;
 };
@@ -488,12 +397,12 @@ static void query_clear(struct query *q)
     PyBuffer_Release(&q->planes);
 }
 
-/* args[1:] are state, L, r, lead, directory, planes. */
+/* args[1:] are seed, L, r, lead, directory, planes. */
 static int query_init(struct query *q, PyObject *const *args)
 {
     long long L, r;
     q->directory.obj = q->planes.obj = NULL;
-    if (get_keyed(args[1], &q->k) < 0 || ((L = PyLong_AsLongLong(args[2])) == -1 && PyErr_Occurred())
+    if (seed_arg(args[1], &q->seed) < 0 || ((L = PyLong_AsLongLong(args[2])) == -1 && PyErr_Occurred())
         || ((r = PyLong_AsLongLong(args[3])) == -1 && PyErr_Occurred())
         || (q->lead = PyObject_IsTrue(args[4])) < 0
         || PyObject_GetBuffer(args[5], &q->directory, PyBUF_SIMPLE) < 0
@@ -518,7 +427,7 @@ fail:
 static int query_key(const struct query *q, PyObject *key, uint64_t *value)
 {
     uint64_t hi, lo, L = q->L;
-    if (key_words(&q->k, key, &hi, &lo) < 0)
+    if (key_words(q->seed, key, &hi, &lo) < 0)
         return -1;
     uint64_t chunk = mulhi(hi, q->num_chunks), s = hi * q->num_chunks;
     const uint8_t *entry = (const uint8_t *)q->directory.buf + 8 * chunk;
@@ -561,7 +470,7 @@ static int query_key(const struct query *q, PyObject *key, uint64_t *value)
     return 0;
 }
 
-/* query(key, state, L, r, lead, directory, planes) -> int */
+/* query(key, seed, L, r, lead, directory, planes) -> int */
 static PyObject *py_query(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     struct query q;
@@ -573,7 +482,7 @@ static PyObject *py_query(PyObject *self, PyObject *const *args, Py_ssize_t narg
     return bad ? NULL : PyLong_FromUnsignedLongLong(value);
 }
 
-/* query_many(keys, state, L, r, lead, directory, planes) -> list of int,
+/* query_many(keys, seed, L, r, lead, directory, planes) -> list of int,
    one per key of the iterable keys */
 static PyObject *py_query_many(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -600,13 +509,12 @@ static PyObject *py_query_many(PyObject *self, PyObject *const *args, Py_ssize_t
 
 static PyMethodDef methods[] = {
     {"solve", py_solve, METH_VARARGS, "Solve one band system into byte-per-bit planes."},
-    {"keyed", py_keyed, METH_O, "BLAKE2b state after the key block of a 64-bit seed."},
     {"digest_pairs", (PyCFunction)(void (*)(void))py_digest_pairs, METH_FASTCALL,
      "Check (key, value) pairs, hash each key and keep each value."},
     {"query", (PyCFunction)(void (*)(void))py_query, METH_FASTCALL,
-     "query(key, state, L, r, lead, directory, planes): the value of one key."},
+     "query(key, seed, L, r, lead, directory, planes): the value of one key."},
     {"query_many", (PyCFunction)(void (*)(void))py_query_many, METH_FASTCALL,
-     "query_many(keys, state, L, r, lead, directory, planes): the values of many keys."},
+     "query_many(keys, seed, L, r, lead, directory, planes): the values of many keys."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -32,7 +32,6 @@ from .row_gen import (
     chunks_and_words,
     digest_pairs,
     key_digest,
-    native_keyed,
     row_for_words,
 )
 
@@ -50,7 +49,7 @@ __all__ = [
 ]
 
 MAGIC = b"BSET"
-VERSION = 2
+VERSION = 3
 FLAG_FORCE_LEADING_ONE = 1
 _HEADER = struct.Struct("<4sHHHHdQQQQ")
 HEADER_BYTES = _HEADER.size  # 52
@@ -254,11 +253,11 @@ def query_chunked(ds: ChunkedRetrieval, key: bytes) -> int:
 
     Where the native module loaded (``retrieval_flat._kernel()``), L <= 128
     and r <= 64, one native call does the whole lookup. It is handed the
-    structure's words, not the structure: the key, the keyed hash state of
-    ``base_seed``, the ints L, r and ``force_leading_one``, and the
-    buffers ``ds.directory.packed`` and ``ds.planes``, which it reads where
-    they are. Otherwise the Python body below does, which is also the
-    reference the tests check the native lookup against. Both take the
+    structure's words, not the structure: the key, the ints ``base_seed``,
+    L, r and ``force_leading_one``, and the buffers ``ds.directory.packed``
+    and ``ds.planes``, which it reads where they are. Otherwise the Python
+    body below does, which is also the reference the tests check the native
+    lookup against. Both take the
     chunk count from the length of ``ds.directory.packed`` (ValueError
     unless it is two or more whole 64-bit words), check the two entries
     they read (ValueError for a chunk with fewer than L bits) and take the
@@ -273,8 +272,8 @@ def query_chunked(ds: ChunkedRetrieval, key: bytes) -> int:
     params = ds.params
     native = retrieval_flat._kernel()
     if native is not None and params.L <= 128 and params.r <= 64:
-        return native.query(key, native_keyed(params.base_seed), params.L, params.r,
-                            params.force_leading_one, ds.directory.packed, ds.planes)
+        return native.query(key, params.base_seed, params.L, params.r, params.force_leading_one,
+                            ds.directory.packed, ds.planes)
     L = params.L
     hi, lo = key_digest(key, params.base_seed)
     packed = ds.directory.packed
@@ -314,7 +313,7 @@ def query_many(ds: ChunkedRetrieval, keys) -> list[int]:
     params = ds.params
     native = retrieval_flat._kernel()
     if native is not None and params.L <= 128 and params.r <= 64:
-        return native.query_many(keys, native_keyed(params.base_seed), params.L, params.r,
+        return native.query_many(keys, params.base_seed, params.L, params.r,
                                  params.force_leading_one, ds.directory.packed, ds.planes)
     return [query_chunked(ds, key) for key in keys]
 

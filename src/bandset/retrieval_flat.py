@@ -13,7 +13,7 @@ differential tests use; the build does not load it.
 
 This module also loads the native backend, the CPython extension module
 ``_band.c``: the pivot-insertion kernel that ``solve`` runs, the one
-pass over a build's pairs with keyed BLAKE2b-128 that
+pass over a build's pairs with the key hash that
 ``row_gen.digest_pairs`` runs, and the one-call lookup that
 ``query_chunked`` and ``query_many`` run. ``_kernel()`` is the one switch
 for all three. Its first call, whichever of them makes it, compiles

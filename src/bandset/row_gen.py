@@ -1,10 +1,19 @@
 """Seeded hashing of keys to chunks and band rows.
 
-Each key gets one keyed 128-bit hash (BLAKE2b-128 with the 64-bit base
-seed as the MAC key), its digest, split into two 64-bit words ``hi`` and
-``lo`` (the digest read as a little-endian int is ``hi << 64 | lo``).
-Everything else is cheap arithmetic on those words, so replaying the same
-(key, base seed) reproduces the same chunk and rows bit-exact everywhere:
+Each key gets one seeded 128-bit hash, its digest: two 64-bit words ``hi``
+and ``lo`` (the digest read as a little-endian int is ``hi << 64 | lo``).
+The hash is a multiply-fold hash in the style of wyhash and XXH3, not
+bit-compatible with either. Two 64-bit lanes take in the key 16 bytes at a
+time (the last stripe zero-padded, the empty key one zero stripe): each
+stripe is XORed into the lanes, and each lane becomes the XOR of the two
+halves of a 64x64->128 product of both. The 64-bit base seed enters the
+first multiply and the key length the final mix, which turns the lanes
+into ``hi`` and ``lo``. The seed is stored in the file header, so the hash
+guards no secret; the paper's analysis needs only values that behave as
+uniform and independent on the key set, which a seeded statistical test
+checks. Everything else is cheap arithmetic on ``hi`` and ``lo``, so
+replaying the same (key, base seed) reproduces the same chunk and rows
+bit-exact everywhere:
 
 * ``hi * num_chunks`` is split at bit 64: the high part is the chunk, the
   low 64 bits are the start word ``s``, the bits of ``hi`` the chunk choice
@@ -20,18 +29,15 @@ The scalar functions are what a query runs on the pure-Python path; the
 They hold the same formulas and a test checks that both give identical
 ints. A build hashes its keys in ``digest_pairs``, the one pass over its
 input that also checks every pair and keeps its value. Where the native
-module loaded (see ``retrieval_flat``), its C twins of that pass and of the
-query's arithmetic run instead, while ``key_digest`` stays pure
-``hashlib``, the fallback and the independent reference the tests check
-the C hash against.
+module loaded (see ``retrieval_flat``), its C twins of the hash, of that
+pass and of the query's arithmetic run instead, while ``key_digest`` stays
+the fallback and the reference the tests check the C hash against.
 """
 
 from __future__ import annotations
 
-import hashlib
 import operator
 import struct
-from functools import lru_cache
 
 MASK64 = (1 << 64) - 1
 
@@ -40,30 +46,38 @@ _K1 = 0x9E3779B97F4A7C15
 _K2 = 0xBF58476D1CE4E5B9
 # Remix tags of the extra pattern words; retries stay below 2^16.
 _EXTRA = 1 << 16
-
-
-@lru_cache(maxsize=256)
-def _keyed_hasher(base_seed: int):
-    return hashlib.blake2b(digest_size=16, key=struct.pack("<Q", base_seed))
+# The key hash's constants: odd words with 32 of 64 bits set (wyhash's
+# default secret).
+_P0 = 0xA0761D6478BD642F
+_P1 = 0xE7037ED1A0B428DB
+_P2 = 0x8EBC6AF09C88C6E3
+_P3 = 0x589965CC75374CC3
 
 
 def key_digest(key: bytes, base_seed: int) -> tuple[int, int]:
-    """The key's one hash: its (hi, lo) 64-bit digest words."""
-    h = _keyed_hasher(base_seed).copy()
-    h.update(key)
-    d = int.from_bytes(h.digest(), "little")
-    return d >> 64, d & MASK64
-
-
-@lru_cache(maxsize=256)
-def native_keyed(base_seed: int) -> bytes:
-    """The native hash's state after the key block of ``base_seed``, which
-    the native module's ``digest_pairs`` and query functions take;
-    computed once per seed. Call it only while ``retrieval_flat._kernel()``
-    returns the module."""
-    from .retrieval_flat import _kernel
-
-    return _kernel().keyed(base_seed)
+    """The key's one hash: its (hi, lo) 64-bit digest words. The same
+    function as the native module's hash, one product fold at a time."""
+    view = memoryview(key)  # TypeError unless key is bytes-like
+    if not view.c_contiguous:  # as the native hash's buffer request
+        raise BufferError("memoryview: underlying buffer is not C-contiguous")
+    data = view.tobytes()
+    n = len(data)
+    data += bytes(-n % 16 if n else 16)  # zero-pad to whole stripes, at least one
+    words = struct.unpack_from(f"<{len(data) >> 3}Q", data)
+    a = base_seed ^ _P0
+    p = (base_seed ^ _P1) * _P2
+    b = (p ^ p >> 64) & MASK64
+    stripes = iter(words)
+    for w0, w1 in zip(stripes, stripes):
+        x, y = w0 ^ a, w1 ^ b
+        p = (x ^ _P0) * (y ^ _P1)
+        a = (p ^ p >> 64) & MASK64
+        p = (x ^ _P2) * (y ^ _P3)
+        b = (p ^ p >> 64) & MASK64
+    b ^= n
+    p = (a ^ _P1) * (b ^ _P2)
+    q = (a ^ _P3) * (b ^ _P0)
+    return (p ^ p >> 64) & MASK64, (q ^ q >> 64) & MASK64
 
 
 def digest_pairs(pairs, base_seed: int, r: int):
@@ -92,10 +106,9 @@ def digest_pairs(pairs, base_seed: int, r: int):
     items = pairs if type(pairs) in (list, tuple) else list(pairs)
     native = _kernel()
     if native is not None and r <= 64:
-        done = native.digest_pairs(items, native_keyed(base_seed), r)
+        done = native.digest_pairs(items, base_seed, r)
         if done is not None:
             return done[0], np.frombuffer(done[1], np.uint64), items
-    base = _keyed_hasher(base_seed)
     limit = 1 << r
     digests = bytearray()
     values = []
@@ -112,9 +125,8 @@ def digest_pairs(pairs, base_seed: int, r: int):
             raise TypeError(f"value {value!r} is not an integer") from None
         if not 0 <= value < limit:
             raise ValueError(f"value {value} does not fit in {r} bits")
-        h = base.copy()
-        h.update(key)
-        digests += h.digest()
+        hi, lo = key_digest(key, base_seed)
+        digests += struct.pack("<QQ", lo, hi)
         values.append(value)
     return digests, np.array(values, np.uint64 if r <= 64 else object), items
 

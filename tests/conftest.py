@@ -6,7 +6,6 @@ independent of the word-packed production code paths they check.
 
 from __future__ import annotations
 
-import hashlib
 import random
 import shutil
 import sysconfig
@@ -20,7 +19,7 @@ import pytest
 from bandset import retrieval_chunked, retrieval_flat, row_gen
 from bandset.band_solver import eliminate, solve, verify
 from bandset.bitkit import BitVec, dot_window
-from bandset.row_gen import chunk_and_word, key_digest, row_for_words
+from bandset.row_gen import MASK64, chunk_and_word, key_digest, row_for_words
 
 
 # What building the native module needs: a C compiler and the CPython headers.
@@ -294,16 +293,15 @@ def make_pairs(m: int, r: int = 1, tag: str = "key") -> list[tuple[bytes, int]]:
 
 
 @pytest.fixture
-def blake2b_spy(monkeypatch):
-    """The key hash spied on, on whichever backend runs: ``hashlib.blake2b``
-    (the pure-Python path) and, where the native module loaded, its
-    ``digest_pairs`` and ``query`` are replaced by wrappers that count the
-    digests they hand out (``spy.digests``; a native query hashes its key
-    once inside the call) and force chosen build digests: every key in
-    ``spy.collide`` gets ``spy.collision_digest``, and every key in the
-    dict ``spy.forced`` gets its value there (16 bytes, ``lo`` then ``hi``,
-    little-endian)."""
-    real = hashlib.blake2b
+def hash_spy(monkeypatch):
+    """The key hash spied on, on whichever backend runs: ``key_digest``
+    (the pure-Python path, in ``row_gen`` and ``retrieval_chunked``) and,
+    where the native module loaded, its ``digest_pairs`` and ``query`` are
+    replaced by wrappers that count the digests they hand out
+    (``spy.digests``; a native query hashes its key once inside the call)
+    and force chosen build digests: every key in ``spy.collide`` gets
+    ``spy.collision_digest``, and every key in the dict ``spy.forced`` gets
+    its value there (16 bytes, ``lo`` then ``hi``, little-endian)."""
     spy = types.SimpleNamespace(digests=0, collide=set(), collision_digest=b"\xff" * 16,
                                 forced={})
 
@@ -313,29 +311,21 @@ def blake2b_spy(monkeypatch):
             return spy.forced[key]
         return spy.collision_digest if key in spy.collide else None
 
-    class Blake2bSpy:
-        def __init__(self, *args, inner=None, data=b"", **kwargs):
-            self.inner = inner if inner is not None else real(*args, **kwargs)
-            self.data = data
-
-        def copy(self):
-            return Blake2bSpy(inner=self.inner.copy(), data=self.data)
-
-        def update(self, data):
-            self.inner.update(data)
-            self.data += data
-
-        def digest(self):
-            spy.digests += 1
-            return forced(self.data) or self.inner.digest()
+    def spied_key_digest(key, base_seed):
+        spy.digests += 1
+        digest = forced(key)
+        if digest is None:
+            return key_digest(key, base_seed)
+        d = int.from_bytes(digest, "little")
+        return d >> 64, d & MASK64
 
     native = retrieval_flat._kernel()
     if native is not None:
         real_digest_pairs, real_query = native.digest_pairs, native.query
 
-        def digest_pairs(items, state, r):
-            done = real_digest_pairs(items, state, r)
-            if done is not None:  # else the spied hashlib pass runs
+        def digest_pairs(items, seed, r):
+            done = real_digest_pairs(items, seed, r)
+            if done is not None:  # else the spied Python pass runs
                 spy.digests += len(items)
                 for i, (key, _) in enumerate(items):
                     digest = forced(key)
@@ -349,11 +339,9 @@ def blake2b_spy(monkeypatch):
 
         monkeypatch.setattr(native, "digest_pairs", digest_pairs)
         monkeypatch.setattr(native, "query", query)
-    row_gen._keyed_hasher.cache_clear()
-    monkeypatch.setattr(hashlib, "blake2b", Blake2bSpy)
-    yield spy
-    monkeypatch.undo()
-    row_gen._keyed_hasher.cache_clear()
+    monkeypatch.setattr(row_gen, "key_digest", spied_key_digest)
+    monkeypatch.setattr(retrieval_chunked, "key_digest", spied_key_digest)
+    return spy
 
 
 @pytest.fixture

@@ -214,9 +214,9 @@ def test_deserialize_rejects_corruption():
     blob = serialize(ds)
     with pytest.raises(FormatError):
         deserialize(b"XSET" + blob[4:])  # magic
-    for version in (b"\x01\x00", b"\x03\x00"):
-        with pytest.raises(FormatError):
-            deserialize(blob[:4] + version + blob[6:])
+    for version in (1, 2, 4):
+        with pytest.raises(FormatError, match=f"unsupported version {version}"):
+            deserialize(blob[:4] + version.to_bytes(2, "little") + blob[6:])
     with pytest.raises(FormatError):
         deserialize(blob[:30])  # truncated header
     with pytest.raises(FormatError):
@@ -282,12 +282,18 @@ def test_input_order_never_changes_serialized_output():
         assert serialize(construct_chunked(shuffled, params)) == blob
 
 
-def test_threaded_build_matches_sequential():
-    pairs = make_pairs(6_000)
-    params = ChunkedParams(epsilon=0.1, L=64, C=500, base_seed=90)
-    a = serialize(construct_chunked(pairs, params, threads=1))
-    b = serialize(construct_chunked(pairs, params, threads=4))
-    assert a == b
+@pytest.mark.parametrize("L", [64, 80])
+def test_backends_and_thread_counts_write_the_same_file(L):
+    # the file is a function of the pairs and the seed alone
+    pairs = make_pairs(6_000, r=3)
+    params = ChunkedParams(epsilon=0.1, L=L, r=3, C=500, base_seed=90)
+    blob = serialize(construct_chunked(pairs, params))
+    assert blob[4:6] == b"\x03\x00"  # format v3
+    for threads in (1, 2, 4):
+        assert serialize(construct_chunked(pairs, params, threads=threads)) == blob
+    with python_branch():
+        for threads in (1, 2):
+            assert serialize(construct_chunked(pairs, params, threads=threads)) == blob
 
 
 @pytest.mark.parametrize("threads", [0, -1])
@@ -387,6 +393,8 @@ def test_keys_must_be_bytes_like(backend):
         query_chunked(ds, key.decode())
     with pytest.raises(TypeError):
         query_many(ds, [key, key.decode()])
+    with pytest.raises(BufferError):
+        query_chunked(ds, memoryview(key * 2)[::2])
 
 
 @pytest.mark.parametrize("buffer", [bytes, CountingBytes])
@@ -452,15 +460,15 @@ def test_edited_directory_raises_instead_of_reading_past_it(edit, backend):
 
 @pytest.mark.parametrize("bad", ["L 0", "L 129", "L -1", "r 0", "r 65", "one-word directory",
                                  "15-byte directory", "17-byte directory",
-                                 "planes not r runs of words", "str directory", "short state",
-                                 "bytearray state"])
+                                 "planes not r runs of words", "str directory", "seed -1",
+                                 "seed 2**64", "str seed"])
 def test_native_query_checks_its_own_bounds(bad, native):
     # the module functions are callable without query_chunked's checks in
     # front of them; each bad argument must raise, never answer or read
     # outside its buffers
     pairs, ds = build(300, C=100, r=3)
     p = ds.params
-    args = {"state": native.keyed(p.base_seed), "L": p.L, "r": p.r, "lead": p.force_leading_one,
+    args = {"seed": p.base_seed, "L": p.L, "r": p.r, "lead": p.force_leading_one,
             "directory": ds.directory.packed, "planes": ds.planes}
     key, v = pairs[0]
     assert native.query(key, *args.values()) == v
@@ -480,11 +488,11 @@ def test_native_query_checks_its_own_bounds(bad, native):
     elif bad == "str directory":
         args["directory"] = "x" * len(ds.directory.packed)
     else:
-        state = args["state"]
-        args["state"] = state[:-1] if bad == "short state" else bytearray(state)
-    with pytest.raises((ValueError, TypeError, OverflowError)):
+        args["seed"] = {"seed -1": -1, "seed 2**64": 1 << 64, "str seed": str(p.base_seed)}[bad]
+    errors = (TypeError, OverflowError) if "seed" in bad else (ValueError, TypeError, OverflowError)
+    with pytest.raises(errors):
         native.query(key, *args.values())
-    with pytest.raises((ValueError, TypeError, OverflowError)):
+    with pytest.raises(errors):
         native.query_many([key], *args.values())
 
 
@@ -552,7 +560,7 @@ def test_retries_exhausted_reports_chunk():
 
 def test_build_calls_construct_flat_per_chunk_and_solve_per_attempt(solve_calls):
     # the call contract the benchmark's per-chunk probes and attempt counts
-    # rely on; eps 3% with 2,500-key chunks retries chunk 1 once
+    # rely on; eps 3% with 2,500-key chunks retries chunk 2 once
     pairs = make_pairs(20_000, r=3, tag="golden")
     params = ChunkedParams(epsilon=0.03, L=64, r=3, C=2_500, base_seed=2029)
     ds = construct_chunked(pairs, params)
@@ -574,12 +582,12 @@ def test_oversized_table_fails_before_any_chunk_is_solved(monkeypatch, solve_cal
 
 
 @pytest.mark.parametrize("C", [3_000, 1_000])
-def test_colliding_digests_fail_on_the_first_attempt(C, blake2b_spy, solve_calls):
+def test_colliding_digests_fail_on_the_first_attempt(C, hash_spy, solve_calls):
     # two distinct keys forced onto one digest: every retry gives them one
     # row, so the build names the chunk instead of trying 64 seeds; the
     # all-ones digest falls in the last chunk
     pairs = make_pairs(3_000, tag="twins")
-    blake2b_spy.collide = {pairs[10][0], pairs[20][0]}
+    hash_spy.collide = {pairs[10][0], pairs[20][0]}
     params = ChunkedParams(epsilon=0.1, L=64, C=C, base_seed=21)
     with pytest.raises(ConstructError) as exc_info:
         construct_chunked(pairs, params)
@@ -590,7 +598,7 @@ def test_colliding_digests_fail_on_the_first_attempt(C, blake2b_spy, solve_calls
 
 
 @pytest.mark.parametrize("conflict", [False, True])
-def test_repeated_key_in_the_middle_of_a_run_of_one_hi(conflict, blake2b_spy, solve_calls):
+def test_repeated_key_in_the_middle_of_a_run_of_one_hi(conflict, hash_spy, solve_calls):
     # keys a, b, c share one hi with lo in that order, and b comes again
     # last: in input order the run is a b c b, so only the order by lo puts
     # the two b side by side
@@ -598,7 +606,7 @@ def test_repeated_key_in_the_middle_of_a_run_of_one_hi(conflict, blake2b_spy, so
     a, b, c = (pairs[i][0] for i in (5, 6, 7))
     for key, lo in ((a, 0x1111_1111_1111_1111), (b, 0x5555_5555_5555_5555),
                     (c, 0x9999_9999_9999_9999)):
-        blake2b_spy.forced[key] = (1 << 127 | lo).to_bytes(16, "little")
+        hash_spy.forced[key] = (1 << 127 | lo).to_bytes(16, "little")
     params = ChunkedParams(epsilon=0.1, L=64, C=200, base_seed=4)
     repeated = pairs + [(b, pairs[6][1] ^ conflict)]
     if conflict:
@@ -664,16 +672,16 @@ def test_save_load_time_is_linear_in_plane_bits():
 
 
 @pytest.mark.parametrize("eps, L, base_seed, retries, digest", [
-    # chunk 1 retries once in this configuration
-    pytest.param(0.03, 64, 2029, [0, 1, 0, 0, 0, 0, 0, 0],
-                 "ef4fd4c099b7d7395ce6707080b9eec0f13ffa424092b7272a6079ba35ab8c10",
+    # chunk 2 retries once in this configuration
+    pytest.param(0.03, 64, 2029, [0, 0, 1, 0, 0, 0, 0, 0],
+                 "a250b4cde3cd98bec779046b9d4b9b8b1f2e35c1a50a74ce1503573f030ef5ee",
                  id="L64-retry"),
     pytest.param(0.05, 80, 2026, [0] * 8,
-                 "86bfa0ced73f6b7917b9bc7df7e16d826f388373cb64501a442521f5a0eb67e6",
+                 "cb0d466ccb3d26770656956e6809e9f4faf0f066e8c95d25605cfcaed11244dc",
                  id="L80"),
 ])
-def test_format_v2_golden_digest(eps, L, base_seed, retries, digest):
-    # pins the v2 bytes; a deliberate format change updates these digests
+def test_format_v3_golden_digest(eps, L, base_seed, retries, digest):
+    # pins the v3 bytes; a deliberate format change updates these digests
     pairs = make_pairs(20_000, r=3, tag="golden")
     params = ChunkedParams(epsilon=eps, L=L, r=3, C=2_500, base_seed=base_seed)
     ds = construct_chunked(pairs, params)

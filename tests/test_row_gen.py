@@ -15,7 +15,6 @@ from bandset.row_gen import (
     chunks_and_words,
     digest_pairs,
     key_digest,
-    native_keyed,
     row_for_words,
     rows_for_words,
 )
@@ -176,17 +175,17 @@ def test_numpy_rows_equal_scalar_rows(L, force_leading_one):
             assert all(1 <= start <= n for start, _ in want)
 
 
-def test_build_hashes_each_key_once_and_query_once(blake2b_spy):
-    # eps 3% with 2,500-key chunks: chunk 1 needs a retry
+def test_build_hashes_each_key_once_and_query_once(hash_spy):
+    # eps 3% with 2,500-key chunks: chunk 2 needs a retry
     pairs = make_pairs(20_000, r=3, tag="golden")
     params = ChunkedParams(epsilon=0.03, L=64, r=3, C=2_500, base_seed=2029)
     ds = construct_chunked(pairs, params)
     assert max(ds.directory.seeds) >= 1
-    assert blake2b_spy.digests == len(pairs)
+    assert hash_spy.digests == len(pairs)
     for key, value in pairs[:200]:
-        blake2b_spy.digests = 0
+        hash_spy.digests = 0
         assert query_chunked(ds, key) == value
-        assert blake2b_spy.digests == 1
+        assert hash_spy.digests == 1
 
 
 def _digest_bytes(key: bytes, base_seed: int) -> bytes:
@@ -194,16 +193,36 @@ def _digest_bytes(key: bytes, base_seed: int) -> bytes:
     return (hi << 64 | lo).to_bytes(16, "little")
 
 
+# Pinned (key, seed) -> (hi, lo): both twins must give these, so they
+# cannot drift together. Keys of 0, 1, 16 (one whole stripe), 17 and 80
+# bytes.
+KNOWN_ANSWERS = [
+    (b"", 0, 0xBB27235062743AD0, 0x1F41C788A12BBB84),
+    (b"", MASK64, 0x423DDA5F80EB716A, 0xAC51B31E44A16D70),
+    (b"a", 1, 0xE1210C57CC1CB549, 0x61250498F1D13CA6),
+    (bytes(range(16)), 0, 0x26813C9A181E7B61, 0x83D9329423DB7F10),
+    (bytes(range(17)), 2, 0x7EBD0BF95B36C504, 0x88569361824F0345),
+    (b"https://example.org/items/0000001234?ref=bandset&lang=en-GB&page=42&sort=asc#top",
+     0x0123456789ABCDEF, 0x97129D3861037F94, 0x94E54766E1C75558),
+]
+
+
+@pytest.mark.parametrize("key, seed, hi, lo", KNOWN_ANSWERS)
+def test_key_digest_known_answers(key, seed, hi, lo, backend):
+    assert key_digest(key, seed) == (hi, lo)
+    assert digest_pairs([(key, 0)], seed, 1)[0] == (hi << 64 | lo).to_bytes(16, "little")
+
+
 @pytest.mark.parametrize("seed", [0, 1, MASK64])
 def test_native_digest_equals_key_digest(seed, native):
-    # every key length from 0 to 300 crosses the 128-byte block edges; the
-    # empty key hashes the key block as the last block
+    # every key length from 0 to 300 crosses every 16-byte stripe edge; the
+    # empty key hashes one zero stripe
     rnd = random.Random(seed & 0xFFFF)
     keys = [rnd.randbytes(n) for n in range(301)]
     want = b"".join(_digest_bytes(key, seed) for key in keys)
     for kind in (bytes, bytearray):
         pairs = [(kind(key), 0) for key in keys]
-        assert native.digest_pairs(pairs, native_keyed(seed), 1)[0] == want
+        assert native.digest_pairs(pairs, seed, 1)[0] == want
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -214,12 +233,12 @@ def test_native_digest_property(key, seed):
     native = retrieval_flat._kernel()
     if native is None:
         pytest.skip("native module unavailable")
-    assert native.digest_pairs([(key, 1)], native_keyed(seed), 1)[0] == _digest_bytes(key, seed)
+    assert native.digest_pairs([(key, 1)], seed, 1)[0] == _digest_bytes(key, seed)
 
 
 def test_digest_pairs_matches_key_digest(backend):
     seed = 2**63 + 5
-    keys = [b"", b"a", bytearray(b"b" * 128), bytearray(b"c" * 129)] + [
+    keys = [b"", b"a", bytearray(b"b" * 16), bytearray(b"c" * 17)] + [
         f"dk{i}".encode() * (i % 40) for i in range(500)
     ]
     pairs = [(key, i & 7) for i, key in enumerate(keys)]
