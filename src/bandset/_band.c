@@ -13,12 +13,15 @@
      value in [0, 2^r)), hashes each key and keeps each value as a uint64,
      and returns None at the first other pair: the Python pass owns every
      ingest error. Repeated keys are left to the caller.
-   * ``query(key, seed, L, r, lead, directory, planes)`` and
-     ``query_many(keys, ...)`` with the same arguments after the keys: the
-     whole lookup of ``query_chunked`` for L <= 128 and at most 64 planes.
-     The caller hands over the structure's words, not the structure: the
-     ints base_seed, L, r and lead (force_leading_one), and the buffers
+   * ``query(seed, L, r, lead, directory, planes, key)`` and
+     ``query_many(seed, L, r, lead, directory, planes, keys)``: the whole
+     lookup of ``query_chunked`` for L <= 128 and at most 64 planes. The
+     caller hands over the structure's words, not the structure: the ints
+     base_seed, L, r and lead (force_leading_one), and the buffers
      ``ds.directory.packed`` and ``ds.planes``, which are read in place.
+     The key comes last, so ``functools.partial(query, seed, L, r, lead,
+     directory, planes)`` is one structure's lookup, bound once at its
+     first query; every bound is still checked on every call.
 
    The Python callers check shapes and pick the backend; the checks here
    only keep every read and write in bounds. */
@@ -397,16 +400,16 @@ static void query_clear(struct query *q)
     PyBuffer_Release(&q->planes);
 }
 
-/* args[1:] are seed, L, r, lead, directory, planes. */
+/* args[:6] are seed, L, r, lead, directory, planes. */
 static int query_init(struct query *q, PyObject *const *args)
 {
     long long L, r;
     q->directory.obj = q->planes.obj = NULL;
-    if (seed_arg(args[1], &q->seed) < 0 || ((L = PyLong_AsLongLong(args[2])) == -1 && PyErr_Occurred())
-        || ((r = PyLong_AsLongLong(args[3])) == -1 && PyErr_Occurred())
-        || (q->lead = PyObject_IsTrue(args[4])) < 0
-        || PyObject_GetBuffer(args[5], &q->directory, PyBUF_SIMPLE) < 0
-        || PyObject_GetBuffer(args[6], &q->planes, PyBUF_SIMPLE) < 0)
+    if (seed_arg(args[0], &q->seed) < 0 || ((L = PyLong_AsLongLong(args[1])) == -1 && PyErr_Occurred())
+        || ((r = PyLong_AsLongLong(args[2])) == -1 && PyErr_Occurred())
+        || (q->lead = PyObject_IsTrue(args[3])) < 0
+        || PyObject_GetBuffer(args[4], &q->directory, PyBUF_SIMPLE) < 0
+        || PyObject_GetBuffer(args[5], &q->planes, PyBUF_SIMPLE) < 0)
         goto fail;
     if (L < 1 || L > 128 || r < 1 || r > 64 || q->directory.len < 16 || q->directory.len % 8
         || q->planes.len % (8 * r)) {
@@ -470,26 +473,26 @@ static int query_key(const struct query *q, PyObject *key, uint64_t *value)
     return 0;
 }
 
-/* query(key, seed, L, r, lead, directory, planes) -> int */
+/* query(seed, L, r, lead, directory, planes, key) -> int */
 static PyObject *py_query(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     struct query q;
     uint64_t value;
     if (check_nargs("query", nargs, 7) < 0 || query_init(&q, args) < 0)
         return NULL;
-    int bad = query_key(&q, args[0], &value);
+    int bad = query_key(&q, args[6], &value);
     query_clear(&q);
     return bad ? NULL : PyLong_FromUnsignedLongLong(value);
 }
 
-/* query_many(keys, seed, L, r, lead, directory, planes) -> list of int,
+/* query_many(seed, L, r, lead, directory, planes, keys) -> list of int,
    one per key of the iterable keys */
 static PyObject *py_query_many(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     struct query q;
     if (check_nargs("query_many", nargs, 7) < 0 || query_init(&q, args) < 0)
         return NULL;
-    PyObject *it = PyObject_GetIter(args[0]);
+    PyObject *it = PyObject_GetIter(args[6]);
     PyObject *out = it ? PyList_New(0) : NULL;
     PyObject *key;
     while (out && (key = PyIter_Next(it))) {
@@ -512,9 +515,9 @@ static PyMethodDef methods[] = {
     {"digest_pairs", (PyCFunction)(void (*)(void))py_digest_pairs, METH_FASTCALL,
      "Check (key, value) pairs, hash each key and keep each value."},
     {"query", (PyCFunction)(void (*)(void))py_query, METH_FASTCALL,
-     "query(key, seed, L, r, lead, directory, planes): the value of one key."},
+     "query(seed, L, r, lead, directory, planes, key): the value of one key."},
     {"query_many", (PyCFunction)(void (*)(void))py_query_many, METH_FASTCALL,
-     "query_many(keys, seed, L, r, lead, directory, planes): the values of many keys."},
+     "query_many(seed, L, r, lead, directory, planes, keys): the values of many keys."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from itertools import repeat
 
 from . import retrieval_flat
@@ -62,7 +63,7 @@ class FormatError(Exception):
     """Serialized input is not a valid structure."""
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ChunkedParams:
     epsilon: float
     L: int = 64
@@ -87,7 +88,7 @@ class ChunkedParams:
             raise ValueError("base_seed must fit in 64 bits")
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ChunkDirectory:
     """Per-chunk table offsets (bit positions, prefix sums with a terminal
     entry) and retry seeds, in one buffer: ``packed`` is num_chunks + 1
@@ -122,17 +123,22 @@ class ChunkDirectory:
         return [w >> _OFFSET_BITS for w in self._words()[:-1]]
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ChunkedRetrieval:
     """``planes`` is the file's plane payload: r runs of
     ceil(plane_bits / 64) little-endian 64-bit words, plane t from word
     t * ceil(plane_bits / 64) on, each the concatenation over chunks with
-    bit j in bit j % 64 of word j // 64 and zero padding."""
+    bit j in bit j % 64 of word j // 64 and zero padding.
+
+    Frozen, like its params and directory: ``_lookup`` is filled at the
+    first query (``_bind``) from the buffers held then, so an edit is a new
+    structure, ``dataclasses.replace(ds, ...)``, which starts unbound."""
 
     params: ChunkedParams
     directory: ChunkDirectory
     planes: bytes
     m: int
+    _lookup: partial | None = field(init=False, default=None, repr=False, compare=False)
 
     @property
     def plane_bits(self) -> int:
@@ -251,47 +257,64 @@ def query_chunked(ds: ChunkedRetrieval, key: bytes) -> int:
     windowed dot product per plane. ``key`` is bytes-like; a ``str``
     raises TypeError.
 
-    Where the native module loaded (``retrieval_flat._kernel()``), L <= 128
-    and r <= 64, one native call does the whole lookup. It is handed the
-    structure's words, not the structure: the key, the ints ``base_seed``,
-    L, r and ``force_leading_one``, and the buffers ``ds.directory.packed``
-    and ``ds.planes``, which it reads where they are. Otherwise the Python
-    body below does, which is also the reference the tests check the native
-    lookup against. Both take the
-    chunk count from the length of ``ds.directory.packed`` (ValueError
-    unless it is two or more whole 64-bit words), check the two entries
-    they read (ValueError for a chunk with fewer than L bits) and take the
-    plane length from ``ds.planes``: ValueError unless it is r equal runs
-    of whole words, IndexError for a window that ends past a plane.
+    One call of the structure's lookup, which its first query binds (see
+    ``_bind``): the native ``query`` where the native module loaded
+    (``retrieval_flat._kernel()``), L <= 128 and r <= 64, else
+    ``_query_words``, each with the structure's words bound before the
+    key. The backend is fixed then for the structure's life; a structure
+    made by ``dataclasses.replace`` starts unbound. Both lookups check
+    the same bounds on every call (see ``_query_words``).
+    """
+    return (ds._lookup or _bind(ds))(key)
+
+
+def _bind(ds: ChunkedRetrieval) -> partial:
+    """Make, store and return the lookup of ``ds``: the key-last native
+    ``query`` or ``_query_words``, with the base seed, L, r,
+    force_leading_one, the directory words and the planes bound. Threads
+    that race to bind one structure make equal lookups, so the lost store
+    does no harm."""
+    params = ds.params
+    native = retrieval_flat._kernel()
+    func = (native.query if native is not None and params.L <= 128 and params.r <= 64
+            else _query_words)
+    lookup = partial(func, params.base_seed, params.L, params.r, params.force_leading_one,
+                     ds.directory.packed, ds.planes)
+    object.__setattr__(ds, "_lookup", lookup)  # the one field a frozen structure fills late
+    return lookup
+
+
+def _query_words(seed: int, L: int, r: int, lead: bool, directory, planes, key) -> int:
+    """The lookup in Python, the fallback and the reference the tests check
+    the native ``query`` against; the same arguments, key last.
+    ``directory`` and ``planes`` are ``ds.directory.packed`` and
+    ``ds.planes``. It takes the chunk count from the length of
+    ``directory`` (ValueError unless it is two or more whole 64-bit words),
+    checks the two entries it reads (ValueError for a chunk with fewer than
+    L bits) and takes the plane length from ``planes``: ValueError unless
+    it is r equal runs of whole words, IndexError for a window that ends
+    past a plane.
 
     Each plane's window is one read of the words ``wi`` to ``last`` that
     hold its first and last bit, ANDed with the pattern shifted to the
     window's bit offset. A window inside one word has ``last == wi``, so no
     read leaves the plane and no padding word is needed.
     """
-    params = ds.params
-    native = retrieval_flat._kernel()
-    if native is not None and params.L <= 128 and params.r <= 64:
-        return native.query(key, params.base_seed, params.L, params.r, params.force_leading_one,
-                            ds.directory.packed, ds.planes)
-    L = params.L
-    hi, lo = key_digest(key, params.base_seed)
-    packed = ds.directory.packed
-    entries, rest = divmod(len(packed), 8)
+    hi, lo = key_digest(key, seed)
+    entries, rest = divmod(len(directory), 8)
     if rest or entries < 2:
         raise ValueError("directory is not two or more whole 64-bit words")
     chunk, s = chunk_and_word(hi, entries - 1)
-    p = int.from_bytes(packed[8 * chunk : 8 * chunk + 16], "little")
+    p = int.from_bytes(directory[8 * chunk : 8 * chunk + 16], "little")
     offset = p & _OFFSET_MASK
     retry = (p & MASK64) >> _OFFSET_BITS
     end = (p >> 64) & _OFFSET_MASK
     if end < offset + L:
         raise ValueError(f"directory gives chunk {chunk} fewer than L bits")
     n_chunk = end - offset - (L - 1)
-    start, bits = row_for_words(s, lo, retry, n_chunk, L, params.force_leading_one)
+    start, bits = row_for_words(s, lo, retry, n_chunk, L, lead)
     bit_offset = offset + start - 1
-    planes = ds.planes
-    size, rest = divmod(len(planes), params.r)  # bytes per plane
+    size, rest = divmod(len(planes), r)  # bytes per plane
     if rest or size & 7:
         raise ValueError("planes are not r runs of whole 64-bit words")
     a = 8 * (bit_offset >> 6)
@@ -300,22 +323,22 @@ def query_chunked(ds: ChunkedRetrieval, key: bytes) -> int:
         raise IndexError(f"window ends past a plane of {size // 8} words")
     bits <<= bit_offset & 63
     value = 0
-    for t in range(params.r):
+    for t in range(r):
         w = int.from_bytes(planes[t * size + a : t * size + b], "little")
         value |= ((w & bits).bit_count() & 1) << t
     return value
 
 
 def query_many(ds: ChunkedRetrieval, keys) -> list[int]:
-    """``query_chunked`` of every key of the iterable ``keys``, in order:
-    one native call for all of them where ``query_chunked`` would run
-    natively, one ``query_chunked`` call per key otherwise."""
-    params = ds.params
-    native = retrieval_flat._kernel()
-    if native is not None and params.L <= 128 and params.r <= 64:
-        return native.query_many(keys, params.base_seed, params.L, params.r,
-                                 params.force_leading_one, ds.directory.packed, ds.planes)
-    return [query_chunked(ds, key) for key in keys]
+    """``query_chunked`` of every key of the iterable ``keys``, in order,
+    through the structure's bound lookup: one native ``query_many`` call
+    with the same bound arguments where that lookup is native, one call of
+    the Python lookup per key otherwise."""
+    lookup = ds._lookup or _bind(ds)
+    if lookup.func is _query_words:
+        return list(map(lookup, keys))
+    # a native lookup was bound from the loaded module, which _kernel_loaded holds
+    return retrieval_flat._kernel_loaded[0].query_many(*lookup.args, keys)
 
 
 def serialize(ds: ChunkedRetrieval) -> bytes:

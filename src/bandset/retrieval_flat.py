@@ -16,7 +16,9 @@ This module also loads the native backend, the CPython extension module
 pass over a build's pairs with the key hash that
 ``row_gen.digest_pairs`` runs, and the one-call lookup that
 ``query_chunked`` and ``query_many`` run. ``_kernel()`` is the one switch
-for all three. Its first call, whichever of them makes it, compiles
+for all three; a build asks it on every solve and pass, but a structure
+asks it once, at its first query, and keeps that backend for its life.
+Its first call, whichever of them makes it, compiles
 ``_band.c`` with ``cc`` and the CPython headers into
 ``$XDG_CACHE_HOME/bandset`` (default ``~/.cache/bandset``) unless it is
 cached there, and imports it. Without a compiler or the headers, or when

@@ -29,7 +29,8 @@ HAVE_CC = (shutil.which("cc") is not None
 
 def python_branch():
     """Run in pure Python while the context is open: the native module's
-    solve, hash and query all step aside."""
+    solve and hash step aside, and a structure first queried inside it
+    binds the Python lookup for good."""
     return mock.patch.object(retrieval_flat, "_kernel", lambda: None)
 
 
@@ -162,9 +163,9 @@ class CountingWords(list):
 class CountingBytes(bytes):
     """A word buffer that records the words each slice of it covers.
 
-    Swap it in for ``ChunkedRetrieval.planes`` or
-    ``ChunkDirectory.packed`` to check what the Python body of
-    ``query_chunked`` reads: ``reads`` accumulates one range of buffer
+    Put it in a new structure (``dataclasses.replace``) as
+    ``ChunkedRetrieval.planes`` or ``ChunkDirectory.packed`` to check what
+    the Python lookup reads: ``reads`` accumulates one range of buffer
     word indices per slice, in access order. The native query reads the
     buffer's memory directly, which no wrapper sees; see ``noisy_words``
     for its check.

@@ -8,6 +8,7 @@ apart from wall-clock measurements.
 import math
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from bandset.analysis_sim import (
 from bandset.band_solver import dense_rank_oracle
 from bandset.cli import synthetic_pairs
 from bandset.retrieval_chunked import (
+    ChunkDirectory,
     ChunkedParams,
     construct_chunked,
     deserialize,
@@ -236,17 +238,18 @@ def test_criterion_10_query_word_locality():
     params = ChunkedParams(epsilon=0.1, L=64, r=2, C=1_000, base_seed=1010)
     ds = construct_chunked(pairs, params)
     packed, planes = ds.directory.packed, ds.planes
-    ds.directory.packed = directory = CountingBytes(packed)
-    ds.planes = counting = CountingBytes(planes)
+    directory, counting = CountingBytes(packed), CountingBytes(planes)
     per_plane_budget = (64 + 63) // 64 + 1
     worst_dir = worst_plane = 0
     noncontig = 0
     reads = []
     with python_branch():
+        # made and first queried here, so it binds the Python lookup
+        counted = replace(ds, directory=ChunkDirectory(directory), planes=counting)
         for key, v in pairs:
             directory.reads.clear()
             counting.reads.clear()
-            assert query_chunked(ds, key) == v
+            assert query_chunked(counted, key) == v
             worst_dir = max(worst_dir, len(directory.words_read()[0]))
             for words in counting.words_read(params.r):
                 worst_plane = max(worst_plane, len(words))
@@ -262,10 +265,10 @@ def test_criterion_10_query_word_locality():
         rnd = random.Random(1010)
         changed = 0
         for (key, v), (dir_reads, plane_reads) in zip(pairs, reads):
-            ds.directory.packed = noisy_words(packed, dir_reads, rnd)
-            ds.planes = noisy_words(planes, plane_reads, rnd)
+            noisy = replace(ds, directory=ChunkDirectory(noisy_words(packed, dir_reads, rnd)),
+                            planes=noisy_words(planes, plane_reads, rnd))
             try:
-                changed += query_chunked(ds, key) != v
+                changed += query_chunked(noisy, key) != v
             except (IndexError, ValueError):
                 changed += 1
         ok &= changed == 0

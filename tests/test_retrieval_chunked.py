@@ -3,6 +3,8 @@ import math
 import random
 import struct
 import time
+from dataclasses import FrozenInstanceError, fields, replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -303,26 +305,26 @@ def test_threads_below_1_rejected(threads):
 
 
 def _plane_reads(ds, keys) -> list[list[list[int]]]:
-    """Per key, the words of each plane that the Python body of
-    ``query_chunked`` reads, with its answers checked against
-    ``reference_query``. Where the native module loaded, its answers must
-    be the same with every other plane word random."""
+    """Per key, the words of each plane that the Python lookup reads, with
+    its answers checked against ``reference_query``. Where the native
+    module loaded, its answers must be the same with every other plane
+    word random."""
     planes = ds.planes
     want = [reference_query(ds, key) for key in keys]
-    ds.planes = counting = CountingBytes(planes)
+    counting = CountingBytes(planes)
     reads, words = [], []
     with python_branch():
+        # made and first queried here, so it binds the Python lookup
+        counted = replace(ds, planes=counting)
         for key, value in zip(keys, want):
             counting.reads.clear()
-            assert query_chunked(ds, key) == value
+            assert query_chunked(counted, key) == value
             reads.append(list(counting.reads))
             words.append(counting.words_read(ds.params.r))
     if retrieval_flat._kernel() is not None:
         rnd = random.Random(len(planes))
         for key, value, read in zip(keys, want, reads):
-            ds.planes = noisy_words(planes, read, rnd)
-            assert query_chunked(ds, key) == value
-    ds.planes = planes
+            assert query_chunked(replace(ds, planes=noisy_words(planes, read, rnd)), key) == value
     return words
 
 
@@ -338,7 +340,7 @@ def _differential_params(L, r, force_leading_one):
 @pytest.mark.parametrize("r", [1, 3, 8, 65])
 @pytest.mark.parametrize("L", [1, 7, 63, 64, 65, 80, 130])
 def test_query_matches_reference_query(L, r, force_leading_one):
-    # the one plane read of the Python body, for every L, against one
+    # the one plane read of the Python lookup, for every L, against one
     # dot_window per plane, stored and never-inserted keys
     params = _differential_params(L, r, force_leading_one)
     pairs = make_pairs(60 if L < 8 else 200, r=r, tag=f"diff{L}")
@@ -356,7 +358,7 @@ def test_query_matches_reference_query(L, r, force_leading_one):
 @pytest.mark.parametrize("r", [1, 3, 8, 64])
 @pytest.mark.parametrize("L", [1, 7, 63, 64, 65, 80, 128])
 def test_query_and_query_many_match_reference_on_both_backends(L, r, force_leading_one, backend):
-    # the native lookup covers L <= 128 and r <= 64; it and the Python body
+    # the native lookup covers L <= 128 and r <= 64; it and the Python lookup
     # must both agree with one dot_window per plane
     params = _differential_params(L, r, force_leading_one)
     pairs = make_pairs(60 if L < 8 else 200, r=r, tag=f"both{L}")
@@ -407,10 +409,10 @@ def test_short_plane_word_lists_raise_index_error(buffer, backend):
     size = len(planes) // 2
     last_word = size // 8 - 1
     for cut in (1, 8):
-        ds.planes = buffer(planes[:-cut])
+        short = replace(ds, planes=buffer(planes[:-cut]))
         with pytest.raises(ValueError, match="runs of whole 64-bit words"):
-            query_chunked(ds, pairs[0][0])
-    ds.planes = buffer(planes[: size - 8] + planes[size:-8])
+            query_chunked(short, pairs[0][0])
+    ds = replace(ds, planes=buffer(planes[: size - 8] + planes[size:-8]))
     raised = 0
     for key, v in pairs:
         if (query_window(ds, key)[0] + ds.params.L - 1) >> 6 == last_word:
@@ -434,7 +436,7 @@ def test_edited_directory_raises_instead_of_reading_past_it(edit, backend):
     packed = bytearray(ds.directory.packed)
     if edit == "not whole words":
         for cut in (packed[:-1], packed[:8]):
-            ds.directory.packed = bytes(cut)
+            ds = replace(ds, directory=ChunkDirectory(bytes(cut)))
             with pytest.raises(ValueError, match="two or more whole"):
                 query_chunked(ds, pairs[0][0])
             with pytest.raises(ValueError, match="two or more whole"):
@@ -444,7 +446,7 @@ def test_edited_directory_raises_instead_of_reading_past_it(edit, backend):
         packed[8:16] = packed[0:6] + bytes(2)  # chunk 0 ends where it starts
     else:
         packed[-8:] = (int.from_bytes(packed[-8:], "little") + (1 << 40)).to_bytes(8, "little")
-    ds.directory.packed = packed
+    ds = replace(ds, directory=ChunkDirectory(packed))
     errors = 0
     for key, v in pairs:
         try:
@@ -471,7 +473,7 @@ def test_native_query_checks_its_own_bounds(bad, native):
     args = {"seed": p.base_seed, "L": p.L, "r": p.r, "lead": p.force_leading_one,
             "directory": ds.directory.packed, "planes": ds.planes}
     key, v = pairs[0]
-    assert native.query(key, *args.values()) == v
+    assert native.query(*args.values(), key) == v
     name, _, value = bad.partition(" ")
     if name == "L":
         args["L"] = int(value)
@@ -491,9 +493,69 @@ def test_native_query_checks_its_own_bounds(bad, native):
         args["seed"] = {"seed -1": -1, "seed 2**64": 1 << 64, "str seed": str(p.base_seed)}[bad]
     errors = (TypeError, OverflowError) if "seed" in bad else (ValueError, TypeError, OverflowError)
     with pytest.raises(errors):
-        native.query(key, *args.values())
+        native.query(*args.values(), key)
     with pytest.raises(errors):
-        native.query_many([key], *args.values())
+        native.query_many(*args.values(), [key])
+    if "directory" in bad or "planes" in bad:  # the Python lookup's own checks
+        with pytest.raises((ValueError, TypeError)):
+            retrieval_chunked._query_words(*args.values(), key)
+
+
+def test_structures_are_frozen(backend):
+    # a structure's lookup is bound at its first query, so no field of it
+    # may change afterwards; edits go through dataclasses.replace
+    pairs, ds = build(300, C=100, r=3)
+    query_chunked(ds, pairs[0][0])
+    for obj in (ds, ds.params, ds.directory):
+        for f in fields(obj):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, f.name, getattr(obj, f.name))
+
+
+def test_replaced_planes_answer_from_the_new_planes(backend):
+    pairs, ds = build(2_000, C=500, r=3)
+    keys = [key for key, _ in pairs] + [f"never{i}".encode() for i in range(200)]
+    assert query_many(ds, keys[:2_000]) == [v for _, v in pairs]
+    noisy = replace(ds, planes=random.Random(3).randbytes(len(ds.planes)))
+    want = [reference_query(noisy, key) for key in keys]
+    assert want != [reference_query(ds, key) for key in keys]
+    assert [query_chunked(noisy, key) for key in keys] == want == query_many(noisy, keys)
+    assert [query_chunked(ds, key) for key, _ in pairs] == [v for _, v in pairs]
+
+
+def test_a_structure_is_bound_at_its_first_query(backend):
+    # neither a build nor a load binds the lookup; the first query binds
+    # the backend that is live then
+    pairs, ds = build(300, C=100, r=3)
+    loaded = deserialize(serialize(ds))
+    assert ds._lookup is None and loaded._lookup is None
+    native = retrieval_flat._kernel()
+    want = retrieval_chunked._query_words if native is None else native.query
+    for first in (lambda s: query_chunked(s, pairs[0][0]), lambda s: query_many(s, [])):
+        for s in (ds, loaded):
+            s = replace(s)
+            assert s._lookup is None
+            first(s)
+            assert s._lookup.func is want
+    assert replace(ds)._lookup is None
+
+
+def test_queries_load_the_backend_once_per_structure(backend):
+    # the count guard against per-call dispatch: 1,000 single-key queries
+    # and one batch on one structure ask for the native module at most once
+    pairs, ds = build(1_000, C=250, r=3)
+    kernel = retrieval_flat._kernel
+    calls = []
+
+    def counted():
+        calls.append(1)
+        return kernel()
+
+    keys = [key for key, _ in pairs]
+    with mock.patch.object(retrieval_flat, "_kernel", counted):
+        assert [query_chunked(ds, key) for key in keys] == [v for _, v in pairs]
+        assert query_many(ds, keys) == [v for _, v in pairs]
+    assert len(calls) <= 1
 
 
 @pytest.mark.parametrize("L, eps, C, m, base_seed", [(8, 0.3, 50, 200, 0), (64, 0.22, 1_000, 100, 4)])
@@ -518,7 +580,7 @@ def test_empty_structure_reads_its_one_word(L):
     rnd = random.Random(L)
     keys = [f"ghost{i}".encode() for i in range(100)]
     assert all(query_chunked(ds, key) == 0 for key in keys)
-    ds.planes = b"".join(rnd.getrandbits(L).to_bytes(8, "little") for _ in range(3))
+    ds = replace(ds, planes=b"".join(rnd.getrandbits(L).to_bytes(8, "little") for _ in range(3)))
     for words in _plane_reads(ds, keys):
         assert words == [[0]] * 3
 
