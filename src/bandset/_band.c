@@ -1,10 +1,12 @@
 /* Native backend of bandset, a CPython extension module with four parts:
 
-   * ``solve``: pivot insertion (the Ribbon construction of Dillinger &
-     Walzer, 2021) and per-plane back-substitution of one band system over
-     GF(2), for L <= 128 and at most 64 value bits. It walks and adds rows
-     exactly as the Python branch of ``retrieval_flat.solve`` does, so both
-     write the same bytes.
+   * ``solve(n, L, lead, retry, s, lo, rhs, planes, offset)``: pivot
+     insertion (the Ribbon construction of Dillinger & Walzer, 2021) and
+     per-plane back-substitution of one band system over GF(2), for
+     L <= 128 and at most 64 value bits. It derives each key's row from
+     its digest words (the start word s and lo) with ``row_of``, as the
+     query does, and walks and adds rows exactly as the Python branch of
+     ``retrieval_flat.solve`` does, so both write the same bytes.
    * the key hash, a seeded 128-bit multiply-fold hash that gives the
      same (hi, lo) words as its Python twin ``row_gen.key_digest``.
    * ``digest_pairs(items, seed, r)``: a build's one pass over its input,
@@ -35,6 +37,49 @@
 typedef unsigned __int128 u128;
 
 /* ------------------------------------------------------------------------
+   rows
+
+   The arithmetic of row_gen.row_for_words, in one helper that the build's
+   solve and the query both inline. */
+
+static const uint64_t K1 = 0x9E3779B97F4A7C15ULL, K2 = 0xBF58476D1CE4E5B9ULL;
+#define EXTRA (1u << 16)
+
+static uint64_t remix(uint64_t x, uint64_t t)
+{
+    x = (x ^ t * K1) * K2;
+    return x ^ x >> 31;
+}
+
+static uint64_t mulhi(uint64_t a, uint64_t b)
+{
+    return (uint64_t)((u128)a * b >> 64);
+}
+
+/* The row of digest words (s, lo) at retry in a table of n >= 1 starts,
+   for 1 <= L <= 128 and lead 0 or 1: its start, 1 + mulhi(s, n), which
+   lies in [1, n], and its L-bit pattern in *pattern, bit j for column
+   start + j. */
+static inline __attribute__((always_inline)) uint64_t row_of(uint64_t s, uint64_t lo, uint64_t retry,
+                                                            uint64_t n, uint64_t L, int lead,
+                                                            u128 *pattern)
+{
+    if (retry) {
+        s = remix(s, retry);
+        lo = remix(lo, retry);
+    }
+    /* masked per 64-bit word: one 128-bit mask made single-key lookups
+       about 1.5% slower */
+    uint64_t w0 = lo, w1 = L > 64 ? remix(lo, EXTRA + 1) : 0;
+    if (L < 64)
+        w0 &= (1ULL << L) - 1;
+    else if (L > 64 && L < 128)
+        w1 &= (1ULL << (L - 64)) - 1;
+    *pattern = (u128)w1 << 64 | w0 | (uint64_t)lead;
+    return 1 + mulhi(s, n);
+}
+
+/* ------------------------------------------------------------------------
    solve
 
    A walking or stored row never spans more than L bits from its current
@@ -53,16 +98,15 @@ static int parity128(u128 x)
     return __builtin_parityll((uint64_t)x ^ (uint64_t)(x >> 64));
 }
 
-/* Rows are starts[i] in [1, n] with the pattern plo[i] | phi[i] << 64 (phi
-   is NULL for L <= 64) and right-hand side rhs[i]. Column s of plane t is
-   planes[t][offset + s - 1], and every plane holds at least zlen bytes;
+/* Row i is row_of(s[i], lo[i], retry, n, L, lead) with right-hand side
+   rhs[i], inserted in the order given. Column c of plane t is
+   planes[t][offset + c - 1], and every plane holds at least zlen bytes;
    only 1 bits are written. Returns 1 when solved, 0 when the rows are
-   dependent, -1 when out of memory, -2 when a start lies outside [1, n] or
-   a pivot column outside the planes; nothing is written unless it
-   returns 1. */
-static int band_solve(int64_t n, int64_t L, int64_t m, const uint64_t *starts,
-                      const uint64_t *plo, const uint64_t *phi, const uint64_t *rhs,
-                      int64_t r, uint8_t **planes, int64_t offset, int64_t zlen)
+   dependent, -1 when out of memory, -2 when a pivot column lies outside
+   the planes; nothing is written unless it returns 1. */
+static int band_solve(int64_t n, int64_t L, int lead, uint64_t retry, int64_t m, const uint64_t *s,
+                      const uint64_t *lo, const uint64_t *rhs, int64_t r, uint8_t **planes,
+                      int64_t offset, int64_t zlen)
 {
     int64_t width = n + L - 1, top = 0;
     u128 *rows = calloc((size_t)width + 1, sizeof *rows); /* by pivot column */
@@ -70,30 +114,26 @@ static int band_solve(int64_t n, int64_t L, int64_t m, const uint64_t *starts,
     int solved = rows && bs ? 1 : -1;
 
     for (int64_t i = 0; i < m && solved == 1; i++) {
-        uint64_t s = starts[i];
-        u128 c = phi ? (u128)phi[i] << 64 | plo[i] : plo[i];
+        u128 c;
+        uint64_t col = row_of(s[i], lo[i], retry, (uint64_t)n, (uint64_t)L, lead, &c);
         uint64_t b = rhs[i];
-        if (s < 1 || s > (uint64_t)n) {
-            solved = -2;
-            break;
-        }
         for (;;) {
             if (!c) {
                 solved = 0;
                 break;
             }
             unsigned t = ctz128(c); /* < 128, so the shift is defined */
-            s += t;
+            col += t;
             c >>= t;
-            if (!rows[s]) {
-                rows[s] = c;
-                bs[s] = b;
-                if ((int64_t)s > top)
-                    top = (int64_t)s;
+            if (!rows[col]) {
+                rows[col] = c;
+                bs[col] = b;
+                if ((int64_t)col > top)
+                    top = (int64_t)col;
                 break;
             }
-            c ^= rows[s];
-            b ^= bs[s];
+            c ^= rows[col];
+            b ^= bs[col];
         }
     }
     if (solved == 1 && offset + top > zlen)
@@ -102,12 +142,12 @@ static int band_solve(int64_t n, int64_t L, int64_t m, const uint64_t *starts,
        bits above L never meet a stored row, so they need no mask. */
     for (int64_t t = 0; t < r && solved == 1; t++) {
         uint8_t *z = planes[t] + offset;
-        u128 window = 0; /* bit j is column s + j */
-        for (int64_t s = top; s >= 1; s--) {
+        u128 window = 0; /* bit j is column c + j */
+        for (int64_t c = top; c >= 1; c--) {
             window <<= 1;
-            if (rows[s] && (parity128(window & rows[s]) ^ (int)(bs[s] >> t & 1))) {
+            if (rows[c] && (parity128(window & rows[c]) ^ (int)(bs[c] >> t & 1))) {
                 window |= 1;
-                z[s - 1] = 1;
+                z[c - 1] = 1;
             }
         }
     }
@@ -116,31 +156,33 @@ static int band_solve(int64_t n, int64_t L, int64_t m, const uint64_t *starts,
     return solved;
 }
 
-/* solve(n, L, starts, plo, phi, rhs, planes, offset) -> True solved, False
-   dependent; phi is None for L <= 64, planes a sequence of writable
-   buffers. The GIL is released while the kernel runs. */
+/* solve(n, L, lead, retry, s, lo, rhs, planes, offset) -> True solved,
+   False dependent; s, lo and rhs are buffers of one uint64 per row, planes
+   a sequence of writable buffers. The GIL is released while the kernel
+   runs. */
 static PyObject *py_solve(PyObject *self, PyObject *args)
 {
-    long long n, L, offset;
-    Py_buffer starts, plo, phi, rhs, views[64];
+    long long n, L, retry, offset;
+    int lead;
+    Py_buffer s, lo, rhs, views[64];
     PyObject *planes_obj, *planes = NULL;
     uint8_t *ptrs[64];
     Py_ssize_t r = 0;
     int status = -3;
 
-    if (!PyArg_ParseTuple(args, "LLy*y*z*y*OL", &n, &L, &starts, &plo, &phi, &rhs,
-                          &planes_obj, &offset))
+    if (!PyArg_ParseTuple(args, "LLpLy*y*y*OL", &n, &L, &lead, &retry, &s, &lo, &rhs, &planes_obj,
+                          &offset))
         return NULL;
-    int64_t m = starts.len / 8;
+    int64_t m = s.len / 8;
     if (!(planes = PySequence_Fast(planes_obj, "planes must be a sequence of buffers")))
         goto done;
-    if (n < 1 || n >= (1LL << 62) || L < 1 || L > 128 || offset < 0 || starts.len % 8
-        || PySequence_Fast_GET_SIZE(planes) > 64 || !phi.obj != (L <= 64)) {
+    if (n < 1 || n >= (1LL << 62) || L < 1 || L > 128 || retry < 0 || offset < 0 || s.len % 8
+        || PySequence_Fast_GET_SIZE(planes) > 64) {
         PyErr_SetString(PyExc_ValueError, "solve: unsupported shape");
         goto done;
     }
-    if (plo.len != m * 8 || rhs.len != m * 8 || (phi.obj && phi.len != m * 8)) {
-        PyErr_SetString(PyExc_ValueError, "pattern words and rhs must hold one uint64 per row");
+    if (lo.len != m * 8 || rhs.len != m * 8) {
+        PyErr_SetString(PyExc_ValueError, "s, lo and rhs must hold one uint64 per row");
         goto done;
     }
     long long zlen = LLONG_MAX;
@@ -152,19 +194,18 @@ static PyObject *py_solve(PyObject *self, PyObject *args)
             zlen = views[r].len;
     }
     Py_BEGIN_ALLOW_THREADS
-    status = band_solve(n, L, m, starts.buf, plo.buf, phi.buf, rhs.buf, r, ptrs, offset, zlen);
+    status = band_solve(n, L, lead, (uint64_t)retry, m, s.buf, lo.buf, rhs.buf, r, ptrs, offset, zlen);
     Py_END_ALLOW_THREADS
     if (status == -1)
         PyErr_Format(PyExc_MemoryError, "no memory for the pivot table of %lld columns", n + L - 1);
     else if (status == -2)
-        PyErr_SetString(PyExc_ValueError, "rows reach outside the table or the planes");
+        PyErr_SetString(PyExc_ValueError, "rows reach outside the planes");
 done:
     while (r > 0)
         PyBuffer_Release(&views[--r]);
     Py_XDECREF(planes);
-    PyBuffer_Release(&starts);
-    PyBuffer_Release(&plo);
-    PyBuffer_Release(&phi);
+    PyBuffer_Release(&s);
+    PyBuffer_Release(&lo);
     PyBuffer_Release(&rhs);
     return status >= 0 ? PyBool_FromLong(status) : NULL;
 }
@@ -363,25 +404,12 @@ done:
 /* ------------------------------------------------------------------------
    query
 
-   The same arithmetic as row_gen's scalar functions and the same reads as
-   retrieval_chunked.query_chunked: two directory entries, then the words
-   of each plane that hold the key's L-bit window. */
+   The chunk split of row_gen.chunk_and_word, the row of row_of and the
+   same reads as retrieval_chunked._query_words: two directory entries,
+   then the words of each plane that hold the key's L-bit window. */
 
-static const uint64_t K1 = 0x9E3779B97F4A7C15ULL, K2 = 0xBF58476D1CE4E5B9ULL;
-#define EXTRA (1u << 16)
 #define OFFSET_BITS 48
 #define OFFSET_MASK ((1ULL << OFFSET_BITS) - 1)
-
-static uint64_t remix(uint64_t x, uint64_t t)
-{
-    x = (x ^ t * K1) * K2;
-    return x ^ x >> 31;
-}
-
-static uint64_t mulhi(uint64_t a, uint64_t b)
-{
-    return (uint64_t)((u128)a * b >> 64);
-}
 
 /* What a query needs of a structure, checked once per call: directory is
    num_chunks + 1 little-endian words, each offset | seed << 48, and plane
@@ -441,17 +469,9 @@ static int query_key(const struct query *q, PyObject *key, uint64_t *value)
                      (unsigned long long)chunk);
         return -1;
     }
-    if (retry) {
-        s = remix(s, retry);
-        lo = remix(lo, retry);
-    }
-    uint64_t start = 1 + mulhi(s, end - offset - (L - 1));
-    uint64_t w0 = lo, w1 = L > 64 ? remix(lo, EXTRA + 1) : 0;
-    if (L < 64)
-        w0 &= (1ULL << L) - 1;
-    else if (L > 64 && L < 128)
-        w1 &= (1ULL << (L - 64)) - 1;
-    w0 |= (uint64_t)q->lead;
+    u128 pattern;
+    uint64_t start = row_of(s, lo, retry, end - offset - (L - 1), L, q->lead, &pattern);
+    uint64_t w0 = (uint64_t)pattern, w1 = (uint64_t)(pattern >> 64);
 
     /* the pattern shifted to the window's bit offset, over words wi.. */
     uint64_t bit = offset + start - 1, wi = bit >> 6, span = ((bit + L - 1) >> 6) - wi;

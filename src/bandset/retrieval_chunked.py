@@ -12,8 +12,9 @@ kind: a little-endian 64-bit word per chunk that packs the chunk's retry
 seed into the top 16 bits of its 48-bit table offset, plus a terminal
 offset, so a query resolves offset, seed, and table span with one read of
 two adjacent words. The on-disk format keeps seeds and offsets as
-separate arrays; ``ChunkDirectory.from_parts`` packs them at build and at
-load.
+separate arrays; ``ChunkDirectory.from_parts`` packs them at build, and a
+load copies the offsets' bytes and writes the seeds' bytes into the top
+two bytes of each word.
 """
 
 from __future__ import annotations
@@ -27,14 +28,7 @@ from itertools import repeat
 
 from . import retrieval_flat
 from .retrieval_flat import ConstructError, DuplicateKey, construct_flat, positions_for
-from .row_gen import (
-    MASK64,
-    chunk_and_word,
-    chunks_and_words,
-    digest_pairs,
-    key_digest,
-    row_for_words,
-)
+from .row_gen import MASK64, chunk_and_word, chunk_bounds, digest_pairs, key_digest, row_for_words
 
 __all__ = [
     "ChunkedParams",
@@ -93,7 +87,8 @@ class ChunkDirectory:
     """Per-chunk table offsets (bit positions, prefix sums with a terminal
     entry) and retry seeds, in one buffer: ``packed`` is num_chunks + 1
     little-endian 64-bit words, word k offset_k | seed_k << 48 (the
-    terminal word holds the last offset alone). Made by ``from_parts``."""
+    terminal word holds the last offset alone). Made by ``from_parts`` at
+    build and from the file's bytes by ``deserialize``."""
 
     packed: bytes
 
@@ -172,8 +167,10 @@ def construct_chunked(pairs, params: ChunkedParams, threads: int = 1) -> Chunked
     words = np.frombuffer(digests, "<u8").reshape(-1, 2)
     # The chunk (hi * num_chunks) >> 64 only grows with hi, so one sort by
     # hi gives the chunk bounds for any chunk count and puts repeated
-    # digests side by side. Order within a chunk does not matter: the
-    # planes do not depend on row order.
+    # digests side by side. Within a chunk the start word, the low 64 bits
+    # of hi * num_chunks, grows with hi too, so the first solve gets its
+    # rows in start order, which keeps its walks short; the planes do not
+    # depend on row order.
     order = np.argsort(words[:, 1])
     hi, lo, values = words[:, 1][order], words[:, 0][order], values[order]
     del digests, words
@@ -188,9 +185,8 @@ def construct_chunked(pairs, params: ChunkedParams, threads: int = 1) -> Chunked
         raise ConstructError(f"two keys share one digest in chunk "
                              f"{chunk_and_word(collided, num_chunks)[0]}; "
                              "build with another base seed")
-    chunk_of, s = chunks_and_words(hi, num_chunks)
-    bounds = np.searchsorted(chunk_of, np.arange(num_chunks + 1, dtype=np.uint64)).tolist()
-    del hi, chunk_of
+    bounds, s = chunk_bounds(hi, num_chunks)
+    del hi
 
     offsets = [0]
     for a, b in zip(bounds, bounds[1:]):
@@ -347,8 +343,13 @@ def serialize(ds: ChunkedRetrieval) -> bytes:
     flags = FLAG_FORCE_LEADING_ONE if p.force_leading_one else 0
     header = _HEADER.pack(MAGIC, VERSION, flags, p.r, p.L, p.epsilon, p.C, ds.m,
                           d.num_chunks, p.base_seed)
-    return b"".join([header, struct.pack(f"<{d.num_chunks}H", *d.seeds),
-                     struct.pack(f"<{d.num_chunks + 1}Q", *d.offsets), ds.planes])
+    # the directory words split back into the file's two arrays
+    seeds = bytearray(2 * d.num_chunks)
+    seeds[0::2] = d.packed[6:-8:8]
+    seeds[1::2] = d.packed[7:-8:8]
+    offsets = bytearray(d.packed)
+    offsets[6::8] = offsets[7::8] = bytes(d.num_chunks + 1)
+    return b"".join([header, seeds, offsets, ds.planes])
 
 
 def deserialize(data: bytes) -> ChunkedRetrieval:
@@ -378,9 +379,10 @@ def deserialize(data: bytes) -> ChunkedRetrieval:
     offsets_bytes = (num_chunks + 1) * 8
     if len(data) < pos + seeds_bytes + offsets_bytes:
         raise FormatError("truncated directory")
-    seeds = list(struct.unpack_from(f"<{num_chunks}H", data, pos))
+    seeds = bytes(data[pos : pos + seeds_bytes])
     pos += seeds_bytes
-    offsets = list(struct.unpack_from(f"<{num_chunks + 1}Q", data, pos))
+    packed = bytearray(data[pos : pos + offsets_bytes])
+    offsets = struct.unpack_from(f"<{num_chunks + 1}Q", packed)
     pos += offsets_bytes
     if offsets[0] != 0:
         raise FormatError("first offset must be zero")
@@ -398,8 +400,11 @@ def deserialize(data: bytes) -> ChunkedRetrieval:
     for end in range(pos + nwords * 8, len(data) + 1, nwords * 8):
         if int.from_bytes(data[end - 8 : end], "little") >> tail_bits:
             raise FormatError("nonzero padding bits in plane")
-    directory = ChunkDirectory.from_parts(offsets, seeds)
-    return ChunkedRetrieval(params, directory, bytes(data[pos:]), m)
+    # The offsets are below 2^48, so bytes 6 and 7 of each word are free
+    # for the seed, low byte first.
+    packed[6 : 8 * num_chunks : 8] = seeds[0::2]
+    packed[7 : 8 * num_chunks : 8] = seeds[1::2]
+    return ChunkedRetrieval(params, ChunkDirectory(bytes(packed)), bytes(data[pos:]), m)
 
 
 def overhead(ds: ChunkedRetrieval) -> float:

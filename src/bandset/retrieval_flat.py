@@ -3,13 +3,14 @@ structure, plus the construction errors. Input checks and repeated keys
 are handled before it, by ``row_gen.digest_pairs`` and
 ``construct_chunked``.
 
-Construction turns the digest words of a chunk's keys into rows, solves
-the resulting system by pivot insertion (``solve``) straight into the
-chunk's slice of the structure's bit-planes, and returns the winning
-retry. A structure with C >= m has one chunk and so solves one system
-over the whole key set. The paper's sorted elimination lives on in
-``band_solver`` as the reference that the model checks and the
-differential tests use; the build does not load it.
+Construction calls ``solve`` on a chunk's digest words once per retry
+until one solves. ``solve`` derives each key's row from them with the
+query's formula and solves the system by pivot insertion straight into
+the chunk's slice of the structure's bit-planes. A structure with C >= m
+has one chunk and so solves one system over the whole key set. The
+paper's sorted elimination lives on in ``band_solver`` as the reference
+that the model checks and the differential tests use; the build does not
+load it.
 
 This module also loads the native backend, the CPython extension module
 ``_band.c``: the pivot-insertion kernel that ``solve`` runs, the one
@@ -36,7 +37,7 @@ import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .row_gen import rows_for_words
+from .row_gen import row_for_words
 
 if TYPE_CHECKING:
     from .retrieval_chunked import ChunkedParams
@@ -154,34 +155,38 @@ def _compile(cc: str, flags: tuple[str, ...], source: Path, out: str) -> None:
         raise OSError(f"{cc} exited {done.returncode}: {done.stderr.strip()}")
 
 
-def solve(n: int, L: int, starts, words, rhs, planes: list[bytearray], offset: int) -> bool:
+def solve(n: int, L: int, lead: bool, retry: int, s, lo, rhs, planes: list[bytearray],
+          offset: int) -> bool:
     """Solve a band system into ``planes``; False when its rows are
     dependent.
 
-    Rows are parallel arrays in any order: ``starts`` (uint64, in [1, n]),
-    the L-bit patterns as ``words``, the ``ceil(L/64)`` uint64 word arrays
-    of ``rows_for_words``, lowest first (bit j is column start + j), and
-    ``rhs`` (bit t belongs to plane t; uint64, or object ints for more than
-    64 planes). Each row is inserted on the fly: it walks to its lowest 1,
-    and if a pivot row already sits in that column it XORs that row and its
+    Row i is ``row_for_words(s[i], lo[i], retry, n, L, lead)``, derived
+    here from the key's start word and low digest word (uint64 arrays, see
+    ``row_gen``), with right-hand side ``rhs[i]`` (bit t belongs to plane
+    t; uint64, or object ints for more than 64 planes). Rows are inserted
+    in the order given, each on the fly: it walks to its lowest 1, and if
+    a pivot row already sits in that column it XORs that row and its
     right-hand side in and walks on. A row that reaches 0 is dependent.
     Back-substitution then fills each plane from the highest pivot down,
     sliding one L-bit window.
 
-    ``planes`` holds one byte per bit; column s of plane t is
-    ``planes[t][offset + s - 1]``. The n + L - 1 bytes from ``offset`` on
-    must be zero on entry: only 1 bits are written, so non-pivot columns
-    stay 0. Nothing is written unless every row was inserted. Raises
-    ValueError when a start lies outside [1, n], a pattern is wider than L
-    bits or a plane is too short for the columns the rows reach, and
-    MemoryError when the pivot table cannot be allocated.
+    ``planes`` holds one byte per bit; column c of plane t is
+    ``planes[t][offset + c - 1]``. A row starts in [1, n], so none reaches
+    past column n + L - 1: when there are rows, every plane must hold
+    ``offset + n + L - 1`` bytes, and those from ``offset`` on must be
+    zero on entry. Only 1 bits are written, so non-pivot columns stay 0.
+    Nothing is written unless every row was inserted. Raises ValueError
+    when ``s``, ``lo`` and ``rhs`` differ in length, n < 1, offset < 0 or a
+    plane is too short, and MemoryError when the pivot table cannot be
+    allocated.
 
     The native module's ``solve`` (``_band.c``) runs when it loaded,
     L <= 128, there are at most 64 planes and ``rhs`` is uint64; otherwise
-    the pure-Python branch below does. Both insert the rows the same way
-    and write the same bytes. The native call takes the arrays and the
-    planes through the buffer protocol and releases the GIL while it
-    solves, so threads overlap their solves.
+    the pure-Python branch below does. Both derive the rows with the same
+    formula as the query, insert them the same way and write the same
+    bytes. The native call takes the arrays and the planes through the
+    buffer protocol and releases the GIL while it solves, so threads
+    overlap their solves.
 
     Row order cannot change the result. The pivot columns of any echelon
     basis are the columns where some vector of the row space has its
@@ -191,65 +196,51 @@ def solve(n: int, L: int, starts, words, rhs, planes: list[bytearray], offset: i
     gives the same planes, and the same verdict: some row reaches 0 iff
     the rank is below the row count.
     """
-    import numpy as np
-
-    m = len(starts)
-    if len(words) != (L + 63) >> 6 or any(len(a) != m for a in (*words, rhs)):
-        raise ValueError("need ceil(L/64) pattern word arrays and one rhs per start")
-    starts = np.ascontiguousarray(starts, np.uint64)
-    words = [np.ascontiguousarray(w, np.uint64) for w in words]
-    if m:
-        first, last = int(starts.min()), int(starts.max())
-        if first < 1 or last > n:
-            raise ValueError(f"row starts must lie in [1, {n}]")
-        if L & 63 and int(words[-1].max()) >> (L & 63):
-            raise ValueError(f"row patterns must fit in {L} bits")
-        # no row reaches past column last + L - 1
-        if offset < 0 or any(len(z) < offset + last + L - 1 for z in planes):
-            raise ValueError("planes too short for the rows' columns")
+    m = len(s)
+    if len(lo) != m or len(rhs) != m:
+        raise ValueError("need one lo word and one rhs per start word")
+    if n < 1 or offset < 0 or (m and any(len(z) < offset + n + L - 1 for z in planes)):
+        raise ValueError("planes too short for the rows' columns")
 
     kernel = _kernel()
     if (kernel is not None and L <= 128 and n < 1 << 62 and len(planes) <= 64
-            and rhs.dtype == np.uint64):
-        return kernel.solve(n, L, starts, words[0], words[1] if L > 64 else None,
-                            np.ascontiguousarray(rhs), planes, offset)
+            and rhs.dtype == "uint64"):
+        return kernel.solve(n, L, lead, retry, s, lo, rhs, planes, offset)
 
-    patterns = words[0].tolist()
-    for k in range(1, len(words)):
-        patterns = [p | w << (64 * k) for p, w in zip(patterns, words[k].tolist())]
     width = n + L - 1
     pivot_rows = [0] * (width + 1)  # by column; bit 0 of a row is its pivot
     pivot_rhs = [0] * (width + 1)
     ctz = _CTZ8
-    for s, c, b in zip(starts.tolist(), patterns, rhs.tolist()):
+    for s_word, lo_word, b in zip(s.tolist(), lo.tolist(), rhs.tolist()):
+        col, c = row_for_words(s_word, lo_word, retry, n, L, lead)
         while True:
             # walk to the lowest 1, at most 8 columns per step
             t = ctz[c & 255]
-            s += t
+            col += t
             c >>= t
             if c & 1:
-                p = pivot_rows[s]
+                p = pivot_rows[col]
                 if not p:
-                    pivot_rows[s] = c
-                    pivot_rhs[s] = b
+                    pivot_rows[col] = c
+                    pivot_rhs[col] = b
                     break
                 c ^= p
-                b ^= pivot_rhs[s]
+                b ^= pivot_rhs[col]
             elif not c:
                 return False
 
-    pivots = [s for s in range(width, 0, -1) if pivot_rows[s]]
+    pivots = [c for c in range(width, 0, -1) if pivot_rows[c]]
     mask = (1 << L) - 1
     base = offset - 1
     for t, z in enumerate(planes):
-        window = 0  # bit j is column s + j
+        window = 0  # bit j is column c + j
         prev = width
-        for s in pivots:
-            window = (window << (prev - s)) & mask
-            prev = s
-            if ((window & pivot_rows[s]).bit_count() ^ (pivot_rhs[s] >> t)) & 1:
+        for c in pivots:
+            window = (window << (prev - c)) & mask
+            prev = c
+            if ((window & pivot_rows[c]).bit_count() ^ (pivot_rhs[c] >> t)) & 1:
                 window |= 1
-                z[base + s] = 1
+                z[base + c] = 1
     return True
 
 
@@ -263,20 +254,13 @@ def construct_flat(
     words (uint64 arrays, see ``row_gen``) and values (an array), one entry
     per key, with no digest twice (``construct_chunked`` rejects two keys
     with one digest before any chunk is solved: they get one row at every
-    retry). ``planes`` are the structure's r one-byte-per-bit planes (see
-    ``solve``); the chunk's n + L - 1 columns must be zero on entry. Raises
-    RetriesExhausted naming the chunk when every retry produced a
-    dependent system.
+    retry). Each retry is one ``solve`` call on them. ``planes`` are the
+    structure's r one-byte-per-bit planes (see ``solve``); the chunk's
+    n + L - 1 columns must be zero on entry. Raises RetriesExhausted naming
+    the chunk when every retry produced a dependent system.
     """
-    import numpy as np
-
     n = positions_for(len(s), params.epsilon)
-    L, lead = params.L, params.force_leading_one
     for retry in range(params.max_retries):
-        starts, words = rows_for_words(s, lo, retry, n, L, lead)
-        # The planes do not depend on row order; start order keeps each
-        # insertion walk short.
-        order = np.argsort(starts, kind="stable")
-        if solve(n, L, starts[order], [w[order] for w in words], values[order], planes, offset):
+        if solve(n, params.L, params.force_leading_one, retry, s, lo, values, planes, offset):
             return retry
     raise RetriesExhausted(params.max_retries, chunk)

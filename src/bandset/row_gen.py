@@ -24,14 +24,17 @@ bit-exact everywhere:
 * the start is ``1 + mulhi(s, n)``, the pattern's low 64 bits are ``lo``,
   and pattern word k >= 1 (for L > 64) is ``_remix(lo, _EXTRA + k)``.
 
-The scalar functions are what a query runs on the pure-Python path; the
-``numpy`` twins (plural names) are what a build runs over a whole chunk.
-They hold the same formulas and a test checks that both give identical
-ints. A build hashes its keys in ``digest_pairs``, the one pass over its
-input that also checks every pair and keeps its value. Where the native
-module loaded (see ``retrieval_flat``), its C twins of the hash, of that
-pass and of the query's arithmetic run instead, while ``key_digest`` stays
-the fallback and the reference the tests check the C hash against.
+These scalar functions are the one Python copy of the row formula: the
+pure-Python query runs them, and so does the pure-Python branch of
+``retrieval_flat.solve``, which derives every row of a build from its
+digest words. The only array work here is the partition,
+``chunk_bounds``, which a build runs once over its sorted ``hi`` words.
+A build hashes its keys in ``digest_pairs``, the one pass over its input
+that also checks every pair and keeps its value. Where the native module
+loaded (see ``retrieval_flat``), its C twins of the hash, of that pass
+and of the row formula (one helper that its solve and its query share)
+run instead, while ``key_digest`` stays the fallback and the reference
+the tests check the C hash against.
 """
 
 from __future__ import annotations
@@ -142,6 +145,20 @@ def chunk_and_word(hi: int, num_chunks: int) -> tuple[int, int]:
     return x >> 64, x & MASK64
 
 
+def chunk_bounds(hi, num_chunks: int):
+    """``chunk_and_word`` over an ascending uint64 array ``hi``: the chunk
+    bounds, a list of num_chunks + 1 indices (chunk c is
+    ``hi[bounds[c]:bounds[c + 1]]``), and the start words as a uint64
+    array. A key is in chunk c or later iff hi >= ceil(c * 2^64 /
+    num_chunks), so one binary search per chunk finds the bounds; the
+    start words are the low 64 bits of hi * num_chunks, numpy's wrapping
+    multiply."""
+    import numpy as np
+
+    firsts = np.array([-(-(c << 64) // num_chunks) for c in range(num_chunks)], np.uint64)
+    return [*np.searchsorted(hi, firsts).tolist(), len(hi)], hi * np.uint64(num_chunks)
+
+
 def row_for_words(
     s: int, lo: int, retry: int, n: int, L: int, force_leading_one: bool
 ) -> tuple[int, int]:
@@ -157,62 +174,3 @@ def row_for_words(
     if force_leading_one:
         bits |= 1
     return start, bits
-
-
-# ---------------------------------------------------------------------------
-# numpy twins: the same formulas over uint64 arrays, for the build
-
-
-def _remix_np(x, t: int):
-    import numpy as np
-
-    x = (x ^ np.uint64((t * _K1) & MASK64)) * np.uint64(_K2)
-    return x ^ (x >> np.uint64(31))
-
-
-def _mulhi_np(a, b: int):
-    """High 64 bits of a * b for a uint64 array and an int b < 2^64, from
-    32-bit halves (numpy has no 64x64 multiply-high). The partial products
-    are formed in place, which keeps a build's peak memory down."""
-    import numpy as np
-
-    m32, s32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-    b1, b0 = np.uint64(b >> 32), np.uint64(b & 0xFFFFFFFF)
-    a1 = a >> s32
-    a0 = a & m32
-    mid = a0 * b0
-    mid >>= s32  # the carry word of a0 * b0
-    a0 *= b1
-    hi = a1 * b1
-    a1 *= b0
-    for cross in (a0, a1):
-        hi += cross >> s32
-        cross &= m32
-        mid += cross
-    mid >>= s32
-    hi += mid
-    return hi
-
-
-def chunks_and_words(hi, num_chunks: int):
-    """``chunk_and_word`` over a uint64 array: (chunks, start words)."""
-    import numpy as np
-
-    return _mulhi_np(hi, num_chunks), hi * np.uint64(num_chunks)
-
-
-def rows_for_words(s, lo, retry: int, n: int, L: int, force_leading_one: bool):
-    """``row_for_words`` over uint64 arrays: (starts, pattern words), the
-    words low first, each a uint64 array, the last one masked to L bits."""
-    import numpy as np
-
-    if retry:
-        s = _remix_np(s, retry)
-        lo = _remix_np(lo, retry)
-    starts = _mulhi_np(s, n) + np.uint64(1)
-    words = [lo] + [_remix_np(lo, _EXTRA + k) for k in range(1, (L + 63) >> 6)]
-    if L & 63:
-        words[-1] = words[-1] & np.uint64((1 << (L & 63)) - 1)
-    if force_leading_one:
-        words[0] = words[0] | np.uint64(1)
-    return starts, words

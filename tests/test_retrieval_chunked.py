@@ -284,11 +284,15 @@ def test_input_order_never_changes_serialized_output():
         assert serialize(construct_chunked(shuffled, params)) == blob
 
 
-@pytest.mark.parametrize("L", [64, 80])
-def test_backends_and_thread_counts_write_the_same_file(L):
+# L = 1 takes force_leading_one (a 1-bit pattern is otherwise 0 half the
+# time) and small, sparse chunks (its starts must all differ)
+@pytest.mark.parametrize("shape", [dict(L=64), dict(L=80), dict(L=128), dict(L=130),
+                                   dict(L=1, force_leading_one=True, epsilon=0.9, C=20)],
+                         ids=["64", "80", "128", "130", "1-lead"])
+def test_backends_and_thread_counts_write_the_same_file(shape):
     # the file is a function of the pairs and the seed alone
     pairs = make_pairs(6_000, r=3)
-    params = ChunkedParams(epsilon=0.1, L=L, r=3, C=500, base_seed=90)
+    params = ChunkedParams(**{"epsilon": 0.1, "C": 500, **shape}, r=3, base_seed=90)
     blob = serialize(construct_chunked(pairs, params))
     assert blob[4:6] == b"\x03\x00"  # format v3
     for threads in (1, 2, 4):

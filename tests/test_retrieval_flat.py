@@ -14,6 +14,7 @@ import threading
 import time
 import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -25,40 +26,56 @@ from bandset import ChunkedParams, band_solver, construct_chunked, retrieval_fla
 from bandset.band_solver import DENSE_ORACLE_MAX_COLS, dense_rank_oracle, verify
 from bandset.bitkit import BitVec
 from bandset.retrieval_flat import positions_for, solve
-from bandset.row_gen import MASK64, rows_for_words
+from bandset.row_gen import MASK64, row_for_words
 
 from conftest import HAVE_CC, bits_of, make_pairs, python_branch
 
 
-def solve_both(n: int, L: int, starts, words, rhs, planes: list[bytearray], offset: int) -> bool:
+def solve_both(n: int, L: int, lead: bool, retry: int, s, lo, rhs, planes: list[bytearray],
+               offset: int) -> bool:
     """``solve`` on the pure-Python branch into a copy of ``planes``, then
     on the default backend (the C kernel where ``cc`` is present) into
     ``planes``: both must give the same verdict and the same bytes."""
     copies = [bytearray(z) for z in planes]
     with python_branch():
-        want = solve(n, L, starts, words, rhs, copies, offset)
+        want = solve(n, L, lead, retry, s, lo, rhs, copies, offset)
     assert (retrieval_flat._kernel() is not None) == HAVE_CC
-    got = solve(n, L, starts, words, rhs, planes, offset)
+    got = solve(n, L, lead, retry, s, lo, rhs, planes, offset)
     assert got == want and planes == copies
     return got
 
 
-def random_rows(rnd: random.Random, n: int, L: int, r: int) -> list[tuple[int, int, int]]:
-    """Start-sorted (start, pattern, rhs) rows at a random load, with start
-    ties, and in some systems zero patterns and duplicate rows."""
+class System(NamedTuple):
+    """A band system as ``solve`` takes it: n, lead and retry, and one
+    (s, lo, rhs) triple of digest words and right-hand side per row."""
+
+    n: int
+    lead: bool
+    retry: int
+    words: list[tuple[int, int, int]]
+
+
+def random_system(rnd: random.Random, r: int) -> System:
+    """Random digest words at a random load, retry in 0-3 and lead on or
+    off; in some systems a digest pair repeats, which repeats its row."""
+    n = rnd.randint(1, 40)
     m = rnd.randint(0, n + 2)
-    defects = rnd.choice([0.0, 0.0, 0.03, 0.2])
-    rows = []
+    repeats = rnd.choice([0.0, 0.0, 0.03, 0.2])
+    words = []
     for _ in range(m):
-        roll = rnd.random()
-        if rows and roll < defects / 2:
-            rows.append(rnd.choice(rows))
-        elif roll < defects:
-            rows.append((rnd.randint(1, n), 0, rnd.getrandbits(r)))
+        if words and rnd.random() < repeats:
+            s, lo, _ = rnd.choice(words)
         else:
-            rows.append((rnd.randint(1, n), rnd.getrandbits(L), rnd.getrandbits(r)))
-    rows.sort(key=lambda row: row[0])
-    return rows
+            s, lo = rnd.getrandbits(64), rnd.getrandbits(64)
+        words.append((s, lo, rnd.getrandbits(r)))
+    return System(n, rnd.random() < 0.5, rnd.randrange(4), words)
+
+
+def rows_of(L: int, sys_: System) -> list[tuple[int, int, int]]:
+    """The start-sorted (start, pattern, rhs) rows of ``sys_``, each from
+    the scalar ``row_for_words``."""
+    rows = [(*row_for_words(s, lo, sys_.retry, sys_.n, L, sys_.lead), b) for s, lo, b in sys_.words]
+    return sorted(rows, key=lambda row: row[0])
 
 
 def columns(rows) -> tuple[list[int], list[int], list[int]]:
@@ -66,30 +83,27 @@ def columns(rows) -> tuple[list[int], list[int], list[int]]:
     return [s for s, _, _ in rows], [p for _, p, _ in rows], [b for _, _, b in rows]
 
 
-def arrays(rows, L: int, r: int):
-    """``solve``'s inputs for (start, pattern, rhs) rows: the uint64 starts,
-    the ceil(L/64) uint64 pattern words, and the right-hand sides (uint64,
-    or object ints for r > 64)."""
-    starts, patterns, rhs = columns(rows)
-    words = [np.array([p >> (64 * k) & MASK64 for p in patterns], np.uint64)
-             for k in range((L + 63) >> 6)]
-    return (np.array(starts, np.uint64), words,
+def arrays(words, r: int):
+    """``solve``'s arrays for (s, lo, rhs) triples: uint64 ``s`` and ``lo``,
+    and the right-hand sides (uint64, or object ints for r > 64)."""
+    s, lo, rhs = columns(words)
+    return (np.array(s, np.uint64), np.array(lo, np.uint64),
             np.array(rhs, np.uint64 if r <= 64 else object))
 
 
-def solve_rows(n: int, L: int, r: int, rows) -> list[BitVec] | None:
+def solve_rows(L: int, r: int, sys_: System) -> list[BitVec] | None:
     """``solve`` into fresh one-byte-per-bit buffers, packed into the r
     BitVec planes that ``band_solver.solve`` returns; None when dependent."""
-    width = n + L - 1
+    width = sys_.n + L - 1
     planes = [bytearray((width + 63) & ~63) for _ in range(r)]
-    if not solve_both(n, L, *arrays(rows, L, r), planes, 0):
+    if not solve_both(sys_.n, L, sys_.lead, sys_.retry, *arrays(sys_.words, r), planes, 0):
         return None
     return [BitVec(width, np.packbits(z, bitorder="little").view("<u8").tolist())
             for z in planes]
 
 
-def reference_rows(n: int, L: int, r: int, rows) -> list[BitVec] | None:
-    return band_solver.solve(n, L, r, *columns(rows))
+def reference_rows(L: int, r: int, sys_: System) -> list[BitVec] | None:
+    return band_solver.solve(sys_.n, L, r, *columns(rows_of(L, sys_)))
 
 
 @pytest.mark.parametrize("r", [1, 3, 8, 64, 65])
@@ -98,10 +112,9 @@ def test_solve_matches_sorted_elimination(L, r):
     rnd = random.Random(1000 * L + r)
     solved = failed = 0
     for _ in range(100):
-        n = rnd.randint(1, 40)
-        rows = random_rows(rnd, n, L, r)
-        want = reference_rows(n, L, r, rows)
-        got = solve_rows(n, L, r, rows)
+        sys_ = random_system(rnd, r)
+        want = reference_rows(L, r, sys_)
+        got = solve_rows(L, r, sys_)
         if want is None:
             assert got is None
             failed += 1
@@ -116,13 +129,12 @@ def test_row_order_does_not_change_the_planes(L, r):
     rnd = random.Random(L * r)
     solved = 0
     for _ in range(100):
-        n = rnd.randint(1, 40)
-        rows = random_rows(rnd, n, L, r)
-        want = solve_rows(n, L, r, rows)
-        shuffled = list(rows)
+        sys_ = random_system(rnd, r)
+        want = solve_rows(L, r, sys_)
+        shuffled = list(sys_.words)
         rnd.shuffle(shuffled)
-        assert solve_rows(n, L, r, shuffled) == want
-        assert solve_rows(n, L, r, rows[::-1]) == want
+        assert solve_rows(L, r, sys_._replace(words=shuffled)) == want
+        assert solve_rows(L, r, sys_._replace(words=sys_.words[::-1])) == want
         solved += want is not None
     assert solved >= 10
 
@@ -135,19 +147,19 @@ def test_solve_writes_only_its_slice(L, r):
     rnd = random.Random(7 * L + r)
     solved = failed = 0
     for _ in range(100):
-        n = rnd.randint(1, 40)
-        rows = random_rows(rnd, n, L, r)
-        width = n + L - 1
+        sys_ = random_system(rnd, r)
+        width = sys_.n + L - 1
         offset = rnd.randint(1, 100)
         end = offset + width
         size = end + rnd.randint(0, 100)
         before = [bytearray(rnd.randbytes(size)) for _ in range(r)]
-        want = reference_rows(n, L, r, rows)
+        want = reference_rows(L, r, sys_)
         if want is not None:
             for z in before:
                 z[offset:end] = bytes(width)
         planes = [bytearray(z) for z in before]
-        assert solve_both(n, L, *arrays(rows, L, r), planes, offset) == (want is not None)
+        got = solve_both(sys_.n, L, sys_.lead, sys_.retry, *arrays(sys_.words, r), planes, offset)
+        assert got == (want is not None)
         if want is None:
             assert planes == before
             failed += 1
@@ -161,29 +173,31 @@ def test_solve_writes_only_its_slice(L, r):
 
 def test_solve_leaves_its_inputs_alone():
     rnd = random.Random(5)
-    starts, words, rhs = arrays(random_rows(rnd, 30, 16, 2), 16, 2)
-    copies = (starts.copy(), words[0].copy(), rhs.copy())
-    solve_both(30, 16, starts, words, rhs, [bytearray(45), bytearray(45)], 0)
-    for got, want in zip((starts, words[0], rhs), copies):
+    sys_ = random_system(rnd, 2)
+    s, lo, rhs = arrays(sys_.words, 2)
+    copies = (s.copy(), lo.copy(), rhs.copy())
+    size = sys_.n + 15
+    solve_both(sys_.n, 16, sys_.lead, 1, s, lo, rhs, [bytearray(size), bytearray(size)], 0)
+    for got, want in zip((s, lo, rhs), copies):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("L,r", [(64, 8), (128, 3)])
+@pytest.mark.parametrize("L,r", [(64, 8), (80, 2), (128, 3)])
 def test_chunk_sized_system_matches_sorted_elimination(L, r, backend):
     # a build's chunk: 10k keys at eps 3%, retried until it solves (at
-    # L = 64 about half of first tries fail); every attempt agrees
+    # L = 64 about half of first tries fail); every attempt agrees. Its
+    # walks are long enough to reach the top bits of a pattern, where
+    # L = 80 masks the second pattern word; the small systems above are not
     rnd = np.random.default_rng(L + r)
     m = 10_000
     s, lo = (rnd.integers(0, 1 << 64, m, dtype=np.uint64) for _ in range(2))
     rhs = rnd.integers(0, 1 << r, m, dtype=np.uint64)
     n = positions_for(m, 0.03)
     for retry in range(8):
-        starts, words = rows_for_words(s, lo, retry, n, L, False)
         planes = [bytearray(n + L - 1) for _ in range(r)]
-        got = solve(n, L, starts, words, rhs, planes, 0)
-        patterns = [sum(int(w[i]) << (64 * k) for k, w in enumerate(words)) for i in range(m)]
-        rows = sorted(zip(starts.tolist(), patterns, rhs.tolist()), key=lambda row: row[0])
-        want = reference_rows(n, L, r, rows)
+        got = solve(n, L, False, retry, s, lo, rhs, planes, 0)
+        sys_ = System(n, False, retry, list(zip(s.tolist(), lo.tolist(), rhs.tolist())))
+        want = reference_rows(L, r, sys_)
         assert got == (want is not None)
         if got:
             assert [list(z) for z in planes] == [bits_of(plane) for plane in want]
@@ -197,52 +211,41 @@ def test_failed_allocation_raises_memory_error(backend):
     # as a dependent system (a build would burn every retry on it)
     empty = np.zeros(0, np.uint64)
     with pytest.raises(MemoryError):
-        solve(1 << 59, 64, empty, [empty], empty, [bytearray(64)], 0)
+        solve(1 << 59, 64, False, 0, empty, empty, empty, [bytearray(64)], 0)
 
 
-@pytest.mark.parametrize("bad", ["start 0", "start n + 1", "wide pattern", "short plane",
-                                 "missing word"])
+def _two_rows(bad: str):
+    """Two rows with pivots at column 1 and column n (s = 0 and
+    s = 2^64 - 1 give the first and the last start; bit 0 of lo puts each
+    pivot at its start), with ``lo`` or ``rhs`` a row short when ``bad``
+    says so."""
+    s, lo, rhs = arrays([(0, 1, 1), (MASK64, 3, 0)], 1)
+    if bad == "short lo":
+        lo = lo[:1]
+    elif bad == "short rhs":
+        rhs = rhs[:1]
+    return s, lo, rhs
+
+
+@pytest.mark.parametrize("bad", ["short plane", "short lo", "short rhs"])
 def test_solve_rejects_rows_outside_its_table(bad, backend):
     n, L = 20, 40
-    starts, words, rhs = arrays([(1, 1, 1), (20, 3, 0)], L, 1)
-    size = n + L - 1
-    if bad == "start 0":
-        starts[0] = 0
-    elif bad == "start n + 1":
-        starts[1] = n + 1
-    elif bad == "wide pattern":
-        words[0][1] = 1 << L
-    elif bad == "short plane":
-        size -= 1
-    else:
-        words = []
+    size = n + L - 1 - (bad == "short plane")
     planes = [bytearray(size)]
     with pytest.raises(ValueError):
-        solve(n, L, starts, words, rhs, planes, 0)
+        solve(n, L, False, 0, *_two_rows(bad), planes, 0)
     assert planes == [bytearray(size)]
 
 
-@pytest.mark.parametrize("bad", ["start 0", "start n + 1", "short plane", "missing high words",
-                                 "short rhs"])
+@pytest.mark.parametrize("bad", ["short plane", "short lo", "short rhs"])
 def test_native_solve_checks_its_own_bounds(bad, native):
     # the module function is callable without solve's checks in front of
     # it; it must still write nothing outside its buffers
     n, L = 20, 100
-    starts, words, rhs = arrays([(1, 1, 1), (20, 3, 0)], L, 1)
-    size = n + L - 1
-    if bad == "start 0":
-        starts[0] = 0
-    elif bad == "start n + 1":
-        starts[1] = n + 1
-    elif bad == "short plane":
-        size = 19  # the highest pivot is column 20
-    elif bad == "missing high words":
-        words[1] = None
-    else:
-        rhs = rhs[:1]
+    size = 19 if bad == "short plane" else n + L - 1  # the highest pivot is column 20
     planes = [bytearray(size)]
     with pytest.raises(ValueError):
-        native.solve(n, L, starts, words[0], words[1], rhs, planes, 0)
+        native.solve(n, L, False, 0, *_two_rows(bad), planes, 0)
     assert planes == [bytearray(size)]
 
 
@@ -250,22 +253,22 @@ def test_native_solve_checks_its_own_bounds(bad, native):
 def _small_systems(draw):
     L = draw(st.integers(1, 16))
     n = draw(st.integers(1, DENSE_ORACLE_MAX_COLS - L + 1))
-    rows = draw(st.lists(st.tuples(st.integers(1, n), st.integers(0, (1 << L) - 1),
-                                   st.integers(0, 1)), max_size=n + 2))
-    return n, L, rows
+    words = draw(st.lists(st.tuples(st.integers(0, MASK64), st.integers(0, MASK64),
+                                    st.integers(0, 1)), max_size=n + 2))
+    return L, System(n, draw(st.booleans()), draw(st.integers(0, 3)), words)
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(_small_systems())
 def test_solve_fails_exactly_below_full_rank(system):
     # the rows in the order drawn, unsorted
-    n, L, rows = system
-    starts, patterns, rhs = columns(rows)
-    planes = solve_rows(n, L, 1, rows)
-    full_rank = dense_rank_oracle(n, L, starts, patterns) == len(rows)
+    L, sys_ = system
+    starts, patterns, rhs = columns(rows_of(L, sys_))
+    planes = solve_rows(L, 1, sys_)
+    full_rank = dense_rank_oracle(sys_.n, L, starts, patterns) == len(sys_.words)
     assert (planes is not None) == full_rank
     if planes is not None:
-        assert verify(n, L, starts, patterns, rhs, planes)
+        assert verify(sys_.n, L, starts, patterns, rhs, planes)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,9 @@ from bandset.retrieval_flat import DuplicateKey
 from bandset.row_gen import (
     MASK64,
     chunk_and_word,
-    chunks_and_words,
+    chunk_bounds,
     digest_pairs,
     key_digest,
-    row_for_words,
-    rows_for_words,
 )
 
 from conftest import chunk_for_key, make_pairs, python_branch, row_for_key
@@ -147,32 +145,16 @@ def _digest_words(seed: int, count: int) -> list[int]:
     return [0, 1, MASK64, MASK64 - 1, 1 << 63] + [rnd.getrandbits(64) for _ in range(count)]
 
 
-@pytest.mark.parametrize("num_chunks", [1, 2, 3, 10_000, (1 << 32) - 1, MASK64])
+@pytest.mark.parametrize("num_chunks", [1, 2, 3, 7, 10_000, 65_537])
 def test_numpy_chunks_equal_scalar_chunks(num_chunks):
-    his = _digest_words(num_chunks, 500)
-    chunks, words = chunks_and_words(np.array(his, dtype=np.uint64), num_chunks)
-    assert list(zip(chunks.tolist(), words.tolist())) == [
-        chunk_and_word(hi, num_chunks) for hi in his
-    ]
-
-
-@pytest.mark.parametrize("force_leading_one", [False, True])
-@pytest.mark.parametrize("L", [1, 63, 64, 65, 80, 130])
-def test_numpy_rows_equal_scalar_rows(L, force_leading_one):
-    s_list = _digest_words(L, 300)
-    lo_list = list(reversed(_digest_words(L + 1, 300)))
-    s, lo = np.array(s_list, dtype=np.uint64), np.array(lo_list, dtype=np.uint64)
-    for n in (1, 2, 10_527, (1 << 32) - 1, (1 << 47) + 3):
-        for retry in range(4):
-            starts, words = rows_for_words(s, lo, retry, n, L, force_leading_one)
-            assert len(words) == (L + 63) // 64
-            patterns = [0] * len(s_list)
-            for k, word in enumerate(words):
-                patterns = [p | w << (64 * k) for p, w in zip(patterns, word.tolist())]
-            want = [row_for_words(a, b, retry, n, L, force_leading_one)
-                    for a, b in zip(s_list, lo_list)]
-            assert list(zip(starts.tolist(), patterns)) == want
-            assert all(1 <= start <= n for start, _ in want)
+    # the first word of each chunk, ceil(c * 2^64 / num_chunks), and the
+    # word below it, the last of chunk c - 1
+    firsts = [-(-(c << 64) // num_chunks) for c in range(num_chunks)]
+    his = sorted(_digest_words(num_chunks, 500) + firsts + [w - 1 for w in firsts[1:]])
+    bounds, words = chunk_bounds(np.array(his, dtype=np.uint64), num_chunks)
+    assert len(bounds) == num_chunks + 1 and bounds[0] == 0 and bounds[-1] == len(his)
+    chunks = [c for c in range(num_chunks) for _ in range(bounds[c + 1] - bounds[c])]
+    assert list(zip(chunks, words.tolist())) == [chunk_and_word(hi, num_chunks) for hi in his]
 
 
 def test_build_hashes_each_key_once_and_query_once(hash_spy):
