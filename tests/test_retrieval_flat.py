@@ -237,16 +237,20 @@ def test_solve_rejects_rows_outside_its_table(bad, backend):
     assert planes == [bytearray(size)]
 
 
-@pytest.mark.parametrize("bad", ["short plane", "short lo", "short rhs"])
+@pytest.mark.parametrize(
+    "bad", ["short plane", "short lo", "short rhs", "negative offset", "65 planes"]
+)
 def test_native_solve_checks_its_own_bounds(bad, native):
     # the module function is callable without solve's checks in front of
-    # it; it must still write nothing outside its buffers
+    # it; it must still write nothing outside its buffers (it holds at most
+    # 64 plane views)
     n, L = 20, 100
     size = 19 if bad == "short plane" else n + L - 1  # the highest pivot is column 20
-    planes = [bytearray(size)]
+    planes = [bytearray(size) for _ in range(65 if bad == "65 planes" else 1)]
+    offset = -1 if bad == "negative offset" else 0
     with pytest.raises(ValueError):
-        native.solve(n, L, False, 0, *_two_rows(bad), planes, 0)
-    assert planes == [bytearray(size)]
+        native.solve(n, L, False, 0, *_two_rows(bad), planes, offset)
+    assert planes == [bytearray(size)] * len(planes)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from bandset.row_gen import (
     chunk_bounds,
     digest_pairs,
     key_digest,
+    row_for_words,
 )
 
 from conftest import chunk_for_key, make_pairs, python_branch, row_for_key
@@ -155,6 +157,37 @@ def test_numpy_chunks_equal_scalar_chunks(num_chunks):
     assert len(bounds) == num_chunks + 1 and bounds[0] == 0 and bounds[-1] == len(his)
     chunks = [c for c in range(num_chunks) for _ in range(bounds[c + 1] - bounds[c])]
     assert list(zip(chunks, words.tolist())) == [chunk_and_word(hi, num_chunks) for hi in his]
+
+
+@pytest.mark.parametrize("force_leading_one", [False, True])
+@pytest.mark.parametrize("L", [1, 63, 64, 65, 80, 128])
+def test_native_rows_equal_scalar_rows(L, force_leading_one, native):
+    # The C row formula is reached through the native query: one chunk at
+    # an odd bit offset, its retry in the directory word, and 64 random
+    # planes, so each answer is 64 parities of the key's row against the
+    # planes. A wrong start or pattern bit flips each parity with
+    # probability 1/2.
+    keys = [b"row-%d" % i for i in range(300)]
+    digests = [key_digest(key, SEED) for key in keys]
+    rnd = random.Random(L)
+    offset = 3
+    for n in (1, 2, 10_527, (1 << 16) + 3):
+        nwords = (offset + n + L + 63) // 64
+        planes = [rnd.randbytes(8 * nwords) for _ in range(64)]
+        for retry in range(4):
+            directory = struct.pack("<2Q", offset | retry << 48, offset + n + L - 1)
+            want = []
+            for hi, lo in digests:
+                start, pattern = row_for_words(hi, lo, retry, n, L, force_leading_one)
+                assert 1 <= start <= n
+                bit = offset + start - 1
+                value = 0
+                for t, plane in enumerate(planes):
+                    window = int.from_bytes(plane[bit // 8:(bit + L) // 8 + 1], "little")
+                    value |= (((window >> bit % 8) & pattern).bit_count() & 1) << t
+                want.append(value)
+            args = SEED, L, 64, force_leading_one, directory, b"".join(planes)
+            assert native.query_many(*args, keys) == want
 
 
 def test_build_hashes_each_key_once_and_query_once(hash_spy):
