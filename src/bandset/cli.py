@@ -159,11 +159,15 @@ def synthetic_pairs(m: int, r: int, seed: int) -> list[tuple[bytes, int]]:
     ]
 
 
-def _build_report(ds: ChunkedRetrieval, construct_seconds: float) -> dict:
-    """What `build` reports: size, parameters, overhead and build time per
-    key (both None when empty) and the per-chunk retry histogram."""
+def _build(pairs, params: ChunkedParams, threads: int) -> tuple[ChunkedRetrieval, dict]:
+    """The structure of ``pairs`` and what `build` reports of it: size,
+    parameters, overhead and build time per key (both None when empty) and
+    the per-chunk retry histogram."""
+    t0 = time.perf_counter()
+    ds = construct_chunked(pairs, params, threads=threads)
+    construct_seconds = time.perf_counter() - t0
     hist = Counter(ds.directory.seeds)
-    return {
+    return ds, {
         "m": ds.m,
         "params": _params_dict(ds.params),
         "overhead": overhead(ds) if ds.m else None,
@@ -177,14 +181,11 @@ def cmd_build(
     binary_keys: bool = False,
 ) -> int:
     reader = read_binary_pairs if binary_keys else read_tsv_pairs
-    pairs = reader(input_path, params.r)
-    t0 = time.perf_counter()
-    ds = construct_chunked(pairs, params, threads=threads)
-    construct_seconds = time.perf_counter() - t0
+    ds, report = _build(reader(input_path, params.r), params, threads)
     blob = serialize(ds)  # before the output is opened, which truncates it
     with open(output_path, "wb") as fh:
         fh.write(blob)
-    print(json.dumps(_build_report(ds, construct_seconds), sort_keys=True))
+    print(json.dumps(report, sort_keys=True))
     return EXIT_OK
 
 
@@ -216,10 +217,7 @@ def cmd_bench(m: int, params: ChunkedParams, seed: int, threads: int = 1) -> int
     """The build report of a synthetic build plus the time of one query
     per key (None when empty)."""
     pairs = synthetic_pairs(m, params.r, seed)
-    t0 = time.perf_counter()
-    ds = construct_chunked(pairs, params, threads=threads)
-    construct_seconds = time.perf_counter() - t0
-    report = _build_report(ds, construct_seconds)
+    ds, report = _build(pairs, params, threads)
     t0 = time.perf_counter()
     for key, _ in pairs:
         query_chunked(ds, key)

@@ -1,20 +1,19 @@
 """Partitioned retrieval: first-level hash to chunks, one band system per
-chunk, concatenated bit-planes plus an offsets/seeds directory. With C >= m
-there is one chunk, which is the unpartitioned structure.
+chunk, concatenated bit-planes plus a directory of table offsets and retry
+seeds. With C >= m there is one chunk, which is the unpartitioned
+structure.
 
 Every chunk's table size follows from its key count, so the offsets are
 fixed before any chunk is solved. Each chunk then solves straight into its
 slice of one buffer of all the planes (optionally on a thread pool; the
 slices are disjoint), so the output is a pure function of the key/value set
 and the base seed. The planes stay in the file's form, packed little-endian
-words, in memory too. The in-memory directory is one buffer of the same
-kind: a little-endian 64-bit word per chunk that packs the chunk's retry
-seed into the top 16 bits of its 48-bit table offset, plus a terminal
-offset, so a query resolves offset, seed, and table span with one read of
-two adjacent words. The on-disk format keeps seeds and offsets as
-separate arrays; ``ChunkDirectory.from_parts`` packs them at build, and a
-load copies the offsets' bytes and writes the seeds' bytes into the top
-two bytes of each word.
+words, in memory too. The directory is one buffer of the same kind: a
+little-endian 64-bit word per chunk that packs the chunk's retry seed into
+the top 16 bits of its 48-bit table offset, plus a terminal offset, so a
+query resolves offset, seed, and table span with one read of two adjacent
+words. The file holds both buffers as they are, after its header, so
+``serialize`` joins them and ``deserialize`` checks and slices.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat
+from itertools import accumulate, repeat
 
 from . import retrieval_flat
 from .retrieval_flat import ConstructError, DuplicateKey, construct_flat, positions_for
@@ -44,7 +43,7 @@ __all__ = [
 ]
 
 MAGIC = b"BSET"
-VERSION = 3
+VERSION = 4
 FLAG_FORCE_LEADING_ONE = 1
 _HEADER = struct.Struct("<4sHHHHdQQQQ")
 HEADER_BYTES = _HEADER.size  # 52
@@ -87,20 +86,10 @@ class ChunkDirectory:
     """Per-chunk table offsets (bit positions, prefix sums with a terminal
     entry) and retry seeds, in one buffer: ``packed`` is num_chunks + 1
     little-endian 64-bit words, word k offset_k | seed_k << 48 (the
-    terminal word holds the last offset alone). Made by ``from_parts`` at
-    build and from the file's bytes by ``deserialize``."""
+    terminal word holds the last offset alone). The file's directory
+    section is these bytes."""
 
     packed: bytes
-
-    @classmethod
-    def from_parts(cls, offsets: list[int], seeds: list[int]) -> "ChunkDirectory":
-        num_chunks = len(seeds)
-        if len(offsets) != num_chunks + 1:
-            raise ValueError("need one more offset than seeds")
-        if offsets[-1] > _OFFSET_MASK:
-            raise ValueError("table too large for 48-bit offsets")
-        words = [offset | seed << _OFFSET_BITS for offset, seed in zip(offsets, seeds)]
-        return cls(struct.pack(f"<{num_chunks + 1}Q", *words, offsets[-1]))
 
     def _words(self) -> tuple[int, ...]:
         return struct.unpack(f"<{len(self.packed) // 8}Q", self.packed)
@@ -188,24 +177,27 @@ def construct_chunked(pairs, params: ChunkedParams, threads: int = 1) -> Chunked
     bounds, s = chunk_bounds(hi, num_chunks)
     del hi
 
-    offsets = [0]
-    for a, b in zip(bounds, bounds[1:]):
-        offsets.append(offsets[-1] + positions_for(b - a, params.epsilon) + params.L - 1)
-    ChunkDirectory.from_parts(offsets, [0] * num_chunks)  # an oversized table fails here
+    sizes = (positions_for(b - a, params.epsilon) + params.L - 1
+             for a, b in zip(bounds, bounds[1:]))
+    offsets = list(accumulate(sizes, initial=0))
+    if offsets[-1] > _OFFSET_MASK:
+        raise ValueError("table too large for 48-bit offsets")
     # One byte per bit, each plane rounded up to whole words, so one packing
     # gives the file's planes.
     stride = (offsets[-1] + 63) & ~63
     buffer = bytearray(params.r * stride)
     planes = [memoryview(buffer)[t * stride : (t + 1) * stride] for t in range(params.r)]
     parts = [(s[a:b], lo[a:b], values[a:b]) for a, b in zip(bounds, bounds[1:])]
-    args = (*zip(*parts), repeat(params), repeat(planes), offsets[:-1], range(num_chunks))
+    args = (*zip(*parts), repeat(params), repeat(planes), offsets[:-1], offsets[1:],
+            range(num_chunks))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             retries = list(pool.map(construct_flat, *args))
     else:
         retries = list(map(construct_flat, *args))
 
-    directory = ChunkDirectory.from_parts(offsets, retries)
+    words = [offset | retry << _OFFSET_BITS for offset, retry in zip(offsets, retries)]
+    directory = ChunkDirectory(struct.pack(f"<{num_chunks + 1}Q", *words, offsets[-1]))
     planes = np.packbits(np.frombuffer(buffer, np.uint8), bitorder="little").tobytes()
     return ChunkedRetrieval(params, directory, planes, m)
 
@@ -333,23 +325,16 @@ def query_many(ds: ChunkedRetrieval, keys) -> list[int]:
     lookup = ds._lookup or _bind(ds)
     if lookup.func is _query_words:
         return list(map(lookup, keys))
-    # a native lookup was bound from the loaded module, which _kernel_loaded holds
-    return retrieval_flat._kernel_loaded[0].query_many(*lookup.args, keys)
+    return lookup.func.__self__.query_many(*lookup.args, keys)  # the native module
 
 
 def serialize(ds: ChunkedRetrieval) -> bytes:
-    """The file: header, retry seeds, offsets, then ``ds.planes`` as they are."""
+    """The file: header, then ``ds.directory.packed`` and ``ds.planes`` as they are."""
     p, d = ds.params, ds.directory
     flags = FLAG_FORCE_LEADING_ONE if p.force_leading_one else 0
     header = _HEADER.pack(MAGIC, VERSION, flags, p.r, p.L, p.epsilon, p.C, ds.m,
                           d.num_chunks, p.base_seed)
-    # the directory words split back into the file's two arrays
-    seeds = bytearray(2 * d.num_chunks)
-    seeds[0::2] = d.packed[6:-8:8]
-    seeds[1::2] = d.packed[7:-8:8]
-    offsets = bytearray(d.packed)
-    offsets[6::8] = offsets[7::8] = bytes(d.num_chunks + 1)
-    return b"".join([header, seeds, offsets, ds.planes])
+    return b"".join([header, d.packed, ds.planes])
 
 
 def deserialize(data: bytes) -> ChunkedRetrieval:
@@ -374,25 +359,20 @@ def deserialize(data: bytes) -> ChunkedRetrieval:
     if num_chunks != num_chunks_for(m, C):
         raise FormatError("chunk count inconsistent with m and C")
 
-    pos = HEADER_BYTES
-    seeds_bytes = num_chunks * 2
-    offsets_bytes = (num_chunks + 1) * 8
-    if len(data) < pos + seeds_bytes + offsets_bytes:
+    pos = HEADER_BYTES + (num_chunks + 1) * 8
+    if len(data) < pos:
         raise FormatError("truncated directory")
-    seeds = bytes(data[pos : pos + seeds_bytes])
-    pos += seeds_bytes
-    packed = bytearray(data[pos : pos + offsets_bytes])
-    offsets = struct.unpack_from(f"<{num_chunks + 1}Q", packed)
-    pos += offsets_bytes
+    words = struct.unpack_from(f"<{num_chunks + 1}Q", data, HEADER_BYTES)
+    plane_bits = words[-1]
+    if plane_bits > _OFFSET_MASK:
+        raise FormatError("terminal directory word has bits above 48")
+    offsets = [w & _OFFSET_MASK for w in words]
     if offsets[0] != 0:
         raise FormatError("first offset must be zero")
     for a, b in zip(offsets, offsets[1:]):
         if b - a < L:
             raise FormatError("chunk table shorter than one block")
-    if offsets[-1] > _OFFSET_MASK:
-        raise FormatError("table too large for 48-bit offsets")
 
-    plane_bits = offsets[-1]
     nwords = (plane_bits + 63) // 64
     if len(data) != pos + r * nwords * 8:
         raise FormatError("plane payload length mismatch")
@@ -400,21 +380,17 @@ def deserialize(data: bytes) -> ChunkedRetrieval:
     for end in range(pos + nwords * 8, len(data) + 1, nwords * 8):
         if int.from_bytes(data[end - 8 : end], "little") >> tail_bits:
             raise FormatError("nonzero padding bits in plane")
-    # The offsets are below 2^48, so bytes 6 and 7 of each word are free
-    # for the seed, low byte first.
-    packed[6 : 8 * num_chunks : 8] = seeds[0::2]
-    packed[7 : 8 * num_chunks : 8] = seeds[1::2]
-    return ChunkedRetrieval(params, ChunkDirectory(bytes(packed)), bytes(data[pos:]), m)
+    return ChunkedRetrieval(params, ChunkDirectory(bytes(data[HEADER_BYTES:pos])),
+                            bytes(data[pos:]), m)
 
 
 def overhead(ds: ChunkedRetrieval) -> float:
     """Stored bits per key-bit beyond the information minimum, N/(m r) - 1.
 
-    Counts the solution planes plus the offsets and seeds directory; the
-    fixed-size header is excluded.
+    Counts the solution planes plus the directory, one 64-bit word per
+    chunk and the terminal word; the fixed-size header is excluded.
     """
     if ds.m == 0:
         raise ValueError("overhead undefined for empty structure")
-    num_chunks = ds.directory.num_chunks
-    bits = ds.params.r * ds.plane_bits + 64 * (num_chunks + 1) + 16 * num_chunks
+    bits = ds.params.r * ds.plane_bits + 8 * len(ds.directory.packed)
     return bits / (ds.m * ds.params.r) - 1.0

@@ -245,21 +245,24 @@ def solve(n: int, L: int, lead: bool, retry: int, s, lo, rhs, planes: list[bytea
 
 
 def construct_flat(
-    s, lo, values, params: ChunkedParams, planes: list[bytearray], offset: int, chunk: int
+    s, lo, values, params: ChunkedParams, planes: list[bytearray], offset: int, end: int,
+    chunk: int,
 ) -> int:
-    """Solve chunk ``chunk`` into ``planes`` from bit ``offset`` on: retry
-    seeds until its band system solves, and return the winning retry.
+    """Solve chunk ``chunk`` into bits ``offset`` to ``end`` of ``planes``:
+    retry seeds until its band system solves, and return the winning retry.
 
     ``s``, ``lo`` and ``values`` are the chunk's start words, low digest
     words (uint64 arrays, see ``row_gen``) and values (an array), one entry
     per key, with no digest twice (``construct_chunked`` rejects two keys
     with one digest before any chunk is solved: they get one row at every
-    retry). Each retry is one ``solve`` call on them. ``planes`` are the
-    structure's r one-byte-per-bit planes (see ``solve``); the chunk's
-    n + L - 1 columns must be zero on entry. Raises RetriesExhausted naming
-    the chunk when every retry produced a dependent system.
+    retry). Each retry is one ``solve`` call on them, with the chunk's n
+    taken from its bits as the query takes it, end - offset - (L - 1).
+    ``planes`` are the structure's r one-byte-per-bit planes (see
+    ``solve``); the chunk's bits must be zero on entry. Raises
+    RetriesExhausted naming the chunk when every retry produced a
+    dependent system.
     """
-    n = positions_for(len(s), params.epsilon)
+    n = end - offset - (params.L - 1)
     for retry in range(params.max_retries):
         if solve(n, params.L, params.force_leading_one, retry, s, lo, values, planes, offset):
             return retry

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 import bandset
 from bandset import retrieval_flat
+from bandset.retrieval_chunked import HEADER_BYTES, VERSION
 
 from conftest import HAVE_CC
 
@@ -39,6 +41,14 @@ def test_all_names_unique_and_resolvable():
 
 def test_root_is_the_retrieval_api():
     assert sorted(bandset.__all__) == sorted(RETRIEVAL_API)
+
+
+def test_readme_file_format_names_the_current_version_and_header_size():
+    # a format change that leaves the documented format behind fails here
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## File format\n", 1)[1].split("\n## ", 1)[0]
+    assert f"Header ({HEADER_BYTES} bytes)" in section
+    assert re.search(rf"^\| version +\| u16 +\| {VERSION} +\|$", section, re.MULTILINE)
 
 
 def _loaded_by(code: str, names: tuple[str, ...]) -> list[str]:

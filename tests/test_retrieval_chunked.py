@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from bandset import retrieval_chunked, retrieval_flat
 from bandset.retrieval_chunked import (
+    HEADER_BYTES,
     ChunkDirectory,
     ChunkedParams,
     ChunkedRetrieval,
@@ -216,7 +217,7 @@ def test_deserialize_rejects_corruption():
     blob = serialize(ds)
     with pytest.raises(FormatError):
         deserialize(b"XSET" + blob[4:])  # magic
-    for version in (1, 2, 4):
+    for version in (1, 2, 3, 5):
         with pytest.raises(FormatError, match=f"unsupported version {version}"):
             deserialize(blob[:4] + version.to_bytes(2, "little") + blob[6:])
     with pytest.raises(FormatError):
@@ -228,6 +229,14 @@ def test_deserialize_rejects_corruption():
     flag_corrupt = blob[:6] + b"\xfe\x00" + blob[8:]
     with pytest.raises(FormatError):
         deserialize(flag_corrupt)
+    # the terminal word is the plane length alone: any bit above 48 in it
+    # would give one structure a second file
+    terminal = HEADER_BYTES + 8 * ds.directory.num_chunks
+    for bit in (48, 63):
+        high = bytearray(blob)
+        high[terminal + bit // 8] |= 1 << (bit % 8)
+        with pytest.raises(FormatError, match="terminal directory word has bits above 48"):
+            deserialize(bytes(high))
     # nonzero padding above the plane length
     tail = bytearray(blob)
     tail[-1] |= 0x80
@@ -294,7 +303,7 @@ def test_backends_and_thread_counts_write_the_same_file(shape):
     pairs = make_pairs(6_000, r=3)
     params = ChunkedParams(**{"epsilon": 0.1, "C": 500, **shape}, r=3, base_seed=90)
     blob = serialize(construct_chunked(pairs, params))
-    assert blob[4:6] == b"\x03\x00"  # format v3
+    assert blob[4:6] == b"\x04\x00"  # format v4
     for threads in (1, 2, 4):
         assert serialize(construct_chunked(pairs, params, threads=threads)) == blob
     with python_branch():
@@ -593,7 +602,7 @@ def test_overhead_counts_directory_and_r_scales_it():
     pairs1, ds1 = build(8_000, epsilon=0.05, C=1_000, r=1, base_seed=13)
     pairs2, ds2 = build(8_000, epsilon=0.05, C=1_000, r=2, base_seed=13)
     K = ds1.directory.num_chunks
-    dir_bits = 64 * (K + 1) + 16 * K
+    dir_bits = 64 * (K + 1)  # one word per chunk plus the terminal word
     expect1 = (ds1.plane_bits + dir_bits) / 8_000 - 1
     assert overhead(ds1) == pytest.approx(expect1)
     # directory bits amortise over m*r, so r=2 halves that share
@@ -720,9 +729,8 @@ def test_pairs_that_read_once_deduplicate(backend):
 def _round_trip_seconds(plane_bits: int) -> float:
     # plane_bits is a multiple of 64, so random words have no padding bits
     planes = random.Random(plane_bits).randbytes(plane_bits // 8)
-    ds = ChunkedRetrieval(
-        ChunkedParams(epsilon=0.05), ChunkDirectory.from_parts([0, plane_bits], [0]), planes, 1
-    )
+    directory = ChunkDirectory(struct.pack("<2Q", 0, plane_bits))
+    ds = ChunkedRetrieval(ChunkedParams(epsilon=0.05), directory, planes, 1)
     best = math.inf
     for _ in range(3):
         t0 = time.perf_counter()
@@ -737,19 +745,28 @@ def test_save_load_time_is_linear_in_plane_bits():
     assert _round_trip_seconds(1 << 22) < 40 * _round_trip_seconds(1 << 18)
 
 
-@pytest.mark.parametrize("eps, L, base_seed, retries, digest", [
+@pytest.mark.parametrize("eps, L, base_seed, retries, digest, planes_digest", [
     # chunk 2 retries once in this configuration
     pytest.param(0.03, 64, 2029, [0, 0, 1, 0, 0, 0, 0, 0],
-                 "a250b4cde3cd98bec779046b9d4b9b8b1f2e35c1a50a74ce1503573f030ef5ee",
+                 "eef6b5ada9ed80c4c99a11390ab67efc8b4d62d4114a3421261c27bcbb5d473e",
+                 "c3b872c530828a4572d685f61d5413dd3b5bf25ba7084de356d1905182b35e93",
                  id="L64-retry"),
     pytest.param(0.05, 80, 2026, [0] * 8,
-                 "cb0d466ccb3d26770656956e6809e9f4faf0f066e8c95d25605cfcaed11244dc",
+                 "ad3424347b1827bb1bb19b431d5be29a3f9fe49141089b48ef01178f3b1b1cb6",
+                 "2342ab43bb0936d210a2fe8b71c239e36589a95d75cab8bfcf6b5f324078c4ce",
                  id="L80"),
 ])
-def test_format_v3_golden_digest(eps, L, base_seed, retries, digest):
-    # pins the v3 bytes; a deliberate format change updates these digests
+def test_format_v4_golden_digest(eps, L, base_seed, retries, digest, planes_digest):
+    # pins the v4 bytes; a deliberate format change updates these digests.
+    # The planes digests were taken from the v3 files, whose plane section
+    # v4 keeps unchanged.
     pairs = make_pairs(20_000, r=3, tag="golden")
     params = ChunkedParams(epsilon=eps, L=L, r=3, C=2_500, base_seed=base_seed)
     ds = construct_chunked(pairs, params)
     assert ds.directory.seeds == retries
-    assert hashlib.sha256(serialize(ds)).hexdigest() == digest
+    assert hashlib.sha256(ds.planes).hexdigest() == planes_digest
+    header = _HEADER.pack(b"BSET", 4, 0, 3, L, eps, 2_500, 20_000, 8, base_seed)
+    blob = serialize(ds)
+    assert blob == header + ds.directory.packed + ds.planes
+    assert serialize(deserialize(blob)) == blob
+    assert hashlib.sha256(blob).hexdigest() == digest
