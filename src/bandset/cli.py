@@ -14,7 +14,6 @@ import struct
 import sys
 import time
 from collections import Counter
-from itertools import islice
 
 import numpy as np
 
@@ -189,27 +188,56 @@ def cmd_build(
     return EXIT_OK
 
 
-# Keys per query_many call in `query`: enough that the cost of a call is
+# Characters of text (with the rest of the last line) or keys of a binary
+# stream per query_many call in `query`: enough that the cost of a call is
 # spread thin, few enough that a block's keys and answers take little memory.
-QUERY_BLOCK = 4096
+QUERY_BLOCK = 1 << 16
+
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+
+
+def _key_blocks(in_stream, binary_keys: bool):
+    """The keys of ``in_stream``, a list at a time: ``QUERY_BLOCK`` records
+    of a binary stream, or the lines of ``QUERY_BLOCK`` characters of text
+    and the rest of the last one, each encoded as UTF-8 without its ``\\n``
+    and trailing ``\\r``s (the keys of iterating the text by lines)."""
+    if binary_keys:
+        keys = [key for key, _ in _binary_records(in_stream.read(), 0)]
+        for start in range(0, len(keys), QUERY_BLOCK):
+            yield keys[start : start + QUERY_BLOCK]
+        return
+    while text := in_stream.read(QUERY_BLOCK):
+        # the rest of the last line too, so that no key spans two blocks
+        data = (text + in_stream.readline()).encode("utf-8")
+        keys = data.removesuffix(b"\n").split(b"\n")
+        yield [key.rstrip(b"\r") for key in keys] if b"\r" in data else keys
+
+
+def _hex_lines(values, width: int) -> str:
+    """The lines ``f"{value:0{width}x}\\n"`` of ``values``, joined: each
+    value's digits through ``_HEX_DIGITS``, in uint64 arithmetic up to 16
+    digits and on Python ints (an object array) above."""
+    dtype = object if width > 16 else np.uint64
+    shifts = np.arange(4 * (width - 1), -1, -4, dtype=dtype)
+    nibbles = np.array(values, dtype=dtype)[:, None] >> shifts & 15
+    text = np.empty((len(values), width + 1), dtype=np.uint8)
+    text[:, :width] = _HEX_DIGITS[nibbles.astype(np.intp)]
+    text[:, width] = ord("\n")
+    return text.tobytes().decode("ascii")
 
 
 def cmd_query(path: str, in_stream=None, out_stream=None, binary_keys: bool = False) -> int:
     """Answer keys, one per line of text or, with ``binary_keys``, one per
-    length-prefixed record of a binary stream; one hex line each, written
-    a block of ``QUERY_BLOCK`` keys at a time."""
+    length-prefixed record of a binary stream; one hex line each. Each block
+    of ``_key_blocks`` is one ``query_many`` call and one write."""
     if in_stream is None:
         in_stream = sys.stdin.buffer if binary_keys else sys.stdin
     out_stream = out_stream if out_stream is not None else sys.stdout
     with open(path, "rb") as fh:
         ds = deserialize(fh.read())
-    if binary_keys:
-        keys = (key for key, _ in _binary_records(in_stream.read(), 0))
-    else:
-        keys = (line.rstrip("\n").rstrip("\r").encode("utf-8") for line in in_stream)
     width = _hex_width(ds.params.r)
-    while block := list(islice(keys, QUERY_BLOCK)):
-        out_stream.write("".join([f"{value:0{width}x}\n" for value in query_many(ds, block)]))
+    for keys in _key_blocks(in_stream, binary_keys):
+        out_stream.write(_hex_lines(query_many(ds, keys), width))
     return EXIT_OK
 
 

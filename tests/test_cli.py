@@ -1,14 +1,24 @@
 import hashlib
 import io
 import json
+import math
+import os
+import random
 import struct
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bandset
 from bandset import cli
 from bandset.analysis_sim import make_rng
 from bandset.cli import main
-from bandset.retrieval_chunked import deserialize, overhead, query_chunked
+from bandset.retrieval_chunked import deserialize, overhead, query_chunked, query_many
 
 
 def run(argv, capsys):
@@ -276,6 +286,111 @@ def test_query_answers_in_blocks_with_unchanged_output(count, binary_keys, tmp_p
     code, stdout, _ = run(["query", str(out)] + ["--binary-keys"] * binary_keys, capsys)
     assert code == 0
     assert stdout == want
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["a", "é", "😀", "\r", "\n", "\r\n", ""]), max_size=12),
+       st.booleans())
+def test_text_key_blocks_give_the_keys_of_iterating_lines(pieces, final_newline):
+    # every block size up to a few lines' length, so that blocks end inside
+    # lines, between a \r and its \n, and inside a run of \r
+    text = "".join(pieces) + "\n" * final_newline
+    want = [line.rstrip("\n").rstrip("\r").encode() for line in io.StringIO(text)]
+    for block in [*range(1, 9), cli.QUERY_BLOCK]:
+        with mock.patch.object(cli, "QUERY_BLOCK", block):
+            got = [key for keys in cli._key_blocks(io.StringIO(text), False) for key in keys]
+        assert got == want, block
+
+
+@pytest.mark.parametrize("r", [1, 3, 4, 5, 8, 63, 64, 65, 100])
+def test_hex_lines_match_the_per_value_format(r):
+    width = cli._hex_width(r)
+    rng = random.Random(r)
+    values = [0, (1 << r) - 1] + [rng.getrandbits(r) for _ in range(200)]
+    assert cli._hex_lines(values, width) == "".join(f"{v:0{width}x}\n" for v in values)
+    assert cli._hex_lines([], width) == ""
+
+
+def test_query_of_72_bit_values_matches_the_per_key_format(tmp_path, capsys, monkeypatch):
+    # r > 64: the Python lookup and _hex_lines' object path
+    rng = random.Random(72)
+    rows = [(f"wide{i}", format(rng.getrandbits(72), "x")) for i in range(300)]
+    inp = tmp_path / "in.tsv"
+    write_tsv(inp, rows)
+    out = tmp_path / "ds.bin"
+    assert run(["build", str(inp), str(out), "--value-bits", "72", "--seed", "4"], capsys)[0] == 0
+    ds = deserialize(out.read_bytes())
+    keys = [k for k, _ in rows] + ["stranger"]
+    want = "".join(f"{query_chunked(ds, k.encode()):018x}\n" for k in keys)
+    assert want.startswith(f"{int(rows[0][1], 16):018x}\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(keys) + "\n"))
+    code, stdout, _ = run(["query", str(out)], capsys)
+    assert code == 0
+    assert stdout == want
+
+
+def test_query_of_real_stdin_with_lf_and_crlf_lines(tmp_path, capsys):
+    # a real sys.stdin, in a child process: more than one block, lines split
+    # between blocks, an empty line, a non-ASCII key and no final newline
+    keys = [f"key-{i:05d}-é-{i % 7 * 5 * 'x'}" for i in range(4000)] + [""] + ["last"]
+    inp = tmp_path / "in.tsv"
+    write_tsv(inp, [(k, format(i % 16, "x")) for i, k in enumerate(keys) if k])
+    out = tmp_path / "ds.bin"
+    assert run(["build", str(inp), str(out), "--value-bits", "4", "--seed", "8"], capsys)[0] == 0
+    assert sum(len(k) + 1 for k in keys) > cli.QUERY_BLOCK
+    expected = io.StringIO()
+    assert cli.cmd_query(str(out), io.StringIO("\n".join(keys)), expected) == 0
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8",
+           "PYTHONPATH": str(Path(bandset.__file__).parent.parent)}
+    for newline in ["\n", "\r\n"]:
+        child = subprocess.run(
+            [sys.executable, "-m", "bandset.cli", "query", str(out)],
+            input=newline.join(keys).encode(), capture_output=True, env=env, timeout=60,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == expected.getvalue().encode(), newline
+
+
+@pytest.mark.parametrize("binary_keys", [False, True])
+def test_query_calls_query_many_once_per_block(binary_keys, tmp_path, capsys, monkeypatch):
+    inp = tmp_path / "in.tsv"
+    write_tsv(inp, [(f"k{i}", "1") for i in range(50)])
+    out = tmp_path / "ds.bin"
+    assert run(["build", str(inp), str(out), "--seed", "2"], capsys)[0] == 0
+    keys = [f"k{i}".encode() for i in range(200)]
+    calls = []
+
+    def counted(ds, block):
+        calls.append(len(block))
+        return query_many(ds, block)
+
+    def per_key(ds, key):
+        raise AssertionError("query answers keys in blocks")
+
+    monkeypatch.setattr("bandset.cli.query_many", counted)
+    monkeypatch.setattr("bandset.cli.query_chunked", per_key)
+    monkeypatch.setattr("bandset.cli.QUERY_BLOCK", 16)
+    if binary_keys:
+        stdin, bound = io.TextIOWrapper(io.BytesIO(binary_records(keys))), math.ceil(200 / 16)
+    else:
+        text = "\n".join(key.decode() for key in keys)
+        stdin, bound = io.StringIO(text), math.ceil(len(text) / 16) + 1
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, stdout, _ = run(["query", str(out)] + ["--binary-keys"] * binary_keys, capsys)
+    assert code == 0
+    assert sum(calls) == len(keys) == len(stdout.splitlines())
+    assert len(calls) <= bound
+
+
+def test_query_unencodable_line_exits_2(tmp_path, capsys, monkeypatch):
+    inp = tmp_path / "in.tsv"
+    write_tsv(inp, [("a", "1")])
+    out = tmp_path / "ds.bin"
+    assert run(["build", str(inp), str(out)], capsys)[0] == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO("a\n\udcff\n"))
+    code, stdout, stderr = run(["query", str(out)], capsys)
+    assert code == 2
+    assert "error:" in stderr and stdout == ""
 
 
 def test_query_bad_file_exits_3(tmp_path, capsys):
