@@ -1,4 +1,4 @@
-/* Native backend of bandset, a CPython extension module with four parts:
+/* Native backend of bandset, a CPython extension module with five parts:
 
    * ``solve(n, L, lead, retry, s, lo, rhs, planes, offset)``: pivot
      insertion (the Ribbon construction of Dillinger & Walzer, 2021) and
@@ -24,6 +24,13 @@
      The key comes last, so ``functools.partial(query, seed, L, r, lead,
      directory, planes)`` is one structure's lookup, bound once at its
      first query; every bound is still checked on every call.
+   * ``read_tsv(data, r)`` and ``digest_packed(data, bounds, seed)``: the
+     build's input as one buffer. ``read_tsv`` scans the bytes of a TSV
+     file once for each key's (start, end) and each value, the fast path of
+     ``cli.read_tsv_pairs``; it takes only plain key<TAB>HEX lines and
+     returns None for any other input, whose errors the Python loop owns.
+     ``digest_packed`` hashes each key where it lies in such a buffer, the
+     fast path of ``row_gen.digest_pairs`` over a ``row_gen.PackedPairs``.
 
    The Python callers check shapes and pick the backend; the checks here
    only keep every read and write in bounds. */
@@ -530,6 +537,129 @@ static PyObject *py_query_many(PyObject *self, PyObject *const *args, Py_ssize_t
     return out;
 }
 
+/* ------------------------------------------------------------------------
+   packed input
+
+   A build's input as one buffer: each key a (start, end) pair of int64
+   byte offsets into it, each value a uint64, hashed where the keys lie. */
+
+/* The value of an ASCII hex digit; -1 for any other byte. */
+static int hex_digit(uint8_t c)
+{
+    if ((unsigned)(c - '0') < 10u)
+        return c - '0';
+    c |= 0x20; /* lowercase */
+    return (unsigned)(c - 'a') < 6u ? c - 'a' + 10 : -1;
+}
+
+/* read_tsv(data, r) -> (bounds, values) or None: the pairs of the TSV
+   bytes data, for 1 <= r <= 64. Lines end at \n; each loses its trailing
+   run of \r, and a line left empty is skipped. Every other line must be
+   key<TAB>HEX, the key the bytes before the first tab and HEX 1 to 16
+   ASCII hex digits with a value below 2^r. bounds is a bytearray of two
+   native-endian int64 per key, its start and end in data, and values a
+   bytearray of one native-endian uint64 per key. None for any other line
+   or r: cli.read_tsv_pairs reads such input in Python, which owns every
+   error and every other form that int(_, 16) takes. */
+static PyObject *py_read_tsv(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_nargs("read_tsv", nargs, 2) < 0)
+        return NULL;
+    long r = PyLong_AsLong(args[1]);
+    if (r == -1 && PyErr_Occurred())
+        return NULL;
+    Py_buffer view;
+    if (PyObject_GetBuffer(args[0], &view, PyBUF_SIMPLE) < 0)
+        return NULL;
+    const uint8_t *base = view.buf, *p = base, *end = base + view.len;
+    Py_ssize_t cap = 1, n = 0; /* no more keys than lines */
+    for (const uint8_t *q = p; (q = memchr(q, '\n', (size_t)(end - q))); q++)
+        cap++;
+    PyObject *bounds = PyByteArray_FromStringAndSize(NULL, 16 * cap);
+    PyObject *values = PyByteArray_FromStringAndSize(NULL, 8 * cap);
+    PyObject *out = NULL;
+    int r_ok = r >= 1 && r <= 64;
+    if (!bounds || !values)
+        goto done;
+    char *bp = PyByteArray_AS_STRING(bounds), *vp = PyByteArray_AS_STRING(values);
+    /* p stops short of end at the first line that is not plain */
+    while (r_ok && p < end) {
+        const uint8_t *nl = memchr(p, '\n', (size_t)(end - p));
+        const uint8_t *stop = nl ? nl : end, *next = nl ? nl + 1 : end;
+        while (stop > p && stop[-1] == '\r')
+            stop--;
+        if (stop == p) {
+            p = next;
+            continue;
+        }
+        const uint8_t *tab = memchr(p, '\t', (size_t)(stop - p));
+        if (!tab || stop - tab < 2 || stop - tab > 17)
+            break;
+        const uint8_t *q = tab + 1;
+        uint64_t v = 0;
+        for (int d; q < stop && (d = hex_digit(*q)) >= 0; q++)
+            v = v << 4 | (uint64_t)d;
+        if (q < stop || (r < 64 && v >> r))
+            break;
+        int64_t se[2] = {p - base, tab - base};
+        memcpy(bp + 16 * n, se, 16);
+        memcpy(vp + 8 * n, &v, 8);
+        n++;
+        p = next;
+    }
+    if (!r_ok || p < end)
+        out = Py_NewRef(Py_None);
+    else if (PyByteArray_Resize(bounds, 16 * n) == 0 && PyByteArray_Resize(values, 8 * n) == 0)
+        out = PyTuple_Pack(2, bounds, values);
+done:
+    Py_XDECREF(bounds);
+    Py_XDECREF(values);
+    PyBuffer_Release(&view);
+    return out;
+}
+
+/* digest_packed(data, bounds, seed) -> digests: the digest of each key
+   data[start:end], for the native-endian int64 (start, end) pairs of the
+   buffer bounds, as a bytearray of 16 bytes per key (lo, then hi,
+   little-endian), as digest_pairs gives them. ValueError for a pair that
+   does not lie within data. */
+static PyObject *py_digest_packed(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    uint64_t seed;
+    Py_buffer data, bounds = {.obj = NULL};
+    if (check_nargs("digest_packed", nargs, 3) < 0 || seed_arg(args[2], &seed) < 0
+        || PyObject_GetBuffer(args[0], &data, PyBUF_SIMPLE) < 0)
+        return NULL;
+    PyObject *out = NULL;
+    if (PyObject_GetBuffer(args[1], &bounds, PyBUF_SIMPLE) < 0)
+        goto done;
+    if (bounds.len % 16) {
+        PyErr_SetString(PyExc_ValueError, "bounds must hold two int64 per key");
+        goto done;
+    }
+    Py_ssize_t m = bounds.len / 16;
+    if (!(out = PyByteArray_FromStringAndSize(NULL, 16 * m)))
+        goto done;
+    uint8_t *d = (uint8_t *)PyByteArray_AS_STRING(out);
+    for (Py_ssize_t i = 0; i < m; i++, d += 16) {
+        int64_t se[2];
+        uint64_t hi, lo;
+        memcpy(se, (const uint8_t *)bounds.buf + 16 * i, 16);
+        if (se[0] < 0 || se[0] > se[1] || se[1] > data.len) {
+            PyErr_Format(PyExc_ValueError, "key %zd lies outside the data", i);
+            Py_CLEAR(out);
+            break;
+        }
+        digest(seed, (const uint8_t *)data.buf + se[0], (size_t)(se[1] - se[0]), &hi, &lo);
+        store64(d, lo);
+        store64(d + 8, hi);
+    }
+done:
+    PyBuffer_Release(&bounds);
+    PyBuffer_Release(&data);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"solve", py_solve, METH_VARARGS, "Solve one band system into byte-per-bit planes."},
     {"digest_pairs", (PyCFunction)(void (*)(void))py_digest_pairs, METH_FASTCALL,
@@ -538,6 +668,10 @@ static PyMethodDef methods[] = {
      "query(seed, L, r, lead, directory, planes, key): the value of one key."},
     {"query_many", (PyCFunction)(void (*)(void))py_query_many, METH_FASTCALL,
      "query_many(seed, L, r, lead, directory, planes, keys): the values of many keys."},
+    {"read_tsv", (PyCFunction)(void (*)(void))py_read_tsv, METH_FASTCALL,
+     "read_tsv(data, r): the key bounds and values of plain key<TAB>HEX lines, or None."},
+    {"digest_packed", (PyCFunction)(void (*)(void))py_digest_packed, METH_FASTCALL,
+     "digest_packed(data, bounds, seed): the digest of each key data[start:end]."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -8,6 +8,7 @@ BANDSET_SEED environment variable, then 0.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import struct
@@ -17,6 +18,7 @@ from collections import Counter
 
 import numpy as np
 
+from . import retrieval_flat
 from .analysis_sim import (
     coupled_replay,
     fit_tail_rate,
@@ -38,6 +40,7 @@ from .retrieval_chunked import (
     serialize,
 )
 from .retrieval_flat import ConstructError, DuplicateKey
+from .row_gen import PackedPairs
 
 EXIT_OK = 0
 EXIT_CONSTRUCT = 1
@@ -77,33 +80,55 @@ def _hex_width(r: int) -> int:
     return (r + 3) // 4
 
 
-def read_tsv_pairs(path: str, r: int) -> list[tuple[bytes, int]]:
-    """key<TAB>value-hex per line; raises InputError with the line number."""
+def read_tsv_pairs(path: str, r: int) -> PackedPairs | list[tuple[bytes, int]]:
+    """The pairs of a TSV file, key<TAB>value-hex per line, as a sequence of
+    (key, value); raises InputError with the line number.
+
+    The file is read with one ``read()``. Where the native module loaded,
+    its ``read_tsv`` scans those bytes once and gives each key's bounds in
+    them and each value, returned as a ``PackedPairs`` over the bytes, so
+    that a build hashes the keys where they lie. It takes only plain lines,
+    key<TAB> and 1 to 16 ASCII hex digits of a value below 2^r, with
+    r <= 64; for any other input the Python loop below reads the same
+    bytes into a list, and so gives every error and takes every other form
+    that ``int(_, 16)`` takes. Both skip blank lines and strip each line's
+    trailing run of ``\r`` and ``\n``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    native = retrieval_flat._kernel()
+    if native is not None:
+        done = native.read_tsv(data, r)
+        if done is not None:
+            bounds, values = done
+            return PackedPairs(data, np.frombuffer(bounds, np.int64).reshape(-1, 2),
+                               np.frombuffer(values, np.uint64))
     pairs = []
     limit = 1 << r
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip(b"\r\n")
-            if not line:
-                continue
-            key, sep, hexval = line.partition(b"\t")
-            if not sep:
-                raise InputError(f"line {lineno}: missing tab separator")
-            try:
-                value = int(hexval, 16)
-            except ValueError:
-                raise InputError(f"line {lineno}: malformed hex value {hexval!r}") from None
-            if not 0 <= value < limit:
-                raise InputError(f"line {lineno}: value does not fit in {r} bits")
-            pairs.append((key, value))
+    for lineno, raw in enumerate(io.BytesIO(data), start=1):
+        line = raw.rstrip(b"\r\n")
+        if not line:
+            continue
+        key, sep, hexval = line.partition(b"\t")
+        if not sep:
+            raise InputError(f"line {lineno}: missing tab separator")
+        try:
+            value = int(hexval, 16)
+        except ValueError:
+            raise InputError(f"line {lineno}: malformed hex value {hexval!r}") from None
+        if not 0 <= value < limit:
+            raise InputError(f"line {lineno}: value does not fit in {r} bits")
+        pairs.append((key, value))
     return pairs
 
 
-def _binary_records(data: bytes, value_bytes: int) -> list[tuple[bytes, int]]:
+def _binary_records(data: bytes, value_bytes: int) -> tuple[np.ndarray, np.ndarray]:
     """Length-prefixed records: u32 key length, key bytes, then a
-    ``value_bytes``-byte little-endian value (every value is 0 when
-    ``value_bytes`` is 0). Raises InputError naming a truncated record."""
-    records = []
+    ``value_bytes``-byte little-endian value (0 or 8 bytes; every value is
+    0 when ``value_bytes`` is 0). Returns the keys' (start, end) in
+    ``data`` as an int64 array of shape (m, 2) and the values as a uint64
+    array. Raises InputError naming a truncated record."""
+    bounds = []
+    values = []
     pos = 0
     rec = 0
     while pos < len(data):
@@ -114,24 +139,23 @@ def _binary_records(data: bytes, value_bytes: int) -> list[tuple[bytes, int]]:
         pos += 4
         if pos + klen + value_bytes > len(data):
             raise InputError(f"record {rec}: truncated record")
-        key = data[pos : pos + klen]
+        bounds += pos, pos + klen
         pos += klen
-        records.append((key, int.from_bytes(data[pos : pos + value_bytes], "little")))
+        values.append(struct.unpack_from("<Q", data, pos)[0] if value_bytes else 0)
         pos += value_bytes
-    return records
+    return np.array(bounds, np.int64).reshape(-1, 2), np.array(values, np.uint64)
 
 
-def read_binary_pairs(path: str, r: int) -> list[tuple[bytes, int]]:
+def read_binary_pairs(path: str, r: int) -> PackedPairs:
     """Length-prefixed records: u32 key length, key bytes, u64 value."""
     if r > 64:
         raise InputError("binary key mode supports r <= 64")
     with open(path, "rb") as fh:
-        pairs = _binary_records(fh.read(), 8)
-    limit = 1 << r
-    for rec, (_, value) in enumerate(pairs, start=1):
-        if value >= limit:
-            raise InputError(f"record {rec}: value does not fit in {r} bits")
-    return pairs
+        data = fh.read()
+    bounds, values = _binary_records(data, 8)
+    if r < 64 and len(wide := np.flatnonzero(values >> np.uint64(r))):
+        raise InputError(f"record {wide[0] + 1}: value does not fit in {r} bits")
+    return PackedPairs(data, bounds, values)
 
 
 def synthetic_keys(m: int, seed: int) -> list[bytes]:
@@ -202,9 +226,10 @@ def _key_blocks(in_stream, binary_keys: bool):
     and the rest of the last one, each encoded as UTF-8 without its ``\\n``
     and trailing ``\\r``s (the keys of iterating the text by lines)."""
     if binary_keys:
-        keys = [key for key, _ in _binary_records(in_stream.read(), 0)]
-        for start in range(0, len(keys), QUERY_BLOCK):
-            yield keys[start : start + QUERY_BLOCK]
+        data = in_stream.read()
+        bounds = _binary_records(data, 0)[0]
+        for start in range(0, len(bounds), QUERY_BLOCK):
+            yield [data[a:b] for a, b in bounds[start : start + QUERY_BLOCK].tolist()]
         return
     while text := in_stream.read(QUERY_BLOCK):
         # the rest of the last line too, so that no key spans two blocks

@@ -30,7 +30,9 @@ pure-Python query runs them, and so does the pure-Python branch of
 digest words. The only array work here is the partition,
 ``chunk_bounds``, which a build runs once over its sorted ``hi`` words.
 A build hashes its keys in ``digest_pairs``, the one pass over its input
-that also checks every pair and keeps its value. Where the native module
+that also checks every pair and keeps its value; its input is a list of
+pairs or a ``PackedPairs``, the keys and values of one buffer, which
+``bandset build`` reads. Where the native module
 loaded (see ``retrieval_flat``), its C twins of the hash, of that pass
 and of the row formula (one helper that its solve and its query share)
 run instead, while ``key_digest`` stays the fallback and the reference
@@ -83,31 +85,67 @@ def key_digest(key: bytes, base_seed: int) -> tuple[int, int]:
     return (p ^ p >> 64) & MASK64, (q ^ q >> 64) & MASK64
 
 
+class PackedPairs:
+    """(key, value) pairs held as one buffer: ``len``, indexing and
+    iteration give ``(data[start:end], value)``. ``data`` is the bytes the
+    keys lie in, ``bounds`` an int64 array of shape (m, 2), each row a key's
+    ``(start, end)`` in ``data``, and ``values`` a uint64 array of m
+    values. A build of them hashes each key where it lies (see
+    ``digest_pairs``) and makes no Python object per key."""
+
+    __slots__ = ("data", "bounds", "values")
+
+    def __init__(self, data, bounds, values):
+        self.data, self.bounds, self.values = data, bounds, values
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i: int) -> tuple[bytes, int]:
+        start, end = self.bounds[i].tolist()
+        return self.data[start:end], int(self.values[i])
+
+    def __iter__(self):
+        data = self.data
+        for (start, end), value in zip(self.bounds.tolist(), self.values.tolist()):
+            yield data[start:end], value
+
+
 def digest_pairs(pairs, base_seed: int, r: int):
     """A build's one pass over its (key, value) pairs: unpack each as
     ``for key, value in pairs`` does, check it, hash its key once and keep
     its value. Returns ``(digests, values, items)``: the 16-byte digests
     concatenated in input order (``lo``, then ``hi``, little-endian), the
     values as a numpy array (uint64, or object ints for r > 64), and the
-    pairs as a list or tuple, which the caller reads again only for
-    repeated digests; a pair that is not an exact tuple or list (it may
-    read only once) is kept there as the (key, value) it gave. Repeated
-    keys are kept; ``construct_chunked`` finds them by sorting the digests.
+    pairs as a list, tuple or ``PackedPairs``, which the caller reads again
+    only for repeated digests; a pair that is not an exact tuple or list
+    (it may read only once) is kept there as the (key, value) it gave.
+    Repeated keys are kept; ``construct_chunked`` finds them by sorting the
+    digests.
 
     Raises TypeError for a key that is not bytes or bytearray or a value
     that is not an integer, and ValueError for a value outside [0, 2^r),
     both for the first bad pair in input order. Where the native module
-    loaded and r <= 64, its ``digest_pairs`` runs first and takes the
-    pairs when all are exact 2-tuples or 2-lists that pass these checks;
-    at the first other pair it gives up, and the Python loop below runs
-    over the same items and raises the error or takes the pair.
+    loaded and r <= 64, its C pass runs: over a ``PackedPairs``,
+    ``digest_packed`` hashes each key where it lies in the buffer, after
+    one numpy comparison checks every value against r; over a list or
+    tuple, ``digest_pairs`` takes the pairs when all are exact 2-tuples or
+    2-lists that pass these checks, and at the first other pair it gives
+    up, and the Python loop below runs over the same items and raises the
+    error or takes the pair. Without the native module the Python loop
+    iterates a ``PackedPairs`` as pairs.
     """
     import numpy as np
 
     from .retrieval_flat import _kernel
 
-    items = pairs if type(pairs) in (list, tuple) else list(pairs)
     native = _kernel()
+    if native is not None and r <= 64 and type(pairs) is PackedPairs:
+        wide = np.flatnonzero(pairs.values >> np.uint64(r)) if r < 64 else ()
+        if len(wide):
+            raise ValueError(f"value {int(pairs.values[wide[0]])} does not fit in {r} bits")
+        return native.digest_packed(pairs.data, pairs.bounds, base_seed), pairs.values, pairs
+    items = pairs if type(pairs) in (list, tuple) else list(pairs)
     if native is not None and r <= 64:
         done = native.digest_pairs(items, base_seed, r)
         if done is not None:

@@ -10,6 +10,7 @@ import random
 import shutil
 import sysconfig
 import types
+from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple
 from unittest import mock
@@ -19,7 +20,7 @@ import pytest
 from bandset import retrieval_chunked, retrieval_flat, row_gen
 from bandset.band_solver import eliminate, solve, verify
 from bandset.bitkit import BitVec, dot_window
-from bandset.row_gen import MASK64, chunk_and_word, key_digest, row_for_words
+from bandset.row_gen import MASK64, PackedPairs, chunk_and_word, key_digest, row_for_words
 
 
 # What building the native module needs: a C compiler and the CPython headers.
@@ -287,6 +288,17 @@ def reference_coin_elimination(starts: list[int], patterns: list[int], L: int):
     return pivots, transcripts
 
 
+def packed_pairs(pairs) -> PackedPairs:
+    """The (key, value) pairs as a ``PackedPairs``: the keys joined in one
+    buffer, with their bounds in it and the values."""
+    import numpy as np
+
+    keys = [bytes(key) for key, _ in pairs]
+    ends = list(accumulate(map(len, keys), initial=0))
+    bounds = np.array([ends[:-1], ends[1:]], np.int64).T.copy()
+    return PackedPairs(b"".join(keys), bounds, np.array([v for _, v in pairs], np.uint64))
+
+
 def make_pairs(m: int, r: int = 1, tag: str = "key") -> list[tuple[bytes, int]]:
     """Distinct keys with deterministic r-bit values."""
     mask = (1 << r) - 1
@@ -297,8 +309,9 @@ def make_pairs(m: int, r: int = 1, tag: str = "key") -> list[tuple[bytes, int]]:
 def hash_spy(monkeypatch):
     """The key hash spied on, on whichever backend runs: ``key_digest``
     (the pure-Python path, in ``row_gen`` and ``retrieval_chunked``) and,
-    where the native module loaded, its ``digest_pairs`` and ``query`` are
-    replaced by wrappers that count the digests they hand out
+    where the native module loaded, its ``digest_pairs``, ``digest_packed``
+    and ``query`` are replaced by wrappers that count the digests they hand
+    out
     (``spy.digests``; a native query hashes its key once inside the call)
     and force chosen build digests: every key in ``spy.collide`` gets
     ``spy.collision_digest``, and every key in the dict ``spy.forced`` gets
@@ -323,6 +336,7 @@ def hash_spy(monkeypatch):
     native = retrieval_flat._kernel()
     if native is not None:
         real_digest_pairs, real_query = native.digest_pairs, native.query
+        real_digest_packed = native.digest_packed
 
         def digest_pairs(items, seed, r):
             done = real_digest_pairs(items, seed, r)
@@ -334,11 +348,21 @@ def hash_spy(monkeypatch):
                         done[0][16 * i : 16 * i + 16] = digest
             return done
 
+        def digest_packed(data, bounds, seed):
+            digests = real_digest_packed(data, bounds, seed)
+            spy.digests += len(bounds)
+            for i, (start, end) in enumerate(bounds.tolist()):
+                digest = forced(data[start:end])
+                if digest is not None:
+                    digests[16 * i : 16 * i + 16] = digest
+            return digests
+
         def query(*args):
             spy.digests += 1
             return real_query(*args)
 
         monkeypatch.setattr(native, "digest_pairs", digest_pairs)
+        monkeypatch.setattr(native, "digest_packed", digest_packed)
         monkeypatch.setattr(native, "query", query)
     monkeypatch.setattr(row_gen, "key_digest", spied_key_digest)
     monkeypatch.setattr(retrieval_chunked, "key_digest", spied_key_digest)

@@ -7,6 +7,7 @@ import random
 import struct
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -18,7 +19,18 @@ import bandset
 from bandset import cli
 from bandset.analysis_sim import make_rng
 from bandset.cli import main
-from bandset.retrieval_chunked import deserialize, overhead, query_chunked, query_many
+from bandset.retrieval_chunked import (
+    ChunkedParams,
+    construct_chunked,
+    deserialize,
+    overhead,
+    query_chunked,
+    query_many,
+    serialize,
+)
+from bandset.row_gen import MASK64, PackedPairs
+
+from conftest import make_pairs, python_branch
 
 
 def run(argv, capsys):
@@ -193,6 +205,172 @@ def test_build_binary_key_mode(tmp_path, capsys):
     ds = deserialize(out.read_bytes())
     for key, value in pairs:
         assert query_chunked(ds, key) == value
+
+
+# Values as int(_, 16) takes them that the native reader leaves to the
+# Python loop, values it rejects, and plain ones.
+ODD_HEX = [b" ff", b"0xff", b"f_f", b"+f", b"-0", b"0" + b"f" * 16, b"0" * 17 + b"f",
+           b"1" + b"0" * 16, b"ff ", b"-1", b"zz", b"", b"1\t2", b"\xff"]
+PLAIN_HEX = [b"0", b"1", b"f", b"F", b"aB", b"f" * 16, b"F" * 16, b"1" + b"0" * 15]
+
+
+def _hex_value(v: int, upper: bool, zeros: int) -> bytes:
+    return b"0" * zeros + format(v, "X" if upper else "x").encode()
+
+
+_tsv_lines = st.lists(st.one_of(
+    st.tuples(
+        st.lists(st.sampled_from([b"", b"k", b"K9", b"\r", b"a\rb", b"\xff\x80", b"\xc3\xa9",
+                                  b" "]), max_size=3).map(b"".join),
+        st.sampled_from([b"\t", b"\t", b"\t", b""]),
+        st.one_of(st.sampled_from(ODD_HEX + PLAIN_HEX),
+                  st.builds(_hex_value, st.tuples(st.integers(0, 2**66), st.integers(0, 66))
+                            .map(lambda vs: vs[0] >> vs[1]), st.booleans(), st.integers(0, 2))),
+        st.sampled_from([b"\n", b"\r\n", b"\r\r\n", b"\r", b""]),
+    ).map(b"".join),
+    st.sampled_from([b"\n", b"\r\n", b"\r\r\n"]),  # blank lines
+), max_size=8).map(b"".join)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(data=_tsv_lines, r=st.sampled_from([1, 4, 63, 64]))
+def test_native_tsv_reader_matches_the_python_loop(data, r, native, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "reader.tsv"
+    path.write_bytes(data)
+
+    def read():
+        try:
+            return list(cli.read_tsv_pairs(str(path), r))
+        except cli.InputError as exc:
+            return f"InputError: {exc}"
+
+    got = read()
+    with python_branch():
+        assert read() == got
+
+
+def test_plain_tsv_lines_read_as_packed_pairs(native, tmp_path):
+    # empty keys, keys holding \r and bytes >= 0x80, blank lines, \r\n and
+    # \r\r\n endings, 16 digits, both cases and no final newline
+    data = (b"\ta\n\r\n" + b"k\rey\t" + b"F" * 16 + b"\r\n\n\xff\x80\t0\r\r\n"
+            + b"x\taB\n\r\r\n" + b"last\t" + b"f" * 16)
+    path = tmp_path / "in.tsv"
+    path.write_bytes(data)
+    packed = cli.read_tsv_pairs(str(path), 64)
+    assert isinstance(packed, PackedPairs)
+    want = [(b"", 10), (b"k\rey", MASK64), (b"\xff\x80", 0), (b"x", 0xAB), (b"last", MASK64)]
+    assert list(packed) == want
+    assert [packed[i] for i in range(len(packed))] == want
+    with python_branch():
+        assert cli.read_tsv_pairs(str(path), 64) == want
+    for hexval in ODD_HEX:
+        assert native.read_tsv(b"k\t1\nkey\t" + hexval + b"\n", 64) is None, hexval
+    assert native.read_tsv(b"k\t1\nkey\t10\n", 4) is None  # 16 >= 2^4
+    assert native.read_tsv(b"k\t1\n", 65) is None
+
+
+def _build_input(tmp_path, pairs, binary_keys: bool):
+    inp = tmp_path / ("in.bin" if binary_keys else "in.tsv")
+    if binary_keys:
+        inp.write_bytes(binary_records([k for k, _ in pairs], [v for _, v in pairs]))
+    else:
+        inp.write_bytes(b"".join(k + b"\t" + f"{v:x}".encode() + b"\n" for k, v in pairs))
+    return inp
+
+
+BUILD_ARGS = ["--eps", "0.05", "--value-bits", "4", "--chunk-size", "1000", "--seed", "9"]
+BUILD_PARAMS = ChunkedParams(epsilon=0.05, r=4, C=1_000, base_seed=9)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("binary_keys", [False, True])
+def test_build_writes_the_library_bytes(binary_keys, threads, backend, tmp_path, capsys):
+    # a pair repeated with its value is dropped; keys with \r, bytes >= 0x80
+    # and the empty key
+    pairs = make_pairs(3_000, r=4, tag="cli") + [(b"", 3), (b"a\rb", 5), (b"\xff\xfe", 9)]
+    inp = _build_input(tmp_path, pairs + [pairs[5]], binary_keys)
+    out = tmp_path / "ds.bin"
+    code, stdout, _ = run(["build", str(inp), str(out), *BUILD_ARGS, "--threads", str(threads)]
+                          + ["--binary-keys"] * binary_keys, capsys)
+    assert code == 0
+    assert json.loads(stdout)["m"] == len(pairs)
+    assert out.read_bytes() == serialize(construct_chunked(pairs, BUILD_PARAMS))
+
+
+@pytest.mark.parametrize("binary_keys", [False, True])
+def test_build_conflicting_repeat_exits_2_naming_the_key(binary_keys, backend, tmp_path, capsys):
+    pairs = make_pairs(3_000, r=4, tag="cli")
+    inp = _build_input(tmp_path, pairs + [(pairs[5][0], pairs[5][1] ^ 1)], binary_keys)
+    out = tmp_path / "ds.bin"
+    code, stdout, stderr = run(["build", str(inp), str(out), *BUILD_ARGS]
+                               + ["--binary-keys"] * binary_keys, capsys)
+    assert code == 2
+    assert stdout == "" and not out.exists()
+    assert stderr == f"error: duplicate key with conflicting values: {pairs[5][0]!r}\n"
+
+
+@pytest.mark.parametrize("binary_keys", [False, True])
+def test_build_digest_collision_exits_1_naming_the_chunk(binary_keys, backend, hash_spy, tmp_path,
+                                                         capsys):
+    # two keys forced onto the all-ones digest, which lies in the last chunk
+    pairs = make_pairs(3_000, r=4, tag="cli")
+    hash_spy.collide = {pairs[10][0], pairs[20][0]}
+    inp = _build_input(tmp_path, pairs, binary_keys)
+    out = tmp_path / "ds.bin"
+    code, stdout, stderr = run(["build", str(inp), str(out), *BUILD_ARGS]
+                               + ["--binary-keys"] * binary_keys, capsys)
+    assert code == 1
+    assert stdout == "" and not out.exists()
+    assert stderr == ("error: two keys share one digest in chunk 2; "
+                      "build with another base seed\n")
+    assert hash_spy.digests == len(pairs)
+
+
+def test_build_reads_its_input_once_and_builds_once(tmp_path, capsys, monkeypatch):
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(cli, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+
+    counting("read_tsv_pairs")
+    counting("construct_chunked")
+    inp = _build_input(tmp_path, make_pairs(500, r=4), False)
+    code, _, _ = run(["build", str(inp), str(tmp_path / "ds.bin"), *BUILD_ARGS], capsys)
+    assert code == 0
+    assert calls == {"read_tsv_pairs": 1, "construct_chunked": 1}
+
+
+def test_build_binary_input_errors_name_the_record(tmp_path, capsys):
+    good = binary_records([b"a", b"b"], [1, 2])
+    wide = binary_records([b"c"], [16])
+    out = tmp_path / "ds.bin"
+    for data, message in [
+        (good + wide, "record 3: value does not fit in 4 bits"),
+        (good + struct.pack("<I", 9) + b"short", "record 3: truncated record"),
+        (good + b"\x01\x00", "record 3: truncated length prefix"),
+        # every record is read before any value is checked
+        (wide + good + b"\x01", "record 4: truncated length prefix"),
+    ]:
+        inp = tmp_path / "in.bin"
+        inp.write_bytes(data)
+        code, stdout, stderr = run(["build", str(inp), str(out), "--binary-keys",
+                                    "--value-bits", "4"], capsys)
+        assert code == 2
+        assert stdout == "" and stderr == f"error: {message}\n"
+    assert not out.exists()
+    inp.write_bytes(good)
+    packed = cli.read_binary_pairs(str(inp), 4)
+    assert isinstance(packed, PackedPairs)
+    assert list(packed) == [(b"a", 1), (b"b", 2)]
+    code, _, stderr = run(["build", str(inp), str(out), "--binary-keys", "--value-bits", "65"],
+                          capsys)
+    assert code == 2 and stderr == "error: binary key mode supports r <= 64\n"
 
 
 def test_empty_bench_report_is_strict_json(capsys):

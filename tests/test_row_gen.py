@@ -19,7 +19,7 @@ from bandset.row_gen import (
     row_for_words,
 )
 
-from conftest import chunk_for_key, make_pairs, python_branch, row_for_key
+from conftest import chunk_for_key, make_pairs, packed_pairs, python_branch, row_for_key
 
 SEED = 0xC0FFEE
 
@@ -197,6 +197,10 @@ def test_build_hashes_each_key_once_and_query_once(hash_spy):
     ds = construct_chunked(pairs, params)
     assert max(ds.directory.seeds) >= 1
     assert hash_spy.digests == len(pairs)
+    # the same pairs in one buffer, hashed where the keys lie
+    hash_spy.digests = 0
+    assert serialize(construct_chunked(packed_pairs(pairs), params)) == serialize(ds)
+    assert hash_spy.digests == len(pairs)
     for key, value in pairs[:200]:
         hash_spy.digests = 0
         assert query_chunked(ds, key) == value
@@ -266,6 +270,34 @@ def test_digest_pairs_matches_key_digest(backend):
     assert digest_pairs(pairs, seed, 3)[2] is pairs
     digests, values, items = digest_pairs([], seed, 3)
     assert (digests, values.tolist(), items) == (b"", [], [])
+
+
+@pytest.mark.parametrize("r", [3, 64])
+def test_packed_pairs_digest_as_their_pairs(r, backend):
+    seed = 2**63 + 5
+    keys = [b"", b"a", b"b" * 16, b"c" * 17] + [f"dk{i}".encode() * (i % 40) for i in range(500)]
+    pairs = [(key, i & 7 | (i & 1) << (r - 1)) for i, key in enumerate(keys)]
+    packed = packed_pairs(pairs)
+    assert len(packed) == len(pairs) and packed[7] == pairs[7] and list(packed) == pairs
+    digests, values, items = digest_pairs(packed, seed, r)
+    assert digests == b"".join(_digest_bytes(key, seed) for key in keys)
+    assert values.tolist() == [v for _, v in pairs]
+    assert [items[i] for i in range(len(pairs))] == pairs
+    if r < 64:  # the first value of 2^r or more, as the pairs' pass names it
+        wide = packed_pairs(pairs[:5] + [(b"x", 1 << r), (b"y", 1 << r | 1)])
+        with pytest.raises(ValueError, match=f"^value {1 << r} does not fit in {r} bits$"):
+            digest_pairs(wide, seed, r)
+
+
+def test_digest_packed_checks_every_bound(native):
+    data = b"abcdef"
+    got = native.digest_packed(data, np.array([[1, 1], [0, 6], [2, 5]], np.int64), 5)
+    assert got == _digest_bytes(b"", 5) + _digest_bytes(data, 5) + _digest_bytes(b"cde", 5)
+    for bad in ([0, 7], [-1, 2], [3, 2]):
+        with pytest.raises(ValueError, match="^key 1 lies outside the data$"):
+            native.digest_packed(data, np.array([[0, 1], bad], np.int64), 0)
+    with pytest.raises(ValueError, match="two int64 per key"):
+        native.digest_packed(data, np.zeros(3, np.int64), 0)
 
 
 def _ingest(make, r: int):
