@@ -15,20 +15,28 @@
      value in [0, 2^r)), hashes each key and keeps each value as a uint64,
      and returns None at the first other pair: the Python pass owns every
      ingest error. Repeated keys are left to the caller.
-   * ``query(seed, L, r, lead, directory, planes, key)`` and
-     ``query_many(seed, L, r, lead, directory, planes, keys)``: the whole
-     lookup of ``query_chunked`` for L <= 128 and at most 64 planes. The
-     caller hands over the structure's words, not the structure: the ints
-     base_seed, L, r and lead (force_leading_one), and the buffers
-     ``ds.directory.packed`` and ``ds.planes``, which are read in place.
-     The key comes last, so ``functools.partial(query, seed, L, r, lead,
-     directory, planes)`` is one structure's lookup, bound once at its
-     first query; every bound is still checked on every call.
-   * ``read_tsv(data, r)`` and ``digest_packed(data, bounds, seed)``: the
-     build's input as one buffer. ``read_tsv`` scans the bytes of a TSV
-     file once for each key's (start, end) and each value, the fast path of
-     ``cli.read_tsv_pairs``; it takes only plain key<TAB>HEX lines and
-     returns None for any other input, whose errors the Python loop owns.
+   * ``query(seed, L, r, lead, directory, planes, key)``,
+     ``query_many(seed, L, r, lead, directory, planes, keys)`` and
+     ``query_block(seed, L, r, lead, directory, planes, data, bounds)``:
+     the whole lookup of ``query_chunked`` for L <= 128 and at most 64
+     planes, of one key, of an iterable of keys, or of the keys of one
+     buffer where they lie (its lines, or the (start, end) pairs of
+     bounds), answered as uint64, which is how ``bandset query`` answers a
+     block. The caller hands over the structure's words, not the
+     structure: the ints base_seed, L, r and lead (force_leading_one), and
+     the buffers ``ds.directory.packed`` and ``ds.planes``, which are read
+     in place. The keys come last, so ``functools.partial(query, seed, L,
+     r, lead, directory, planes)`` is one structure's lookup, bound once at
+     its first query; every bound is still checked on every call. All
+     three share one lookup of a key's digest words, ``query_digest``.
+   * ``read_tsv(data, r)``, ``scan_records(data, value_bytes)`` and
+     ``digest_packed(data, bounds, seed)``: an input as one buffer.
+     ``read_tsv`` scans the bytes of a TSV file once for each key's
+     (start, end) and each value, the fast path of ``cli.read_tsv_pairs``;
+     it takes only plain key<TAB>HEX lines and returns None for any other
+     input, whose errors the Python loop owns. ``scan_records`` does the
+     same for length-prefixed binary records, the fast path of
+     ``cli._binary_records``, and returns None for a truncated record.
      ``digest_packed`` hashes each key where it lies in such a buffer, the
      fast path of ``row_gen.digest_pairs`` over a ``row_gen.PackedPairs``.
 
@@ -462,11 +470,15 @@ fail:
     return -1;
 }
 
-static int query_key(const struct query *q, PyObject *key, uint64_t *value)
+/* The value of the key with digest words (hi, lo) in *value: its chunk's
+   two directory entries, then the words of each plane that hold its
+   window. ValueError for a chunk with fewer than L bits, IndexError for a
+   window that ends past a plane. L is q->L: query_key reads it before it
+   hashes, which keeps the single-key lookup's machine code as it was. */
+static inline __attribute__((always_inline)) int query_digest(const struct query *q, uint64_t L,
+                                                              uint64_t hi, uint64_t lo,
+                                                              uint64_t *value)
 {
-    uint64_t hi, lo, L = q->L;
-    if (key_words(q->seed, key, &hi, &lo) < 0)
-        return -1;
     uint64_t chunk = mulhi(hi, q->num_chunks), s = hi * q->num_chunks;
     const uint8_t *entry = (const uint8_t *)q->directory.buf + 8 * chunk;
     uint64_t p0 = load64(entry), p1 = load64(entry + 8);
@@ -498,6 +510,14 @@ static int query_key(const struct query *q, PyObject *key, uint64_t *value)
         *value |= (uint64_t)__builtin_parityll(acc) << t;
     }
     return 0;
+}
+
+static int query_key(const struct query *q, PyObject *key, uint64_t *value)
+{
+    uint64_t hi, lo, L = q->L;
+    if (key_words(q->seed, key, &hi, &lo) < 0)
+        return -1;
+    return query_digest(q, L, hi, lo, value);
 }
 
 /* query(seed, L, r, lead, directory, planes, key) -> int */
@@ -540,8 +560,9 @@ static PyObject *py_query_many(PyObject *self, PyObject *const *args, Py_ssize_t
 /* ------------------------------------------------------------------------
    packed input
 
-   A build's input as one buffer: each key a (start, end) pair of int64
-   byte offsets into it, each value a uint64, hashed where the keys lie. */
+   An input as one buffer: each key a (start, end) pair of int64 byte
+   offsets into it, each value a uint64, hashed where the keys lie, for a
+   build or for a block of queries. */
 
 /* The value of an ASCII hex digit; -1 for any other byte. */
 static int hex_digit(uint8_t c)
@@ -618,6 +639,91 @@ done:
     return out;
 }
 
+/* The key count of a bounds buffer of native-endian int64 (start, end)
+   pairs; ValueError and -1 unless it holds whole pairs. */
+static Py_ssize_t key_count(const Py_buffer *bounds)
+{
+    if (bounds->len % 16 == 0)
+        return bounds->len / 16;
+    PyErr_SetString(PyExc_ValueError, "bounds must hold two int64 per key");
+    return -1;
+}
+
+/* The (start, end) of key i of bounds in se, checked to lie within data;
+   ValueError and -1 otherwise. */
+static int key_span(const Py_buffer *bounds, Py_ssize_t i, const Py_buffer *data, int64_t se[2])
+{
+    memcpy(se, (const uint8_t *)bounds->buf + 16 * i, 16);
+    if (se[0] >= 0 && se[0] <= se[1] && se[1] <= data->len)
+        return 0;
+    PyErr_Format(PyExc_ValueError, "key %zd lies outside the data", i);
+    return -1;
+}
+
+/* A little-endian u32 from 4 bytes. */
+static uint32_t load32(const uint8_t *p)
+{
+    uint32_t x;
+    memcpy(&x, p, 4);
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    x = __builtin_bswap32(x);
+#endif
+    return x;
+}
+
+/* scan_records(data, value_bytes) -> (bounds, values) or None: the
+   length-prefixed records of the bytes data, each a little-endian u32 key
+   length, the key, then a value_bytes-byte little-endian value
+   (value_bytes is 0 or 8; every value is 0 when it is 0). bounds and
+   values are as read_tsv gives them. None when a record is truncated:
+   cli._binary_records then reads the data in Python, which names it. */
+static PyObject *py_scan_records(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_nargs("scan_records", nargs, 2) < 0)
+        return NULL;
+    long vb = PyLong_AsLong(args[1]);
+    if (vb == -1 && PyErr_Occurred())
+        return NULL;
+    if (vb != 0 && vb != 8) {
+        PyErr_SetString(PyExc_ValueError, "scan_records takes value_bytes 0 or 8");
+        return NULL;
+    }
+    Py_buffer view;
+    if (PyObject_GetBuffer(args[0], &view, PyBUF_SIMPLE) < 0)
+        return NULL;
+    const uint8_t *base = view.buf;
+    size_t len = (size_t)view.len, pos = 0;
+    Py_ssize_t m = 0;
+    /* one pass to count and check the records, then one to keep them */
+    for (; pos < len; m++) {
+        size_t size = len - pos < 4 ? SIZE_MAX : 4 + (size_t)load32(base + pos) + (size_t)vb;
+        if (size > len - pos) {
+            PyBuffer_Release(&view);
+            Py_RETURN_NONE;
+        }
+        pos += size;
+    }
+    PyObject *bounds = PyByteArray_FromStringAndSize(NULL, 16 * m);
+    PyObject *values = PyByteArray_FromStringAndSize(NULL, 8 * m);
+    PyObject *out = NULL;
+    if (bounds && values) {
+        char *bp = PyByteArray_AS_STRING(bounds), *vp = PyByteArray_AS_STRING(values);
+        pos = 0;
+        for (Py_ssize_t i = 0; i < m; i++) {
+            int64_t se[2] = {(int64_t)pos + 4, (int64_t)pos + 4 + load32(base + pos)};
+            uint64_t v = vb ? load64(base + se[1]) : 0;
+            memcpy(bp + 16 * i, se, 16);
+            memcpy(vp + 8 * i, &v, 8);
+            pos = (size_t)se[1] + (size_t)vb;
+        }
+        out = PyTuple_Pack(2, bounds, values);
+    }
+    Py_XDECREF(bounds);
+    Py_XDECREF(values);
+    PyBuffer_Release(&view);
+    return out;
+}
+
 /* digest_packed(data, bounds, seed) -> digests: the digest of each key
    data[start:end], for the native-endian int64 (start, end) pairs of the
    buffer bounds, as a bytearray of 16 bytes per key (lo, then hi,
@@ -631,22 +737,15 @@ static PyObject *py_digest_packed(PyObject *self, PyObject *const *args, Py_ssiz
         || PyObject_GetBuffer(args[0], &data, PyBUF_SIMPLE) < 0)
         return NULL;
     PyObject *out = NULL;
-    if (PyObject_GetBuffer(args[1], &bounds, PyBUF_SIMPLE) < 0)
-        goto done;
-    if (bounds.len % 16) {
-        PyErr_SetString(PyExc_ValueError, "bounds must hold two int64 per key");
-        goto done;
-    }
-    Py_ssize_t m = bounds.len / 16;
-    if (!(out = PyByteArray_FromStringAndSize(NULL, 16 * m)))
+    Py_ssize_t m;
+    if (PyObject_GetBuffer(args[1], &bounds, PyBUF_SIMPLE) < 0 || (m = key_count(&bounds)) < 0
+        || !(out = PyByteArray_FromStringAndSize(NULL, 16 * m)))
         goto done;
     uint8_t *d = (uint8_t *)PyByteArray_AS_STRING(out);
     for (Py_ssize_t i = 0; i < m; i++, d += 16) {
         int64_t se[2];
         uint64_t hi, lo;
-        memcpy(se, (const uint8_t *)bounds.buf + 16 * i, 16);
-        if (se[0] < 0 || se[0] > se[1] || se[1] > data.len) {
-            PyErr_Format(PyExc_ValueError, "key %zd lies outside the data", i);
+        if (key_span(&bounds, i, &data, se) < 0) {
             Py_CLEAR(out);
             break;
         }
@@ -657,6 +756,79 @@ static PyObject *py_digest_packed(PyObject *self, PyObject *const *args, Py_ssiz
 done:
     PyBuffer_Release(&bounds);
     PyBuffer_Release(&data);
+    return out;
+}
+
+/* Keys a block query hashes before it looks any of them up, so that the
+   reads of one batch's lookups overlap. */
+#define QUERY_BATCH 16
+
+/* query_block(seed, L, r, lead, directory, planes, data, bounds) ->
+   answers: the value of each key of the buffer data, as query gives it,
+   in a bytearray of one native-endian uint64 per key. With bounds None
+   the keys are the lines of data, the keys of cli._key_blocks: data is
+   split at \n, a last line without one counts (so empty data has no
+   key), and each line loses its trailing run of \r. Otherwise bounds
+   holds native-endian int64 (start, end) pairs, as digest_packed takes
+   them, and key i is data[start:end]; ValueError, before any lookup, for
+   a pair that does not lie within data. Each key is hashed where it lies;
+   the first key whose lookup fails raises query's error. */
+static PyObject *py_query_block(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    struct query q;
+    if (check_nargs("query_block", nargs, 8) < 0 || query_init(&q, args) < 0)
+        return NULL;
+    Py_buffer data = {.obj = NULL}, bounds = {.obj = NULL};
+    PyObject *out = NULL;
+    int lines = args[7] == Py_None;
+    Py_ssize_t m = 0;
+    int64_t se[2];
+    if (PyObject_GetBuffer(args[6], &data, PyBUF_SIMPLE) < 0
+        || (!lines && (PyObject_GetBuffer(args[7], &bounds, PyBUF_SIMPLE) < 0
+                       || (m = key_count(&bounds)) < 0)))
+        goto done;
+    const uint8_t *p = data.buf, *end = p + data.len;
+    if (lines) {
+        for (const uint8_t *nl = p; (nl = memchr(nl, '\n', (size_t)(end - nl))); nl++)
+            m++;
+        m += data.len && end[-1] != '\n';
+    }
+    for (Py_ssize_t i = 0; !lines && i < m; i++)
+        if (key_span(&bounds, i, &data, se) < 0)
+            goto done;
+    if (!(out = PyByteArray_FromStringAndSize(NULL, 8 * m)))
+        goto done;
+    uint8_t *v = (uint8_t *)PyByteArray_AS_STRING(out);
+    for (Py_ssize_t i = 0; i < m; i += QUERY_BATCH) {
+        uint64_t hi[QUERY_BATCH], lo[QUERY_BATCH], value;
+        int k = m - i < QUERY_BATCH ? (int)(m - i) : QUERY_BATCH;
+        for (int j = 0; j < k; j++) {
+            const uint8_t *key = p, *stop;
+            if (lines) {
+                const uint8_t *nl = memchr(p, '\n', (size_t)(end - p));
+                stop = nl ? nl : end;
+                p = nl ? nl + 1 : end;
+                while (stop > key && stop[-1] == '\r')
+                    stop--;
+            } else {
+                memcpy(se, (const uint8_t *)bounds.buf + 16 * (i + j), 16);
+                key += se[0];
+                stop = key + (se[1] - se[0]);
+            }
+            digest(q.seed, key, (size_t)(stop - key), &hi[j], &lo[j]);
+        }
+        for (int j = 0; j < k; j++, v += 8) {
+            if (query_digest(&q, q.L, hi[j], lo[j], &value) < 0) {
+                Py_CLEAR(out);
+                goto done;
+            }
+            memcpy(v, &value, 8);
+        }
+    }
+done:
+    PyBuffer_Release(&bounds);
+    PyBuffer_Release(&data);
+    query_clear(&q);
     return out;
 }
 
@@ -672,6 +844,12 @@ static PyMethodDef methods[] = {
      "read_tsv(data, r): the key bounds and values of plain key<TAB>HEX lines, or None."},
     {"digest_packed", (PyCFunction)(void (*)(void))py_digest_packed, METH_FASTCALL,
      "digest_packed(data, bounds, seed): the digest of each key data[start:end]."},
+    {"scan_records", (PyCFunction)(void (*)(void))py_scan_records, METH_FASTCALL,
+     "scan_records(data, value_bytes): the key bounds and values of length-prefixed records, "
+     "or None."},
+    {"query_block", (PyCFunction)(void (*)(void))py_query_block, METH_FASTCALL,
+     "query_block(seed, L, r, lead, directory, planes, data, bounds): the values of the keys "
+     "of data, as uint64."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -32,6 +32,7 @@ from .retrieval_chunked import (
     ChunkedParams,
     ChunkedRetrieval,
     FormatError,
+    block_lookup,
     construct_chunked,
     deserialize,
     overhead,
@@ -126,7 +127,15 @@ def _binary_records(data: bytes, value_bytes: int) -> tuple[np.ndarray, np.ndarr
     ``value_bytes``-byte little-endian value (0 or 8 bytes; every value is
     0 when ``value_bytes`` is 0). Returns the keys' (start, end) in
     ``data`` as an int64 array of shape (m, 2) and the values as a uint64
-    array. Raises InputError naming a truncated record."""
+    array. Raises InputError naming a truncated record.
+
+    Where the native module loaded, its ``scan_records`` reads the records
+    in one pass; it declines data with a truncated record, which the
+    Python loop below then reads to name it."""
+    native = retrieval_flat._kernel()
+    if native is not None and (done := native.scan_records(data, value_bytes)) is not None:
+        bounds, values = done
+        return np.frombuffer(bounds, np.int64).reshape(-1, 2), np.frombuffer(values, np.uint64)
     bounds = []
     values = []
     pos = 0
@@ -213,56 +222,78 @@ def cmd_build(
 
 
 # Characters of text (with the rest of the last line) or keys of a binary
-# stream per query_many call in `query`: enough that the cost of a call is
+# stream per lookup call in `query`: enough that the cost of a call is
 # spread thin, few enough that a block's keys and answers take little memory.
 QUERY_BLOCK = 1 << 16
 
 _HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 
 
-def _key_blocks(in_stream, binary_keys: bool):
-    """The keys of ``in_stream``, a list at a time: ``QUERY_BLOCK`` records
-    of a binary stream, or the lines of ``QUERY_BLOCK`` characters of text
-    and the rest of the last one, each encoded as UTF-8 without its ``\\n``
-    and trailing ``\\r``s (the keys of iterating the text by lines)."""
+def _blocks(in_stream, binary_keys: bool):
+    """The keys of ``in_stream`` a block at a time, as the bytes they lie
+    in and their bounds: ``QUERY_BLOCK`` records of a binary stream, with
+    their int64 (start, end) pairs in all its bytes, or the lines of
+    ``QUERY_BLOCK`` characters of text and the rest of the last one,
+    encoded as UTF-8, with bounds None (the keys are the lines)."""
     if binary_keys:
         data = in_stream.read()
         bounds = _binary_records(data, 0)[0]
         for start in range(0, len(bounds), QUERY_BLOCK):
-            yield [data[a:b] for a, b in bounds[start : start + QUERY_BLOCK].tolist()]
+            yield data, bounds[start : start + QUERY_BLOCK]
         return
     while text := in_stream.read(QUERY_BLOCK):
         # the rest of the last line too, so that no key spans two blocks
-        data = (text + in_stream.readline()).encode("utf-8")
-        keys = data.removesuffix(b"\n").split(b"\n")
-        yield [key.rstrip(b"\r") for key in keys] if b"\r" in data else keys
+        yield (text + in_stream.readline()).encode("utf-8"), None
+
+
+def _key_blocks(in_stream, binary_keys: bool):
+    """The keys of each block of ``_blocks`` as a list: a binary block's
+    key slices, or a text block's lines without their ``\\n`` and trailing
+    ``\\r``s (the keys of iterating the text by lines)."""
+    for data, bounds in _blocks(in_stream, binary_keys):
+        if bounds is not None:
+            yield [data[a:b] for a, b in bounds.tolist()]
+        else:
+            keys = data.removesuffix(b"\n").split(b"\n")
+            yield [key.rstrip(b"\r") for key in keys] if b"\r" in data else keys
 
 
 def _hex_lines(values, width: int) -> str:
-    """The lines ``f"{value:0{width}x}\\n"`` of ``values``, joined: each
-    value's digits through ``_HEX_DIGITS``, in uint64 arithmetic up to 16
-    digits and on Python ints (an object array) above."""
-    dtype = object if width > 16 else np.uint64
-    shifts = np.arange(4 * (width - 1), -1, -4, dtype=dtype)
-    nibbles = np.array(values, dtype=dtype)[:, None] >> shifts & 15
+    """The lines ``f"{value:0{width}x}\\n"`` of ``values`` (a sequence of
+    ints or a uint64 array, taken as it is), joined: each value's digits
+    through ``_HEX_DIGITS``, one pass over all values per digit, in uint64
+    arithmetic up to 16 digits and on Python ints (an object array)
+    above."""
+    values = np.asarray(values, dtype=object if width > 16 else np.uint64)
     text = np.empty((len(values), width + 1), dtype=np.uint8)
-    text[:, :width] = _HEX_DIGITS[nibbles.astype(np.intp)]
+    for j in range(width):
+        text[:, j] = _HEX_DIGITS[(values >> 4 * (width - 1 - j) & 15).astype(np.intp)]
     text[:, width] = ord("\n")
     return text.tobytes().decode("ascii")
 
 
 def cmd_query(path: str, in_stream=None, out_stream=None, binary_keys: bool = False) -> int:
     """Answer keys, one per line of text or, with ``binary_keys``, one per
-    length-prefixed record of a binary stream; one hex line each. Each block
-    of ``_key_blocks`` is one ``query_many`` call and one write."""
+    length-prefixed record of a binary stream; one hex line each. Each
+    block of ``_blocks`` is one lookup call and one write: where the
+    structure's lookup is native, one ``query_block`` call over the
+    block's bytes (``block_lookup``), which hashes each key where it lies
+    and answers in a uint64 array, so no Python object is made per key;
+    otherwise one ``query_many`` call over the block's keys from
+    ``_key_blocks``."""
     if in_stream is None:
         in_stream = sys.stdin.buffer if binary_keys else sys.stdin
     out_stream = out_stream if out_stream is not None else sys.stdout
     with open(path, "rb") as fh:
         ds = deserialize(fh.read())
     width = _hex_width(ds.params.r)
-    for keys in _key_blocks(in_stream, binary_keys):
-        out_stream.write(_hex_lines(query_many(ds, keys), width))
+    answer = block_lookup(ds)
+    if answer is None:
+        for keys in _key_blocks(in_stream, binary_keys):
+            out_stream.write(_hex_lines(query_many(ds, keys), width))
+        return EXIT_OK
+    for data, bounds in _blocks(in_stream, binary_keys):
+        out_stream.write(_hex_lines(np.frombuffer(answer(data, bounds), np.uint64), width))
     return EXIT_OK
 
 

@@ -328,6 +328,19 @@ def query_many(ds: ChunkedRetrieval, keys) -> list[int]:
     return lookup.func.__self__.query_many(*lookup.args, keys)  # the native module
 
 
+def block_lookup(ds: ChunkedRetrieval) -> partial | None:
+    """The native ``query_block`` with the structure's lookup arguments
+    bound, so that ``block_lookup(ds)(data, bounds)`` answers every key of
+    the buffer ``data`` (its lines with ``bounds`` None, else the int64
+    (start, end) pairs of ``bounds``) as a bytearray of native uint64, one
+    call a block; None where the structure's lookup is the Python one (no
+    native module, L > 128 or r > 64)."""
+    lookup = ds._lookup or _bind(ds)
+    if lookup.func is _query_words:
+        return None
+    return partial(lookup.func.__self__.query_block, *lookup.args)  # the native module
+
+
 def serialize(ds: ChunkedRetrieval) -> bytes:
     """The file: header, then ``ds.directory.packed`` and ``ds.planes`` as they are."""
     p, d = ds.params, ds.directory

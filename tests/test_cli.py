@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -11,6 +13,7 @@ from collections import Counter
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +24,8 @@ from bandset.analysis_sim import make_rng
 from bandset.cli import main
 from bandset.retrieval_chunked import (
     ChunkedParams,
+    _query_words,
+    block_lookup,
     construct_chunked,
     deserialize,
     overhead,
@@ -480,13 +485,183 @@ def test_text_key_blocks_give_the_keys_of_iterating_lines(pieces, final_newline)
         assert got == want, block
 
 
+# Keys over the alphabet of the line tests, so that generated lines often
+# are keys: every string of up to three of its pieces that no \r ends.
+_LINE_PIECES = ["a", "é", "😀", "\r"]
+_LINE_KEYS = [""] + [
+    "".join(p) for n in (1, 2, 3) for p in itertools.product(_LINE_PIECES, repeat=n)
+    if p[-1] != "\r"
+]
+
+
+@functools.cache
+def _line_key_args(L: int, r: int) -> tuple:
+    """The lookup arguments of a structure of ``_LINE_KEYS`` with L-bit
+    blocks and r value bits, in 8-key chunks."""
+    rng = random.Random(L * 100 + r)
+    pairs = [(key.encode(), rng.getrandbits(r)) for key in _LINE_KEYS]
+    ds = construct_chunked(pairs, ChunkedParams(epsilon=0.2, L=L, r=r, C=8, base_seed=L + r,
+                                                force_leading_one=L == 65))
+    p = ds.params
+    return p.base_seed, p.L, p.r, p.force_leading_one, ds.directory.packed, ds.planes
+
+
+def _answers(native, args, data, bounds) -> list[int]:
+    return np.frombuffer(native.query_block(*args, data, bounds), np.uint64).tolist()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(pieces=st.lists(st.sampled_from(["a", "é", "😀", "\r", "\n", "\r\n", "\r\r\n", "",
+                                        "\n\n"]), max_size=16),
+       final_newline=st.booleans(), L=st.sampled_from([64, 65, 128]),
+       r=st.sampled_from([1, 4, 64]))
+def test_block_query_answers_the_keys_of_the_lines(pieces, final_newline, L, r, native):
+    # every block size up to a few lines' length and the default: the
+    # native block query of each text block gives the Python lookup's
+    # answers for that block's keys, present and absent
+    text = "".join(pieces) + "\n" * final_newline
+    args = _line_key_args(L, r)
+    for block in [*range(1, 9), cli.QUERY_BLOCK]:
+        with mock.patch.object(cli, "QUERY_BLOCK", block):
+            blocks = list(cli._blocks(io.StringIO(text), False))
+            key_blocks = list(cli._key_blocks(io.StringIO(text), False))
+        assert len(blocks) == len(key_blocks), block
+        for (data, bounds), keys in zip(blocks, key_blocks):
+            assert bounds is None
+            assert _answers(native, args, data, None) == [_query_words(*args, k) for k in keys]
+
+
+@pytest.mark.parametrize("r", [1, 4, 64])
+@pytest.mark.parametrize("L", [64, 65, 128])
+def test_block_query_answers_the_keys_of_binary_records(L, r, native):
+    # keys holding \n, \r and NUL, present and absent, in blocks of 1 to 8
+    # records and the default
+    args = _line_key_args(L, r)
+    rng = random.Random(L + r)
+    keys = [key.encode() for key in _LINE_KEYS] + [b"\n", b"a\nb", b"\x00", b"\r\n", b"absent"]
+    rng.shuffle(keys)
+    data = binary_records(keys)
+    want = [_query_words(*args, key) for key in keys]
+    for block in [*range(1, 9), cli.QUERY_BLOCK]:
+        with mock.patch.object(cli, "QUERY_BLOCK", block):
+            got = [v for data_, bounds in cli._blocks(io.BytesIO(data), True)
+                   for v in _answers(native, args, data_, bounds)]
+        assert got == want, block
+    assert _answers(native, args, b"", None) == []
+    assert _answers(native, args, data, np.empty((0, 2), np.int64)) == []
+
+
+def _error(call) -> tuple[type, str]:
+    with pytest.raises((ValueError, IndexError)) as exc:
+        call()
+    return type(exc.value), str(exc.value)
+
+
+def _raises(func, *args) -> bool:
+    try:
+        func(*args)
+    except (ValueError, IndexError):
+        return True
+    return False
+
+
+@pytest.mark.parametrize("edit", ["short chunk", "short planes"])
+def test_block_query_raises_the_errors_of_query(edit, native):
+    # a directory entry that gives a chunk fewer than L bits, and planes
+    # that each lose their last word: for the first key that reaches the
+    # damage, the block query in both modes, query, query_many and the
+    # Python lookup raise the same exception with the same text
+    pairs = make_pairs(3_000, r=2, tag="parity")
+    ds = construct_chunked(pairs, ChunkedParams(epsilon=0.05, r=2, C=1_000, base_seed=4))
+    p = ds.params
+    directory, planes = ds.directory.packed, ds.planes
+    if edit == "short chunk":
+        directory = directory[:8] + directory[:6] + bytes(2) + directory[16:]
+    else:
+        size = len(planes) // 2
+        planes = planes[: size - 8] + planes[size:-8]
+    args = p.base_seed, p.L, p.r, p.force_leading_one, directory, planes
+    keys = [key for key, _ in pairs]
+    bad = next(i for i, key in enumerate(keys) if _raises(native.query, *args, key))
+    want = _error(lambda: native.query(*args, keys[bad]))
+    assert want[0] is (ValueError if edit == "short chunk" else IndexError)
+    data = b"\n".join(keys[: bad + 1])
+    lengths = np.array([len(key) for key in keys[: bad + 1]])
+    starts = np.cumsum(lengths + 1) - lengths - 1
+    bounds = np.stack([starts, starts + lengths], axis=1)
+    assert _error(lambda: native.query_many(*args, keys[: bad + 1])) == want
+    assert _error(lambda: native.query_block(*args, data, None)) == want
+    assert _error(lambda: native.query_block(*args, data, bounds)) == want
+    assert _error(lambda: _query_words(*args, keys[bad])) == want
+    assert _answers(native, args, data, bounds[:-1]) == native.query_many(*args, keys[:bad])
+
+
+@pytest.mark.parametrize("bounds", [[(0, 4)], [(-1, 0)], [(2, 1)], [(0, 1), (3, 5)]])
+def test_block_query_checks_every_bound(bounds, native):
+    # bounds outside the data raise digest_packed's ValueError, naming the key
+    data = b"abc"
+    args = _line_key_args(64, 4)
+    bounds = np.array(bounds, np.int64)
+    want = _error(lambda: native.digest_packed(data, bounds, 0))
+    assert want[0] is ValueError and "lies outside the data" in want[1]
+    assert _error(lambda: native.query_block(*args, data, bounds)) == want
+    torn = bounds.tobytes()[:-1]
+    assert (_error(lambda: native.query_block(*args, data, torn))
+            == _error(lambda: native.digest_packed(data, torn, 0)))
+
+
+_records = st.tuples(
+    st.lists(st.sampled_from([b"", b"k", b"\n", b"\x00\xff", b"x" * 20]), max_size=6),
+    st.lists(st.integers(0, MASK64), min_size=6, max_size=6),
+    st.integers(0, 12),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(records=_records, value_bytes=st.sampled_from([0, 8]))
+def test_native_record_scan_matches_the_python_loop(records, value_bytes, native):
+    # whole records, and the same cut short by up to 12 bytes: the same
+    # bounds and values, or the same InputError naming the record
+    keys, values, cut = records
+    data = binary_records(keys, values[: len(keys)] if value_bytes else None)
+    data = data[: max(0, len(data) - cut)]
+
+    def scan():
+        try:
+            bounds, vals = cli._binary_records(data, value_bytes)
+        except cli.InputError as exc:
+            return f"InputError: {exc}"
+        return bounds.shape, bounds.tolist(), vals.tolist()
+
+    scan_records, scanned = native.scan_records, []
+
+    def spied_scan(*args):
+        done = scan_records(*args)
+        scanned.append(done is not None)
+        return done
+
+    with mock.patch.object(native, "scan_records", spied_scan):
+        got = scan()
+    with python_branch():
+        assert scan() == got
+    assert scanned == [not isinstance(got, str)]  # the Python loop reads only bad records
+    if cut == 0:
+        assert got[0] == (len(keys), 2)
+        assert [data[a:b] for a, b in got[1]] == keys
+        assert got[2] == (values[: len(keys)] if value_bytes else [0] * len(keys))
+
+
 @pytest.mark.parametrize("r", [1, 3, 4, 5, 8, 63, 64, 65, 100])
 def test_hex_lines_match_the_per_value_format(r):
     width = cli._hex_width(r)
     rng = random.Random(r)
     values = [0, (1 << r) - 1] + [rng.getrandbits(r) for _ in range(200)]
-    assert cli._hex_lines(values, width) == "".join(f"{v:0{width}x}\n" for v in values)
+    want = "".join(f"{v:0{width}x}\n" for v in values)
+    assert cli._hex_lines(values, width) == want
     assert cli._hex_lines([], width) == ""
+    if r <= 64:  # the native block query's answers, as they come
+        assert cli._hex_lines(np.array(values, np.uint64), width) == want
+        assert cli._hex_lines(np.array([], np.uint64), width) == ""
 
 
 def test_query_of_72_bit_values_matches_the_per_key_format(tmp_path, capsys, monkeypatch):
@@ -530,22 +705,42 @@ def test_query_of_real_stdin_with_lf_and_crlf_lines(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("binary_keys", [False, True])
-def test_query_calls_query_many_once_per_block(binary_keys, tmp_path, capsys, monkeypatch):
+def test_query_makes_one_lookup_call_per_block(binary_keys, backend, tmp_path, capsys,
+                                               monkeypatch):
+    # the native lookup answers a block with one query_block call (through
+    # the function block_lookup binds), the Python one with one query_many
+    # call; neither calls the library once per key
     inp = tmp_path / "in.tsv"
     write_tsv(inp, [(f"k{i}", "1") for i in range(50)])
     out = tmp_path / "ds.bin"
     assert run(["build", str(inp), str(out), "--seed", "2"], capsys)[0] == 0
     keys = [f"k{i}".encode() for i in range(200)]
     calls = []
+    kinds = set()
 
     def counted(ds, block):
         calls.append(len(block))
+        kinds.add("query_many")
         return query_many(ds, block)
+
+    def counted_block_lookup(ds):
+        answer = block_lookup(ds)
+        if answer is None:
+            return None
+
+        def counted_answer(data, bounds):
+            answers = answer(data, bounds)
+            calls.append(len(answers) // 8)
+            kinds.add("query_block")
+            return answers
+
+        return counted_answer
 
     def per_key(ds, key):
         raise AssertionError("query answers keys in blocks")
 
     monkeypatch.setattr("bandset.cli.query_many", counted)
+    monkeypatch.setattr("bandset.cli.block_lookup", counted_block_lookup)
     monkeypatch.setattr("bandset.cli.query_chunked", per_key)
     monkeypatch.setattr("bandset.cli.QUERY_BLOCK", 16)
     if binary_keys:
@@ -558,6 +753,7 @@ def test_query_calls_query_many_once_per_block(binary_keys, tmp_path, capsys, mo
     assert code == 0
     assert sum(calls) == len(keys) == len(stdout.splitlines())
     assert len(calls) <= bound
+    assert kinds == {"query_block" if backend == "native" else "query_many"}
 
 
 def test_query_unencodable_line_exits_2(tmp_path, capsys, monkeypatch):

@@ -509,6 +509,8 @@ def test_native_query_checks_its_own_bounds(bad, native):
         native.query(*args.values(), key)
     with pytest.raises(errors):
         native.query_many(*args.values(), [key])
+    with pytest.raises(errors):
+        native.query_block(*args.values(), key, None)
     if "directory" in bad or "planes" in bad:  # the Python lookup's own checks
         with pytest.raises((ValueError, TypeError)):
             retrieval_chunked._query_words(*args.values(), key)
