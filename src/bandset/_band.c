@@ -15,20 +15,18 @@
      value in [0, 2^r)), hashes each key and keeps each value as a uint64,
      and returns None at the first other pair: the Python pass owns every
      ingest error. Repeated keys are left to the caller.
-   * ``query(seed, L, r, lead, directory, planes, key)``,
-     ``query_many(seed, L, r, lead, directory, planes, keys)`` and
-     ``query_block(seed, L, r, lead, directory, planes, data, bounds)``:
-     the whole lookup of ``query_chunked`` for L <= 128 and at most 64
-     planes, of one key, of an iterable of keys, or of the keys of one
-     buffer where they lie (its lines, or the (start, end) pairs of
-     bounds), answered as uint64, which is how ``bandset query`` answers a
-     block. The caller hands over the structure's words, not the
-     structure: the ints base_seed, L, r and lead (force_leading_one), and
-     the buffers ``ds.directory.packed`` and ``ds.planes``, which are read
-     in place. The keys come last, so ``functools.partial(query, seed, L,
-     r, lead, directory, planes)`` is one structure's lookup, bound once at
-     its first query; every bound is still checked on every call. All
-     three share one lookup of a key's digest words, ``query_digest``.
+   * ``bind(seed, L, r, lead, directory, planes)``: one structure's
+     lookup, for L <= 128 and at most 64 planes, a ``Lookup`` that holds
+     the structure's words: the ints base_seed, L, r and lead
+     (force_leading_one), checked once, and views of the buffers
+     ``ds.directory.packed`` and ``ds.planes``, read in place and released
+     when the lookup goes. ``lookup(key)`` answers one key,
+     ``lookup.query_many(keys)`` an iterable of keys and
+     ``lookup.query_block(data, bounds)`` the keys of one buffer where
+     they lie (its lines, or the (start, end) pairs of bounds), answered
+     as uint64, which is how ``bandset query`` answers a block. Every
+     per-key bound is still checked on every call. All three share one
+     lookup of a key's digest words, ``query_digest``.
    * ``read_tsv(data, r)``, ``scan_records(data, value_bytes)`` and
      ``digest_packed(data, bounds, seed)``: an input as one buffer.
      ``read_tsv`` scans the bytes of a TSV file once for each key's
@@ -45,6 +43,7 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -426,10 +425,10 @@ done:
 #define OFFSET_BITS 48
 #define OFFSET_MASK ((1ULL << OFFSET_BITS) - 1)
 
-/* What a query needs of a structure, checked once per call: directory is
-   num_chunks + 1 little-endian words, each offset | seed << 48, and plane
-   t is the nwords little-endian words from byte 8 * nwords * t of
-   planes. */
+/* What a query needs of a structure, checked once, when a lookup is
+   bound: directory is num_chunks + 1 little-endian words, each offset |
+   seed << 48, and plane t is the nwords little-endian words from byte
+   8 * nwords * t of planes. */
 struct query {
     uint64_t seed, L, r, num_chunks, nwords;
     int lead;
@@ -520,38 +519,53 @@ static int query_key(const struct query *q, PyObject *key, uint64_t *value)
     return query_digest(q, L, hi, lo, value);
 }
 
-/* query(seed, L, r, lead, directory, planes, key) -> int */
-static PyObject *py_query(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
+/* A bound lookup: one structure's checked words and its two buffer
+   views, held from bind to dealloc. Calling it answers one key. Its type
+   is static with no tp_new, so Python cannot make one: bind makes every
+   Lookup. */
+typedef struct {
+    PyObject_HEAD
+    vectorcallfunc vectorcall;
     struct query q;
-    uint64_t value;
-    if (check_nargs("query", nargs, 7) < 0 || query_init(&q, args) < 0)
-        return NULL;
-    int bad = query_key(&q, args[6], &value);
-    query_clear(&q);
-    return bad ? NULL : PyLong_FromUnsignedLongLong(value);
+} Lookup;
+
+static void lookup_dealloc(PyObject *self)
+{
+    query_clear(&((Lookup *)self)->q);
+    Py_TYPE(self)->tp_free(self);
 }
 
-/* query_many(seed, L, r, lead, directory, planes, keys) -> list of int,
-   one per key of the iterable keys */
-static PyObject *py_query_many(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+/* lookup(key) -> int */
+static PyObject *lookup_call(PyObject *self, PyObject *const *args, size_t nargsf, PyObject *kwnames)
 {
-    struct query q;
-    if (check_nargs("query_many", nargs, 7) < 0 || query_init(&q, args) < 0)
+    uint64_t value;
+    if (kwnames && PyTuple_GET_SIZE(kwnames)) {
+        PyErr_SetString(PyExc_TypeError, "a lookup takes no keyword arguments");
         return NULL;
-    PyObject *it = PyObject_GetIter(args[6]);
+    }
+    if (check_nargs("lookup", PyVectorcall_NARGS(nargsf), 1) < 0
+        || query_key(&((Lookup *)self)->q, args[0], &value) < 0)
+        return NULL;
+    return PyLong_FromUnsignedLongLong(value);
+}
+
+/* lookup.query_many(keys) -> list of int, one per key of the iterable
+   keys */
+static PyObject *lookup_query_many(PyObject *self, PyObject *keys)
+{
+    const struct query *q = &((Lookup *)self)->q;
+    PyObject *it = PyObject_GetIter(keys);
     PyObject *out = it ? PyList_New(0) : NULL;
     PyObject *key;
     while (out && (key = PyIter_Next(it))) {
         uint64_t value;
-        PyObject *v = query_key(&q, key, &value) < 0 ? NULL : PyLong_FromUnsignedLongLong(value);
+        PyObject *v = query_key(q, key, &value) < 0 ? NULL : PyLong_FromUnsignedLongLong(value);
         Py_DECREF(key);
         if (!v || PyList_Append(out, v) < 0)
             Py_CLEAR(out);
         Py_XDECREF(v);
     }
     Py_XDECREF(it);
-    query_clear(&q);
     if (out && PyErr_Occurred())
         Py_CLEAR(out);
     return out;
@@ -763,28 +777,28 @@ done:
    reads of one batch's lookups overlap. */
 #define QUERY_BATCH 16
 
-/* query_block(seed, L, r, lead, directory, planes, data, bounds) ->
-   answers: the value of each key of the buffer data, as query gives it,
-   in a bytearray of one native-endian uint64 per key. With bounds None
-   the keys are the lines of data, the keys of cli._key_blocks: data is
-   split at \n, a last line without one counts (so empty data has no
-   key), and each line loses its trailing run of \r. Otherwise bounds
-   holds native-endian int64 (start, end) pairs, as digest_packed takes
-   them, and key i is data[start:end]; ValueError, before any lookup, for
-   a pair that does not lie within data. Each key is hashed where it lies;
-   the first key whose lookup fails raises query's error. */
-static PyObject *py_query_block(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+/* lookup.query_block(data, bounds) -> answers: the value of each key of
+   the buffer data, as a call of the lookup gives it, in a bytearray of
+   one native-endian uint64 per key. With bounds None the keys are the
+   lines of data, the keys of cli._key_blocks: data is split at \n, a
+   last line without one counts (so empty data has no key), and each line
+   loses its trailing run of \r. Otherwise bounds holds native-endian
+   int64 (start, end) pairs, as digest_packed takes them, and key i is
+   data[start:end]; ValueError, before any lookup, for a pair that does
+   not lie within data. Each key is hashed where it lies; the first key
+   whose lookup fails raises the call's error. */
+static PyObject *lookup_query_block(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    struct query q;
-    if (check_nargs("query_block", nargs, 8) < 0 || query_init(&q, args) < 0)
+    if (check_nargs("query_block", nargs, 2) < 0)
         return NULL;
+    const struct query *q = &((Lookup *)self)->q;
     Py_buffer data = {.obj = NULL}, bounds = {.obj = NULL};
     PyObject *out = NULL;
-    int lines = args[7] == Py_None;
+    int lines = args[1] == Py_None;
     Py_ssize_t m = 0;
     int64_t se[2];
-    if (PyObject_GetBuffer(args[6], &data, PyBUF_SIMPLE) < 0
-        || (!lines && (PyObject_GetBuffer(args[7], &bounds, PyBUF_SIMPLE) < 0
+    if (PyObject_GetBuffer(args[0], &data, PyBUF_SIMPLE) < 0
+        || (!lines && (PyObject_GetBuffer(args[1], &bounds, PyBUF_SIMPLE) < 0
                        || (m = key_count(&bounds)) < 0)))
         goto done;
     const uint8_t *p = data.buf, *end = p + data.len;
@@ -815,10 +829,10 @@ static PyObject *py_query_block(PyObject *self, PyObject *const *args, Py_ssize_
                 key += se[0];
                 stop = key + (se[1] - se[0]);
             }
-            digest(q.seed, key, (size_t)(stop - key), &hi[j], &lo[j]);
+            digest(q->seed, key, (size_t)(stop - key), &hi[j], &lo[j]);
         }
         for (int j = 0; j < k; j++, v += 8) {
-            if (query_digest(&q, q.L, hi[j], lo[j], &value) < 0) {
+            if (query_digest(q, q->L, hi[j], lo[j], &value) < 0) {
                 Py_CLEAR(out);
                 goto done;
             }
@@ -828,18 +842,51 @@ static PyObject *py_query_block(PyObject *self, PyObject *const *args, Py_ssize_
 done:
     PyBuffer_Release(&bounds);
     PyBuffer_Release(&data);
-    query_clear(&q);
     return out;
+}
+
+static PyMethodDef lookup_methods[] = {
+    {"query_many", lookup_query_many, METH_O, "query_many(keys): the values of many keys."},
+    {"query_block", (PyCFunction)(void (*)(void))lookup_query_block, METH_FASTCALL,
+     "query_block(data, bounds): the values of the keys of data, as uint64."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject LookupType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "bandset._band.Lookup",
+    .tp_doc = "One structure's lookup, made by bind: lookup(key) is the value of one key.",
+    .tp_basicsize = sizeof(Lookup),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_VECTORCALL,
+    .tp_dealloc = lookup_dealloc,
+    .tp_vectorcall_offset = offsetof(Lookup, vectorcall),
+    .tp_call = PyVectorcall_Call,
+    .tp_methods = lookup_methods,
+};
+
+/* bind(seed, L, r, lead, directory, planes) -> Lookup: query_init's
+   checks, once; nothing is made when they fail. */
+static PyObject *py_bind(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_nargs("bind", nargs, 6) < 0)
+        return NULL;
+    Lookup *lookup = PyObject_New(Lookup, &LookupType);
+    if (!lookup)
+        return NULL;
+    lookup->vectorcall = lookup_call;
+    if (query_init(&lookup->q, args) < 0) {
+        Py_DECREF(lookup); /* query_init left both views empty */
+        return NULL;
+    }
+    return (PyObject *)lookup;
 }
 
 static PyMethodDef methods[] = {
     {"solve", py_solve, METH_VARARGS, "Solve one band system into byte-per-bit planes."},
     {"digest_pairs", (PyCFunction)(void (*)(void))py_digest_pairs, METH_FASTCALL,
      "Check (key, value) pairs, hash each key and keep each value."},
-    {"query", (PyCFunction)(void (*)(void))py_query, METH_FASTCALL,
-     "query(seed, L, r, lead, directory, planes, key): the value of one key."},
-    {"query_many", (PyCFunction)(void (*)(void))py_query_many, METH_FASTCALL,
-     "query_many(seed, L, r, lead, directory, planes, keys): the values of many keys."},
+    {"bind", (PyCFunction)(void (*)(void))py_bind, METH_FASTCALL,
+     "bind(seed, L, r, lead, directory, planes): one structure's lookup."},
     {"read_tsv", (PyCFunction)(void (*)(void))py_read_tsv, METH_FASTCALL,
      "read_tsv(data, r): the key bounds and values of plain key<TAB>HEX lines, or None."},
     {"digest_packed", (PyCFunction)(void (*)(void))py_digest_packed, METH_FASTCALL,
@@ -847,9 +894,6 @@ static PyMethodDef methods[] = {
     {"scan_records", (PyCFunction)(void (*)(void))py_scan_records, METH_FASTCALL,
      "scan_records(data, value_bytes): the key bounds and values of length-prefixed records, "
      "or None."},
-    {"query_block", (PyCFunction)(void (*)(void))py_query_block, METH_FASTCALL,
-     "query_block(seed, L, r, lead, directory, planes, data, bounds): the values of the keys "
-     "of data, as uint64."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -857,5 +901,10 @@ static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "bandset._band", NULL
 
 PyMODINIT_FUNC PyInit__band(void)
 {
-    return PyModule_Create(&module);
+    if (PyType_Ready(&LookupType) < 0)
+        return NULL;
+    PyObject *m = PyModule_Create(&module);
+    if (m && PyModule_AddObjectRef(m, "Lookup", (PyObject *)&LookupType) < 0)
+        Py_CLEAR(m);
+    return m;
 }

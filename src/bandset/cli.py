@@ -261,13 +261,20 @@ def _key_blocks(in_stream, binary_keys: bool):
 def _hex_lines(values, width: int) -> str:
     """The lines ``f"{value:0{width}x}\\n"`` of ``values`` (a sequence of
     ints or a uint64 array, taken as it is), joined: each value's digits
-    through ``_HEX_DIGITS``, one pass over all values per digit, in uint64
-    arithmetic up to 16 digits and on Python ints (an object array)
-    above."""
-    values = np.asarray(values, dtype=object if width > 16 else np.uint64)
-    text = np.empty((len(values), width + 1), dtype=np.uint8)
+    through ``_HEX_DIGITS``, one pass over all values per digit, all in
+    uint64 arithmetic. Up to 16 digits a value is one word; wider values
+    (r > 64, the Python lookup's ints) are split into 64-bit words, low
+    word first, and each digit is read from the word that holds it."""
+    if width <= 16:
+        words = np.asarray(values, np.uint64).reshape(-1, 1)
+    else:
+        size = 8 * -(-width // 16)
+        data = b"".join(v.to_bytes(size, "little") for v in values)
+        words = np.frombuffer(data, "<u8").reshape(-1, size // 8)
+    text = np.empty((len(words), width + 1), dtype=np.uint8)
     for j in range(width):
-        text[:, j] = _HEX_DIGITS[(values >> 4 * (width - 1 - j) & 15).astype(np.intp)]
+        word, bit = divmod(4 * (width - 1 - j), 64)
+        text[:, j] = _HEX_DIGITS[(words[:, word] >> bit & 15).astype(np.intp)]
     text[:, width] = ord("\n")
     return text.tobytes().decode("ascii")
 
@@ -276,10 +283,10 @@ def cmd_query(path: str, in_stream=None, out_stream=None, binary_keys: bool = Fa
     """Answer keys, one per line of text or, with ``binary_keys``, one per
     length-prefixed record of a binary stream; one hex line each. Each
     block of ``_blocks`` is one lookup call and one write: where the
-    structure's lookup is native, one ``query_block`` call over the
-    block's bytes (``block_lookup``), which hashes each key where it lies
-    and answers in a uint64 array, so no Python object is made per key;
-    otherwise one ``query_many`` call over the block's keys from
+    structure's lookup is native, one call of its ``query_block`` over
+    the block's bytes (``block_lookup``), which hashes each key where it
+    lies and answers in a uint64 array, so no Python object is made per
+    key; otherwise one ``query_many`` call over the block's keys from
     ``_key_blocks``."""
     if in_stream is None:
         in_stream = sys.stdin.buffer if binary_keys else sys.stdin

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -116,13 +117,20 @@ class ChunkedRetrieval:
 
     Frozen, like its params and directory: ``_lookup`` is filled at the
     first query (``_bind``) from the buffers held then, so an edit is a new
-    structure, ``dataclasses.replace(ds, ...)``, which starts unbound."""
+    structure, ``dataclasses.replace(ds, ...)``, which starts unbound. A
+    copy (``copy``, ``copy.deepcopy``, ``pickle``) starts unbound too: it
+    holds the four fields alone, and its first query binds the backend of
+    the process it is in."""
 
     params: ChunkedParams
     directory: ChunkDirectory
     planes: bytes
     m: int
-    _lookup: partial | None = field(init=False, default=None, repr=False, compare=False)
+    _lookup: Callable[[bytes], int] | None = field(init=False, default=None, repr=False,
+                                                   compare=False)
+
+    def __reduce__(self):
+        return ChunkedRetrieval, (self.params, self.directory, self.planes, self.m)
 
     @property
     def plane_bits(self) -> int:
@@ -246,35 +254,43 @@ def query_chunked(ds: ChunkedRetrieval, key: bytes) -> int:
     raises TypeError.
 
     One call of the structure's lookup, which its first query binds (see
-    ``_bind``): the native ``query`` where the native module loaded
+    ``_bind``): a native ``Lookup`` where the native module loaded
     (``retrieval_flat._kernel()``), L <= 128 and r <= 64, else
-    ``_query_words``, each with the structure's words bound before the
-    key. The backend is fixed then for the structure's life; a structure
-    made by ``dataclasses.replace`` starts unbound. Both lookups check
-    the same bounds on every call (see ``_query_words``).
+    ``_query_words`` with the structure's words bound before the key. The
+    backend is fixed then for the structure's life; a structure made by
+    ``dataclasses.replace`` or copied starts unbound. Both lookups check
+    the same bounds (see ``_query_words``): the native one checks the
+    structure's words once, when it is bound, and each key's on every
+    call.
     """
     return (ds._lookup or _bind(ds))(key)
 
 
-def _bind(ds: ChunkedRetrieval) -> partial:
-    """Make, store and return the lookup of ``ds``: the key-last native
-    ``query`` or ``_query_words``, with the base seed, L, r,
-    force_leading_one, the directory words and the planes bound. Threads
-    that race to bind one structure make equal lookups, so the lost store
-    does no harm."""
+def _bind(ds: ChunkedRetrieval) -> Callable[[bytes], int]:
+    """Make, store and return the lookup of ``ds``: the native
+    ``bind(base_seed, L, r, force_leading_one, directory, planes)``, a
+    ``Lookup`` that checks those words once and holds views of the two
+    buffers, or ``_query_words`` with the same words bound before the key.
+    A native bind that fails (the ValueError that ``_query_words`` raises
+    for a directory or planes of the wrong length) stores nothing, so
+    every later query raises again.
+    Threads that race to bind one structure make equal lookups, so the
+    lost store does no harm."""
     params = ds.params
     native = retrieval_flat._kernel()
-    func = (native.query if native is not None and params.L <= 128 and params.r <= 64
-            else _query_words)
-    lookup = partial(func, params.base_seed, params.L, params.r, params.force_leading_one,
-                     ds.directory.packed, ds.planes)
+    words = (params.base_seed, params.L, params.r, params.force_leading_one,
+             ds.directory.packed, ds.planes)
+    if native is not None and params.L <= 128 and params.r <= 64:
+        lookup = native.bind(*words)
+    else:
+        lookup = partial(_query_words, *words)
     object.__setattr__(ds, "_lookup", lookup)  # the one field a frozen structure fills late
     return lookup
 
 
 def _query_words(seed: int, L: int, r: int, lead: bool, directory, planes, key) -> int:
     """The lookup in Python, the fallback and the reference the tests check
-    the native ``query`` against; the same arguments, key last.
+    the native ``Lookup`` against: ``bind``'s arguments, then the key.
     ``directory`` and ``planes`` are ``ds.directory.packed`` and
     ``ds.planes``. It takes the chunk count from the length of
     ``directory`` (ValueError unless it is two or more whole 64-bit words),
@@ -319,26 +335,24 @@ def _query_words(seed: int, L: int, r: int, lead: bool, directory, planes, key) 
 
 def query_many(ds: ChunkedRetrieval, keys) -> list[int]:
     """``query_chunked`` of every key of the iterable ``keys``, in order,
-    through the structure's bound lookup: one native ``query_many`` call
-    with the same bound arguments where that lookup is native, one call of
-    the Python lookup per key otherwise."""
+    through the structure's bound lookup: one call of its ``query_many``
+    where that lookup is native, one call of the Python lookup per key
+    otherwise."""
     lookup = ds._lookup or _bind(ds)
-    if lookup.func is _query_words:
+    if isinstance(lookup, partial):  # the Python lookup
         return list(map(lookup, keys))
-    return lookup.func.__self__.query_many(*lookup.args, keys)  # the native module
+    return lookup.query_many(keys)
 
 
-def block_lookup(ds: ChunkedRetrieval) -> partial | None:
-    """The native ``query_block`` with the structure's lookup arguments
-    bound, so that ``block_lookup(ds)(data, bounds)`` answers every key of
-    the buffer ``data`` (its lines with ``bounds`` None, else the int64
-    (start, end) pairs of ``bounds``) as a bytearray of native uint64, one
-    call a block; None where the structure's lookup is the Python one (no
-    native module, L > 128 or r > 64)."""
+def block_lookup(ds: ChunkedRetrieval) -> Callable | None:
+    """The ``query_block`` method of the structure's native lookup, so that
+    ``block_lookup(ds)(data, bounds)`` answers every key of the buffer
+    ``data`` (its lines with ``bounds`` None, else the int64 (start, end)
+    pairs of ``bounds``) as a bytearray of native uint64, one call a
+    block; None where the structure's lookup is the Python one (no native
+    module, L > 128 or r > 64)."""
     lookup = ds._lookup or _bind(ds)
-    if lookup.func is _query_words:
-        return None
-    return partial(lookup.func.__self__.query_block, *lookup.args)  # the native module
+    return None if isinstance(lookup, partial) else lookup.query_block
 
 
 def serialize(ds: ChunkedRetrieval) -> bytes:

@@ -17,15 +17,16 @@ This module also loads the native backend, the CPython extension module
 pass over a build's pairs with the key hash that
 ``row_gen.digest_pairs`` runs (over a list of pairs, or over the keys of
 one buffer where they lie), the TSV and binary record scans that
-``cli.read_tsv_pairs`` and ``cli._binary_records`` run, the one-call
-lookup that ``query_chunked`` and ``query_many`` run, and the block query
-that ``bandset query`` runs on each block of its input
-(``retrieval_chunked.block_lookup``). ``_kernel()`` is the one switch for
-all of them; a build asks it on every solve and pass (and ``bandset``
-at each read of its input), but a structure asks it once, at its first
-query, and keeps that backend for its life, the block query included.
-Its first call, whichever of them makes it, compiles
-``_band.c`` with ``cc`` and the CPython headers into
+``cli.read_tsv_pairs`` and ``cli._binary_records`` run, and ``bind``,
+which makes a structure's lookup: a ``Lookup`` object that
+``query_chunked`` calls once per key, whose ``query_many`` method
+``query_many`` runs, and whose ``query_block`` method ``bandset query``
+runs on each block of its input (``retrieval_chunked.block_lookup``).
+``_kernel()`` is the one switch for all of them; a build asks it on
+every solve and pass (and ``bandset`` at each read of its input), but a
+structure asks it once, at its first query, and keeps that backend for
+its life, the block query included. Its first call, whichever of them
+makes it, compiles ``_band.c`` with ``cc`` and the CPython headers into
 ``$XDG_CACHE_HOME/bandset`` (default ``~/.cache/bandset``) unless it is
 cached there, and imports it. Without a compiler or the headers, or when
 the cache directory is not private to the user, one RuntimeWarning says

@@ -310,10 +310,10 @@ def hash_spy(monkeypatch):
     """The key hash spied on, on whichever backend runs: ``key_digest``
     (the pure-Python path, in ``row_gen`` and ``retrieval_chunked``) and,
     where the native module loaded, its ``digest_pairs``, ``digest_packed``
-    and ``query`` are replaced by wrappers that count the digests they hand
-    out
-    (``spy.digests``; a native query hashes its key once inside the call)
-    and force chosen build digests: every key in ``spy.collide`` gets
+    and ``bind`` are replaced by wrappers that count the digests they hand
+    out (``spy.digests``; a bound lookup made then counts one per call,
+    since it hashes its key once inside the call, and answers single keys
+    only) and force chosen build digests: every key in ``spy.collide`` gets
     ``spy.collision_digest``, and every key in the dict ``spy.forced`` gets
     its value there (16 bytes, ``lo`` then ``hi``, little-endian)."""
     spy = types.SimpleNamespace(digests=0, collide=set(), collision_digest=b"\xff" * 16,
@@ -335,7 +335,7 @@ def hash_spy(monkeypatch):
 
     native = retrieval_flat._kernel()
     if native is not None:
-        real_digest_pairs, real_query = native.digest_pairs, native.query
+        real_digest_pairs, real_bind = native.digest_pairs, native.bind
         real_digest_packed = native.digest_packed
 
         def digest_pairs(items, seed, r):
@@ -357,13 +357,18 @@ def hash_spy(monkeypatch):
                     digests[16 * i : 16 * i + 16] = digest
             return digests
 
-        def query(*args):
-            spy.digests += 1
-            return real_query(*args)
+        def bind(*args):
+            lookup = real_bind(*args)
+
+            def query(key):
+                spy.digests += 1
+                return lookup(key)
+
+            return query
 
         monkeypatch.setattr(native, "digest_pairs", digest_pairs)
         monkeypatch.setattr(native, "digest_packed", digest_packed)
-        monkeypatch.setattr(native, "query", query)
+        monkeypatch.setattr(native, "bind", bind)
     monkeypatch.setattr(row_gen, "key_digest", spied_key_digest)
     monkeypatch.setattr(retrieval_chunked, "key_digest", spied_key_digest)
     return spy

@@ -507,7 +507,7 @@ def _line_key_args(L: int, r: int) -> tuple:
 
 
 def _answers(native, args, data, bounds) -> list[int]:
-    return np.frombuffer(native.query_block(*args, data, bounds), np.uint64).tolist()
+    return np.frombuffer(native.bind(*args).query_block(data, bounds), np.uint64).tolist()
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -569,8 +569,9 @@ def _raises(func, *args) -> bool:
 def test_block_query_raises_the_errors_of_query(edit, native):
     # a directory entry that gives a chunk fewer than L bits, and planes
     # that each lose their last word: for the first key that reaches the
-    # damage, the block query in both modes, query, query_many and the
-    # Python lookup raise the same exception with the same text
+    # damage, the block query in both modes, a call of the lookup, its
+    # query_many and the Python lookup raise the same exception with the
+    # same text
     pairs = make_pairs(3_000, r=2, tag="parity")
     ds = construct_chunked(pairs, ChunkedParams(epsilon=0.05, r=2, C=1_000, base_seed=4))
     p = ds.params
@@ -581,19 +582,20 @@ def test_block_query_raises_the_errors_of_query(edit, native):
         size = len(planes) // 2
         planes = planes[: size - 8] + planes[size:-8]
     args = p.base_seed, p.L, p.r, p.force_leading_one, directory, planes
+    lookup = native.bind(*args)
     keys = [key for key, _ in pairs]
-    bad = next(i for i, key in enumerate(keys) if _raises(native.query, *args, key))
-    want = _error(lambda: native.query(*args, keys[bad]))
+    bad = next(i for i, key in enumerate(keys) if _raises(lookup, key))
+    want = _error(lambda: lookup(keys[bad]))
     assert want[0] is (ValueError if edit == "short chunk" else IndexError)
     data = b"\n".join(keys[: bad + 1])
     lengths = np.array([len(key) for key in keys[: bad + 1]])
     starts = np.cumsum(lengths + 1) - lengths - 1
     bounds = np.stack([starts, starts + lengths], axis=1)
-    assert _error(lambda: native.query_many(*args, keys[: bad + 1])) == want
-    assert _error(lambda: native.query_block(*args, data, None)) == want
-    assert _error(lambda: native.query_block(*args, data, bounds)) == want
+    assert _error(lambda: lookup.query_many(keys[: bad + 1])) == want
+    assert _error(lambda: lookup.query_block(data, None)) == want
+    assert _error(lambda: lookup.query_block(data, bounds)) == want
     assert _error(lambda: _query_words(*args, keys[bad])) == want
-    assert _answers(native, args, data, bounds[:-1]) == native.query_many(*args, keys[:bad])
+    assert _answers(native, args, data, bounds[:-1]) == lookup.query_many(keys[:bad])
 
 
 @pytest.mark.parametrize("bounds", [[(0, 4)], [(-1, 0)], [(2, 1)], [(0, 1), (3, 5)]])
@@ -602,11 +604,12 @@ def test_block_query_checks_every_bound(bounds, native):
     data = b"abc"
     args = _line_key_args(64, 4)
     bounds = np.array(bounds, np.int64)
+    lookup = native.bind(*args)
     want = _error(lambda: native.digest_packed(data, bounds, 0))
     assert want[0] is ValueError and "lies outside the data" in want[1]
-    assert _error(lambda: native.query_block(*args, data, bounds)) == want
+    assert _error(lambda: lookup.query_block(data, bounds)) == want
     torn = bounds.tobytes()[:-1]
-    assert (_error(lambda: native.query_block(*args, data, torn))
+    assert (_error(lambda: lookup.query_block(data, torn))
             == _error(lambda: native.digest_packed(data, torn, 0)))
 
 
@@ -707,8 +710,8 @@ def test_query_of_real_stdin_with_lf_and_crlf_lines(tmp_path, capsys):
 @pytest.mark.parametrize("binary_keys", [False, True])
 def test_query_makes_one_lookup_call_per_block(binary_keys, backend, tmp_path, capsys,
                                                monkeypatch):
-    # the native lookup answers a block with one query_block call (through
-    # the function block_lookup binds), the Python one with one query_many
+    # the native lookup answers a block with one query_block call (the
+    # method block_lookup returns), the Python one with one query_many
     # call; neither calls the library once per key
     inp = tmp_path / "in.tsv"
     write_tsv(inp, [(f"k{i}", "1") for i in range(50)])

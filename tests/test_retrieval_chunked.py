@@ -1,7 +1,11 @@
+import copy
 import hashlib
 import math
+import pickle
 import random
 import struct
+import sys
+import threading
 import time
 from dataclasses import FrozenInstanceError, fields, replace
 from unittest import mock
@@ -389,8 +393,7 @@ def test_wide_rows_or_values_fall_back_to_python(L, r, native, monkeypatch):
     def refuse(*args):
         raise AssertionError("the native lookup ran")
 
-    monkeypatch.setattr(native, "query", refuse)
-    monkeypatch.setattr(native, "query_many", refuse)
+    monkeypatch.setattr(native, "bind", refuse)
     pairs = make_pairs(200, r=r, tag="wide")
     ds = construct_chunked(pairs, ChunkedParams(epsilon=0.1, L=L, r=r, C=100, base_seed=9))
     keys = [key for key, _ in pairs] + [b"never"]
@@ -478,15 +481,14 @@ def test_edited_directory_raises_instead_of_reading_past_it(edit, backend):
                                  "planes not r runs of words", "str directory", "seed -1",
                                  "seed 2**64", "str seed"])
 def test_native_query_checks_its_own_bounds(bad, native):
-    # the module functions are callable without query_chunked's checks in
-    # front of them; each bad argument must raise, never answer or read
-    # outside its buffers
+    # bind is callable without query_chunked's checks in front of it; each
+    # bad argument must raise, never answer or read outside its buffers
     pairs, ds = build(300, C=100, r=3)
     p = ds.params
     args = {"seed": p.base_seed, "L": p.L, "r": p.r, "lead": p.force_leading_one,
             "directory": ds.directory.packed, "planes": ds.planes}
     key, v = pairs[0]
-    assert native.query(*args.values(), key) == v
+    assert native.bind(*args.values())(key) == v
     name, _, value = bad.partition(" ")
     if name == "L":
         args["L"] = int(value)
@@ -506,14 +508,30 @@ def test_native_query_checks_its_own_bounds(bad, native):
         args["seed"] = {"seed -1": -1, "seed 2**64": 1 << 64, "str seed": str(p.base_seed)}[bad]
     errors = (TypeError, OverflowError) if "seed" in bad else (ValueError, TypeError, OverflowError)
     with pytest.raises(errors):
-        native.query(*args.values(), key)
+        native.bind(*args.values())(key)
     with pytest.raises(errors):
-        native.query_many(*args.values(), [key])
+        native.bind(*args.values()).query_many([key])
     with pytest.raises(errors):
-        native.query_block(*args.values(), key, None)
+        native.bind(*args.values()).query_block(key, None)
     if "directory" in bad or "planes" in bad:  # the Python lookup's own checks
         with pytest.raises((ValueError, TypeError)):
             retrieval_chunked._query_words(*args.values(), key)
+
+
+def test_a_lookup_is_made_only_by_bind_and_takes_one_key(native):
+    # a Lookup made any other way would read through empty buffer views
+    pairs, ds = build(300, C=100, r=3)
+    p = ds.params
+    lookup = native.bind(p.base_seed, p.L, p.r, p.force_leading_one, ds.directory.packed,
+                         ds.planes)
+    key, v = pairs[0]
+    assert lookup(key) == v
+    with pytest.raises(TypeError):
+        native.Lookup()
+    for call in (lambda: lookup(), lambda: lookup(key, key), lambda: lookup(key=key),
+                 lambda: pickle.dumps(lookup)):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_structures_are_frozen(backend):
@@ -545,14 +563,56 @@ def test_a_structure_is_bound_at_its_first_query(backend):
     loaded = deserialize(serialize(ds))
     assert ds._lookup is None and loaded._lookup is None
     native = retrieval_flat._kernel()
-    want = retrieval_chunked._query_words if native is None else native.query
     for first in (lambda s: query_chunked(s, pairs[0][0]), lambda s: query_many(s, [])):
         for s in (ds, loaded):
             s = replace(s)
             assert s._lookup is None
             first(s)
-            assert s._lookup.func is want
+            if native is None:
+                assert s._lookup.func is retrieval_chunked._query_words
+            else:
+                assert type(s._lookup) is native.Lookup
     assert replace(ds)._lookup is None
+
+
+def test_copies_of_a_queried_structure_start_unbound_and_answer_alike(backend):
+    # a copy holds the four fields alone, not the lookup bound to this
+    # process's backend, and binds its own at its first query
+    pairs, ds = build(300, C=100, r=3)
+    keys = [key for key, _ in pairs] + [f"never{i}".encode() for i in range(100)]
+    want = [query_chunked(ds, key) for key in keys]
+    assert ds._lookup is not None
+    for copied in (pickle.loads(pickle.dumps(ds)), copy.deepcopy(ds)):
+        assert copied == ds and copied._lookup is None
+        assert [query_chunked(copied, key) for key in keys] == want
+        assert query_many(copied, keys) == want
+
+
+def test_threads_that_race_to_bind_one_structure_answer_right(backend):
+    # four threads, started together, make the first queries on one fresh
+    # structure: each may bind, one store wins, and every answer is right
+    pairs, ds = build(2_000, C=500, r=3)
+    want = [v for _, v in pairs]
+    barrier = threading.Barrier(4, timeout=60)
+    answers = [None] * 4
+
+    def first_queries(i):
+        barrier.wait()
+        answers[i] = [query_chunked(ds, key) for key, _ in pairs]
+
+    threads = [threading.Thread(target=first_queries, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert answers == [want] * 4
+    assert [ds._lookup(key) for key, _ in pairs] == want
 
 
 def test_queries_load_the_backend_once_per_structure(backend):

@@ -187,7 +187,7 @@ def test_native_rows_equal_scalar_rows(L, force_leading_one, native):
                     value |= (((window >> bit % 8) & pattern).bit_count() & 1) << t
                 want.append(value)
             args = SEED, L, 64, force_leading_one, directory, b"".join(planes)
-            assert native.query_many(*args, keys) == want
+            assert native.bind(*args).query_many(keys) == want
 
 
 def test_build_hashes_each_key_once_and_query_once(hash_spy):
