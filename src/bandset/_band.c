@@ -1,12 +1,15 @@
 /* Native backend of bandset, a CPython extension module with five parts:
 
-   * ``solve(n, L, lead, retry, s, lo, rhs, planes, offset)``: pivot
+   * ``solve(n, L, lead, retry, s, lo, rhs, planes, r, offset)``: pivot
      insertion (the Ribbon construction of Dillinger & Walzer, 2021) and
      per-plane back-substitution of one band system over GF(2), for
-     L <= 128 and at most 64 value bits. It derives each key's row from
-     its digest words (the start word s and lo) with ``row_of``, as the
-     query does, and walks and adds rows exactly as the Python branch of
-     ``retrieval_flat.solve`` does, so both write the same bytes.
+     L <= 128 and at most 64 value bits, straight into the file's packed
+     plane words. It derives each key's row from its digest words (the
+     start word s and lo) with ``row_of``, as the query does, and walks
+     and adds rows exactly as the Python branch of
+     ``retrieval_flat.solve`` does, so both write the same bits. It ORs
+     each word's bits in atomically, so threads may solve neighbouring
+     chunks that share a word at once.
    * the key hash, a seeded 128-bit multiply-fold hash that gives the
      same (hi, lo) words as its Python twin ``row_gen.key_digest``.
    * ``digest_pairs(items, seed, r)``: a build's one pass over its input,
@@ -112,15 +115,28 @@ static int parity128(u128 x)
     return __builtin_parityll((uint64_t)x ^ (uint64_t)(x >> 64));
 }
 
+/* OR bits into the little-endian word at p, kept little-endian on any
+   host. Atomic, since a thread solving a neighbouring chunk may OR bits
+   into the same word at once; relaxed, since the pool's join orders every
+   write before the planes are read. */
+static void or64(uint64_t *p, uint64_t x)
+{
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    x = __builtin_bswap64(x);
+#endif
+    __atomic_fetch_or(p, x, __ATOMIC_RELAXED);
+}
+
 /* Row i is row_of(s[i], lo[i], retry, n, L, lead) with right-hand side
-   rhs[i], inserted in the order given. Column c of plane t is
-   planes[t][offset + c - 1], and every plane holds at least zlen bytes;
-   only 1 bits are written. Returns 1 when solved, 0 when the rows are
-   dependent, -1 when out of memory, -2 when a pivot column lies outside
-   the planes; nothing is written unless it returns 1. */
+   rhs[i], inserted in the order given. planes holds r runs of nwords
+   little-endian words, and column c of plane t is bit offset + c - 1 of
+   run t; only 1 bits are ORed in, a word at a time. Returns 1 when
+   solved, 0 when the rows are dependent, -1 when out of memory, -2 when a
+   pivot column lies past the planes; nothing is written unless it
+   returns 1. */
 static int band_solve(int64_t n, int64_t L, int lead, uint64_t retry, int64_t m, const uint64_t *s,
-                      const uint64_t *lo, const uint64_t *rhs, int64_t r, uint8_t **planes,
-                      int64_t offset, int64_t zlen)
+                      const uint64_t *lo, const uint64_t *rhs, int64_t r, uint64_t *planes,
+                      int64_t nwords, int64_t offset)
 {
     int64_t width = n + L - 1, top = 0;
     u128 *rows = calloc((size_t)width + 1, sizeof *rows); /* by pivot column */
@@ -150,77 +166,75 @@ static int band_solve(int64_t n, int64_t L, int lead, uint64_t retry, int64_t m,
             b ^= bs[col];
         }
     }
-    if (solved == 1 && offset + top > zlen)
+    if (solved == 1 && top && top > 64 * nwords - offset)
         solved = -2;
     /* The window slides one column per step, so no shift reaches 128 bits;
-       bits above L never meet a stored row, so they need no mask. */
+       bits above L never meet a stored row, so they need no mask. The bits
+       of one word are collected in bits and ORed in when a bit of the next
+       word comes, and after the last. */
     for (int64_t t = 0; t < r && solved == 1; t++) {
-        uint8_t *z = planes[t] + offset;
+        uint64_t *z = planes + t * nwords, bits = 0;
+        int64_t word = 0;
         u128 window = 0; /* bit j is column c + j */
         for (int64_t c = top; c >= 1; c--) {
             window <<= 1;
             if (rows[c] && (parity128(window & rows[c]) ^ (int)(bs[c] >> t & 1))) {
+                int64_t p = offset + c - 1;
                 window |= 1;
-                z[c - 1] = 1;
+                if (p >> 6 != word && bits) {
+                    or64(z + word, bits);
+                    bits = 0;
+                }
+                word = p >> 6;
+                bits |= 1ULL << (p & 63);
             }
         }
+        if (bits)
+            or64(z + word, bits);
     }
     free(rows);
     free(bs);
     return solved;
 }
 
-/* solve(n, L, lead, retry, s, lo, rhs, planes, offset) -> True solved,
+/* solve(n, L, lead, retry, s, lo, rhs, planes, r, offset) -> True solved,
    False dependent; s, lo and rhs are buffers of one uint64 per row, planes
-   a sequence of writable buffers. The GIL is released while the kernel
-   runs. */
+   one writable, 8-byte aligned buffer of r runs of whole words, for
+   1 <= r <= 64. The GIL is released while the kernel runs. */
 static PyObject *py_solve(PyObject *self, PyObject *args)
 {
-    long long n, L, retry, offset;
+    long long n, L, retry, r, offset;
     int lead;
-    Py_buffer s, lo, rhs, views[64];
-    PyObject *planes_obj, *planes = NULL;
-    uint8_t *ptrs[64];
-    Py_ssize_t r = 0;
+    Py_buffer s, lo, rhs, planes;
     int status = -3;
 
-    if (!PyArg_ParseTuple(args, "LLpLy*y*y*OL", &n, &L, &lead, &retry, &s, &lo, &rhs, &planes_obj,
+    if (!PyArg_ParseTuple(args, "LLpLy*y*y*w*LL", &n, &L, &lead, &retry, &s, &lo, &rhs, &planes, &r,
                           &offset))
         return NULL;
     int64_t m = s.len / 8;
-    if (!(planes = PySequence_Fast(planes_obj, "planes must be a sequence of buffers")))
-        goto done;
     if (n < 1 || n >= (1LL << 62) || L < 1 || L > 128 || retry < 0 || offset < 0 || s.len % 8
-        || PySequence_Fast_GET_SIZE(planes) > 64) {
+        || r < 1 || r > 64)
         PyErr_SetString(PyExc_ValueError, "solve: unsupported shape");
-        goto done;
-    }
-    if (lo.len != m * 8 || rhs.len != m * 8) {
+    else if (lo.len != m * 8 || rhs.len != m * 8)
         PyErr_SetString(PyExc_ValueError, "s, lo and rhs must hold one uint64 per row");
-        goto done;
+    else if (planes.len % (8 * r))
+        PyErr_SetString(PyExc_ValueError, "planes are not r runs of whole 64-bit words");
+    else if ((uintptr_t)planes.buf % 8)
+        PyErr_SetString(PyExc_ValueError, "planes are not 8-byte aligned");
+    else {
+        Py_BEGIN_ALLOW_THREADS
+        status = band_solve(n, L, lead, (uint64_t)retry, m, s.buf, lo.buf, rhs.buf, r, planes.buf,
+                            planes.len / 8 / r, offset);
+        Py_END_ALLOW_THREADS
+        if (status == -1)
+            PyErr_Format(PyExc_MemoryError, "no memory for the pivot table of %lld columns", n + L - 1);
+        else if (status == -2)
+            PyErr_SetString(PyExc_ValueError, "rows reach outside the planes");
     }
-    long long zlen = LLONG_MAX;
-    for (; r < PySequence_Fast_GET_SIZE(planes); r++) {
-        if (PyObject_GetBuffer(PySequence_Fast_GET_ITEM(planes, r), &views[r], PyBUF_WRITABLE) < 0)
-            goto done;
-        ptrs[r] = views[r].buf;
-        if (views[r].len < zlen)
-            zlen = views[r].len;
-    }
-    Py_BEGIN_ALLOW_THREADS
-    status = band_solve(n, L, lead, (uint64_t)retry, m, s.buf, lo.buf, rhs.buf, r, ptrs, offset, zlen);
-    Py_END_ALLOW_THREADS
-    if (status == -1)
-        PyErr_Format(PyExc_MemoryError, "no memory for the pivot table of %lld columns", n + L - 1);
-    else if (status == -2)
-        PyErr_SetString(PyExc_ValueError, "rows reach outside the planes");
-done:
-    while (r > 0)
-        PyBuffer_Release(&views[--r]);
-    Py_XDECREF(planes);
     PyBuffer_Release(&s);
     PyBuffer_Release(&lo);
     PyBuffer_Release(&rhs);
+    PyBuffer_Release(&planes);
     return status >= 0 ? PyBool_FromLong(status) : NULL;
 }
 
@@ -882,7 +896,7 @@ static PyObject *py_bind(PyObject *self, PyObject *const *args, Py_ssize_t nargs
 }
 
 static PyMethodDef methods[] = {
-    {"solve", py_solve, METH_VARARGS, "Solve one band system into byte-per-bit planes."},
+    {"solve", py_solve, METH_VARARGS, "Solve one band system into r runs of packed plane words."},
     {"digest_pairs", (PyCFunction)(void (*)(void))py_digest_pairs, METH_FASTCALL,
      "Check (key, value) pairs, hash each key and keep each value."},
     {"bind", (PyCFunction)(void (*)(void))py_bind, METH_FASTCALL,

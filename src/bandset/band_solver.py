@@ -15,8 +15,8 @@ and it is the reference the insertion solver is tested against.
 
 Rows are start-sorted parallel lists of plain ints: starts in [1, n],
 L-bit patterns (bit j is column ``start + j``) and right-hand sides (bit t
-is right-hand side t of the r simultaneous ones). The solver, ``verify``
-and ``dense_rank_oracle`` all take this one form.
+is right-hand side t of the r simultaneous ones). The solver and
+``verify`` both take this one form.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitkit import BitVec, dot_window
-
-DENSE_ORACLE_MAX_COLS = 64
 
 
 @dataclass(slots=True)
@@ -154,33 +152,3 @@ def verify(
             if dot_window(plane, offset, bits, L) != ((value >> t) & 1):
                 return False
     return True
-
-
-def dense_rank_oracle(n: int, L: int, starts: list[int], patterns: list[int]) -> int:
-    """Rank of the densified matrix by textbook full Gaussian elimination.
-
-    Deliberately independent of the band path: rows are expanded to full
-    (n + L - 1)-bit ints and eliminated with column pivoting and row swaps.
-    Desk-scale only (n + L - 1 <= 64).
-    """
-    width = n + L - 1
-    if width > DENSE_ORACLE_MAX_COLS:
-        raise ValueError(f"dense oracle capped at {DENSE_ORACLE_MAX_COLS} columns")
-    dense = [bits << (start - 1) for start, bits in zip(starts, patterns)]
-    rank = 0
-    for col in range(width):
-        pivot_row = None
-        for rr in range(rank, len(dense)):
-            if (dense[rr] >> col) & 1:
-                pivot_row = rr
-                break
-        if pivot_row is None:
-            continue
-        dense[rank], dense[pivot_row] = dense[pivot_row], dense[rank]
-        for rr in range(len(dense)):
-            if rr != rank and ((dense[rr] >> col) & 1):
-                dense[rr] ^= dense[rank]
-        rank += 1
-        if rank == len(dense):
-            break
-    return rank

@@ -5,15 +5,17 @@ structure.
 
 Every chunk's table size follows from its key count, so the offsets are
 fixed before any chunk is solved. Each chunk then solves straight into its
-slice of one buffer of all the planes (optionally on a thread pool; the
-slices are disjoint), so the output is a pure function of the key/value set
-and the base seed. The planes stay in the file's form, packed little-endian
-words, in memory too. The directory is one buffer of the same kind: a
-little-endian 64-bit word per chunk that packs the chunk's retry seed into
-the top 16 bits of its 48-bit table offset, plus a terminal offset, so a
-query resolves offset, seed, and table span with one read of two adjacent
-words. The file holds both buffers as they are, after its header, so
-``serialize`` joins them and ``deserialize`` checks and slices.
+slice of one buffer of all the planes, in the file's form: r runs of
+packed little-endian words, the same form in the build, in memory and on
+disk. Chunks may be solved on a thread pool. Their slices share only the
+words at their ends, into which each solve ORs its bits (see
+``retrieval_flat.solve``), so the output is a pure function of the
+key/value set and the base seed. The directory is one buffer of the same
+kind: a little-endian 64-bit word per chunk that packs the chunk's retry
+seed into the top 16 bits of its 48-bit table offset, plus a terminal
+offset, so a query resolves offset, seed, and table span with one read of
+two adjacent words. The file holds both buffers as they are, after its
+header, so ``serialize`` joins them and ``deserialize`` checks and slices.
 """
 
 from __future__ import annotations
@@ -190,11 +192,7 @@ def construct_chunked(pairs, params: ChunkedParams, threads: int = 1) -> Chunked
     offsets = list(accumulate(sizes, initial=0))
     if offsets[-1] > _OFFSET_MASK:
         raise ValueError("table too large for 48-bit offsets")
-    # One byte per bit, each plane rounded up to whole words, so one packing
-    # gives the file's planes.
-    stride = (offsets[-1] + 63) & ~63
-    buffer = bytearray(params.r * stride)
-    planes = [memoryview(buffer)[t * stride : (t + 1) * stride] for t in range(params.r)]
+    planes = np.zeros((params.r, (offsets[-1] + 63) // 64), "<u8")
     parts = [(s[a:b], lo[a:b], values[a:b]) for a, b in zip(bounds, bounds[1:])]
     args = (*zip(*parts), repeat(params), repeat(planes), offsets[:-1], offsets[1:],
             range(num_chunks))
@@ -206,8 +204,7 @@ def construct_chunked(pairs, params: ChunkedParams, threads: int = 1) -> Chunked
 
     words = [offset | retry << _OFFSET_BITS for offset, retry in zip(offsets, retries)]
     directory = ChunkDirectory(struct.pack(f"<{num_chunks + 1}Q", *words, offsets[-1]))
-    planes = np.packbits(np.frombuffer(buffer, np.uint8), bitorder="little").tobytes()
-    return ChunkedRetrieval(params, directory, planes, m)
+    return ChunkedRetrieval(params, directory, planes.tobytes(), m)
 
 
 def _drop_repeats(hi, lo, values, order, items):

@@ -82,6 +82,7 @@ _KERNEL_MODULE = "bandset._band"
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 _kernel_lock = threading.Lock()
 _kernel_loaded: list = []  # [module or None] once the first use tried to load it
+_planes_lock = threading.Lock()  # the Python branch's writes into plane words
 
 
 def _kernel():
@@ -161,7 +162,7 @@ def _compile(cc: str, flags: tuple[str, ...], source: Path, out: str) -> None:
         raise OSError(f"{cc} exited {done.returncode}: {done.stderr.strip()}")
 
 
-def solve(n: int, L: int, lead: bool, retry: int, s, lo, rhs, planes: list[bytearray],
+def solve(n: int, L: int, lead: bool, retry: int, s, lo, rhs, planes, r: int,
           offset: int) -> bool:
     """Solve a band system into ``planes``; False when its rows are
     dependent.
@@ -176,23 +177,27 @@ def solve(n: int, L: int, lead: bool, retry: int, s, lo, rhs, planes: list[bytea
     Back-substitution then fills each plane from the highest pivot down,
     sliding one L-bit window.
 
-    ``planes`` holds one byte per bit; column c of plane t is
-    ``planes[t][offset + c - 1]``. A row starts in [1, n], so none reaches
-    past column n + L - 1: when there are rows, every plane must hold
-    ``offset + n + L - 1`` bytes, and those from ``offset`` on must be
-    zero on entry. Only 1 bits are written, so non-pivot columns stay 0.
-    Nothing is written unless every row was inserted. Raises ValueError
-    when ``s``, ``lo`` and ``rhs`` differ in length, n < 1, offset < 0 or a
-    plane is too short, and MemoryError when the pivot table cannot be
-    allocated.
+    ``planes`` is one writable buffer in the file's form: r runs of nwords
+    little-endian 64-bit words, plane t from word t * nwords on, with bit
+    j of a plane in bit j % 64 of its word j // 64. Column c of plane t is
+    bit ``offset + c - 1`` of plane t. A row starts in [1, n], so none
+    reaches past column n + L - 1: when there are rows, every plane must
+    hold ``offset + n + L - 1`` bits, and those from ``offset`` on must be
+    zero on entry. Solution bits are ORed in, so every bit outside the
+    columns stays as it was, also in the words at the ends of the slice,
+    which a neighbouring slice may share and fill at the same time from
+    another thread. Nothing is written unless every row was inserted.
+    Raises ValueError when ``s``, ``lo`` and ``rhs`` differ in length, n <
+    1, offset < 0, ``planes`` is not r >= 1 runs of whole words or is too
+    short, and MemoryError when the pivot table cannot be allocated.
 
     The native module's ``solve`` (``_band.c``) runs when it loaded,
-    L <= 128, there are at most 64 planes and ``rhs`` is uint64; otherwise
-    the pure-Python branch below does. Both derive the rows with the same
-    formula as the query, insert them the same way and write the same
-    bytes. The native call takes the arrays and the planes through the
-    buffer protocol and releases the GIL while it solves, so threads
-    overlap their solves.
+    L <= 128, r <= 64 and ``rhs`` is uint64; otherwise the pure-Python
+    branch below does. Both derive the rows with the same formula as the
+    query, insert them the same way and write the same bits. The native
+    call takes the arrays and the planes through the buffer protocol
+    (the planes 8-byte aligned, as a numpy array is, else ValueError) and
+    releases the GIL while it solves, so threads overlap their solves.
 
     Row order cannot change the result. The pivot columns of any echelon
     basis are the columns where some vector of the row space has its
@@ -205,13 +210,17 @@ def solve(n: int, L: int, lead: bool, retry: int, s, lo, rhs, planes: list[bytea
     m = len(s)
     if len(lo) != m or len(rhs) != m:
         raise ValueError("need one lo word and one rhs per start word")
-    if n < 1 or offset < 0 or (m and any(len(z) < offset + n + L - 1 for z in planes)):
+    size = memoryview(planes).nbytes
+    if r < 1 or size % (8 * r):
+        raise ValueError("planes are not r runs of whole 64-bit words")
+    nwords = size // (8 * r)
+    if n < 1 or offset < 0 or (m and 64 * nwords < offset + n + L - 1):
         raise ValueError("planes too short for the rows' columns")
 
     kernel = _kernel()
-    if (kernel is not None and L <= 128 and n < 1 << 62 and len(planes) <= 64
+    if (kernel is not None and L <= 128 and n < 1 << 62 and r <= 64
             and rhs.dtype == "uint64"):
-        return kernel.solve(n, L, lead, retry, s, lo, rhs, planes, offset)
+        return kernel.solve(n, L, lead, retry, s, lo, rhs, planes, r, offset)
 
     width = n + L - 1
     pivot_rows = [0] * (width + 1)  # by column; bit 0 of a row is its pivot
@@ -236,9 +245,15 @@ def solve(n: int, L: int, lead: bool, retry: int, s, lo, rhs, planes: list[bytea
                 return False
 
     pivots = [c for c in range(width, 0, -1) if pivot_rows[c]]
+    if not pivots:
+        return True
+    # each plane's words from the one of column 1 to the one of the top
+    # pivot, collected here, then ORed into the buffer in one step
+    first = offset >> 6
+    base = offset - 1 - 64 * first  # column c is bit base + c of the words
+    words = [[0] * (((base + pivots[0]) >> 6) + 1) for _ in range(r)]
     mask = (1 << L) - 1
-    base = offset - 1
-    for t, z in enumerate(planes):
+    for t, z in enumerate(words):
         window = 0  # bit j is column c + j
         prev = width
         for c in pivots:
@@ -246,13 +261,18 @@ def solve(n: int, L: int, lead: bool, retry: int, s, lo, rhs, planes: list[bytea
             prev = c
             if ((window & pivot_rows[c]).bit_count() ^ (pivot_rhs[c] >> t)) & 1:
                 window |= 1
-                z[base + c] = 1
+                p = base + c
+                z[p >> 6] |= 1 << (p & 63)
+    import numpy as np
+
+    with _planes_lock:  # a neighbouring chunk may share the end words
+        view = np.frombuffer(planes, "<u8").reshape(r, nwords)
+        view[:, first : first + len(words[0])] |= np.array(words, "<u8")
     return True
 
 
 def construct_flat(
-    s, lo, values, params: ChunkedParams, planes: list[bytearray], offset: int, end: int,
-    chunk: int,
+    s, lo, values, params: ChunkedParams, planes, offset: int, end: int, chunk: int,
 ) -> int:
     """Solve chunk ``chunk`` into bits ``offset`` to ``end`` of ``planes``:
     retry seeds until its band system solves, and return the winning retry.
@@ -263,13 +283,14 @@ def construct_flat(
     with one digest before any chunk is solved: they get one row at every
     retry). Each retry is one ``solve`` call on them, with the chunk's n
     taken from its bits as the query takes it, end - offset - (L - 1).
-    ``planes`` are the structure's r one-byte-per-bit planes (see
-    ``solve``); the chunk's bits must be zero on entry. Raises
+    ``planes`` is the structure's buffer of params.r plane runs of packed
+    words (see ``solve``); the chunk's bits must be zero on entry. Raises
     RetriesExhausted naming the chunk when every retry produced a
     dependent system.
     """
     n = end - offset - (params.L - 1)
     for retry in range(params.max_retries):
-        if solve(n, params.L, params.force_leading_one, retry, s, lo, values, planes, offset):
+        if solve(n, params.L, params.force_leading_one, retry, s, lo, values, planes, params.r,
+                 offset):
             return retry
     raise RetriesExhausted(params.max_retries, chunk)

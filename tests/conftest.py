@@ -247,6 +247,39 @@ def verify_system(sys_: RandomSystem, planes) -> bool:
     return verify(sys_.n, sys_.L, sys_.starts, sys_.patterns, sys_.rhs, planes)
 
 
+DENSE_ORACLE_MAX_COLS = 64
+
+
+def dense_rank_oracle(n: int, L: int, starts: list[int], patterns: list[int]) -> int:
+    """Rank of the densified matrix by textbook full Gaussian elimination.
+
+    Deliberately independent of the band path: rows are expanded to full
+    (n + L - 1)-bit ints and eliminated with column pivoting and row swaps.
+    Desk-scale only (n + L - 1 <= 64).
+    """
+    width = n + L - 1
+    if width > DENSE_ORACLE_MAX_COLS:
+        raise ValueError(f"dense oracle capped at {DENSE_ORACLE_MAX_COLS} columns")
+    dense = [bits << (start - 1) for start, bits in zip(starts, patterns)]
+    rank = 0
+    for col in range(width):
+        pivot_row = None
+        for rr in range(rank, len(dense)):
+            if (dense[rr] >> col) & 1:
+                pivot_row = rr
+                break
+        if pivot_row is None:
+            continue
+        dense[rank], dense[pivot_row] = dense[pivot_row], dense[rank]
+        for rr in range(len(dense)):
+            if rr != rank and ((dense[rr] >> col) & 1):
+                dense[rr] ^= dense[rank]
+        rank += 1
+        if rank == len(dense):
+            break
+    return rank
+
+
 def reference_coin_elimination(starts: list[int], patterns: list[int], L: int):
     """Sorted elimination one bit at a time that records each row's coins
     as it picks the pivot: (pivots, transcripts), both cut after a row

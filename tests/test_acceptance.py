@@ -21,7 +21,6 @@ from bandset.analysis_sim import (
     simulate_x,
     simulate_z,
 )
-from bandset.band_solver import dense_rank_oracle
 from bandset.cli import synthetic_pairs
 from bandset.retrieval_chunked import (
     ChunkDirectory,
@@ -35,6 +34,7 @@ from bandset.retrieval_chunked import (
 
 from conftest import (
     CountingBytes,
+    dense_rank_oracle,
     make_pairs,
     noisy_words,
     python_branch,

@@ -3,10 +3,11 @@ import random
 import pytest
 
 from bandset.analysis_sim import heights_from_pivots
-from bandset.band_solver import back_substitute, dense_rank_oracle, eliminate, solve, verify
+from bandset.band_solver import back_substitute, eliminate, solve, verify
 
 from conftest import (
     bits_of,
+    dense_rank_oracle,
     eliminate_system,
     random_band_system,
     reference_back_substitute,

@@ -298,21 +298,33 @@ def test_input_order_never_changes_serialized_output():
 
 
 # L = 1 takes force_leading_one (a 1-bit pattern is otherwise 0 half the
-# time) and small, sparse chunks (its starts must all differ)
+# time) and small, sparse chunks (its starts must all differ); C = 37 gives
+# chunks of about 1.6 words, so most plane words hold the ends of two chunks
 @pytest.mark.parametrize("shape", [dict(L=64), dict(L=80), dict(L=128), dict(L=130),
-                                   dict(L=1, force_leading_one=True, epsilon=0.9, C=20)],
-                         ids=["64", "80", "128", "130", "1-lead"])
+                                   dict(L=1, force_leading_one=True, epsilon=0.9, C=20),
+                                   dict(C=37)],
+                         ids=["64", "80", "128", "130", "1-lead", "37"])
 def test_backends_and_thread_counts_write_the_same_file(shape):
-    # the file is a function of the pairs and the seed alone
+    # the file is a function of the pairs and the seed alone; neighbouring
+    # chunks, solved at once, share the plane word at their boundary, and
+    # an update lost there changes the file
     pairs = make_pairs(6_000, r=3)
     params = ChunkedParams(**{"epsilon": 0.1, "C": 500, **shape}, r=3, base_seed=90)
-    blob = serialize(construct_chunked(pairs, params))
+    ds = construct_chunked(pairs, params)
+    offsets = ds.directory.offsets
+    assert sum(offset % 64 != 0 for offset in offsets) > len(offsets) / 2
+    blob = serialize(ds)
     assert blob[4:6] == b"\x04\x00"  # format v4
     for threads in (1, 2, 4):
         assert serialize(construct_chunked(pairs, params, threads=threads)) == blob
-    with python_branch():
-        for threads in (1, 2):
-            assert serialize(construct_chunked(pairs, params, threads=threads)) == blob
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with python_branch():
+            for threads in (1, 2, 4):
+                assert serialize(construct_chunked(pairs, params, threads=threads)) == blob
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("threads", [0, -1])

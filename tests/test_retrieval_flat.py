@@ -23,26 +23,50 @@ from hypothesis import strategies as st
 
 import bandset
 from bandset import ChunkedParams, band_solver, construct_chunked, retrieval_flat, serialize
-from bandset.band_solver import DENSE_ORACLE_MAX_COLS, dense_rank_oracle, verify
+from bandset.band_solver import verify
 from bandset.bitkit import BitVec
 from bandset.retrieval_flat import positions_for, solve
 from bandset.row_gen import MASK64, row_for_words
 
-from conftest import HAVE_CC, bits_of, make_pairs, python_branch
+from conftest import (
+    DENSE_ORACLE_MAX_COLS,
+    HAVE_CC,
+    bits_of,
+    dense_rank_oracle,
+    make_pairs,
+    python_branch,
+)
 
 
-def solve_both(n: int, L: int, lead: bool, retry: int, s, lo, rhs, planes: list[bytearray],
+def solve_both(n: int, L: int, lead: bool, retry: int, s, lo, rhs, planes, r: int,
                offset: int) -> bool:
     """``solve`` on the pure-Python branch into a copy of ``planes``, then
     on the default backend (the C kernel where ``cc`` is present) into
-    ``planes``: both must give the same verdict and the same bytes."""
-    copies = [bytearray(z) for z in planes]
+    ``planes``: both must give the same verdict and the same words."""
+    copy = planes.copy()
     with python_branch():
-        want = solve(n, L, lead, retry, s, lo, rhs, copies, offset)
+        want = solve(n, L, lead, retry, s, lo, rhs, copy, r, offset)
     assert (retrieval_flat._kernel() is not None) == HAVE_CC
-    got = solve(n, L, lead, retry, s, lo, rhs, planes, offset)
-    assert got == want and planes == copies
+    got = solve(n, L, lead, retry, s, lo, rhs, planes, r, offset)
+    assert got == want and np.array_equal(planes, copy)
     return got
+
+
+def word_planes(r: int, bits: int):
+    """A zeroed plane buffer as the build makes one: r runs of the whole
+    64-bit words that hold ``bits`` bits."""
+    return np.zeros((r, (bits + 63) // 64), "<u8")
+
+
+def bitvecs(planes, width: int) -> list[BitVec]:
+    """The plane runs of ``planes`` as ``width``-bit BitVecs."""
+    return [BitVec(width, words.tolist()) for words in planes]
+
+
+def bits_in(words) -> list[int]:
+    """Every bit of one plane run, bit j of the list bit j of the plane."""
+    x = int.from_bytes(words.tobytes(), "little")
+    return [(x >> j) & 1 for j in range(64 * len(words))]
 
 
 class System(NamedTuple):
@@ -92,14 +116,13 @@ def arrays(words, r: int):
 
 
 def solve_rows(L: int, r: int, sys_: System) -> list[BitVec] | None:
-    """``solve`` into fresh one-byte-per-bit buffers, packed into the r
-    BitVec planes that ``band_solver.solve`` returns; None when dependent."""
+    """``solve`` into a fresh plane buffer, read as the r BitVec planes
+    that ``band_solver.solve`` returns; None when dependent."""
     width = sys_.n + L - 1
-    planes = [bytearray((width + 63) & ~63) for _ in range(r)]
-    if not solve_both(sys_.n, L, sys_.lead, sys_.retry, *arrays(sys_.words, r), planes, 0):
+    planes = word_planes(r, width)
+    if not solve_both(sys_.n, L, sys_.lead, sys_.retry, *arrays(sys_.words, r), planes, r, 0):
         return None
-    return [BitVec(width, np.packbits(z, bitorder="little").view("<u8").tolist())
-            for z in planes]
+    return bitvecs(planes, width)
 
 
 def reference_rows(L: int, r: int, sys_: System) -> list[BitVec] | None:
@@ -141,32 +164,35 @@ def test_row_order_does_not_change_the_planes(L, r):
 
 @pytest.mark.parametrize("L,r", [(1, 1), (8, 2), (64, 1), (65, 3), (127, 64), (128, 8), (130, 2)])
 def test_solve_writes_only_its_slice(L, r):
-    # buffers full of random bytes around the slice: a dependent system
-    # changes no byte, even inside it; a solvable one, given a zero slice,
-    # changes bytes only inside it, to the reference planes' bits
+    # planes full of random words around the slice, which mostly starts
+    # and ends inside a word: a dependent system changes no bit, even
+    # inside it; a solvable one, given a zero slice, changes bits only
+    # inside it, to the reference planes' bits, and keeps every other bit
+    # of the words it shares with its neighbours
     rnd = random.Random(7 * L + r)
     solved = failed = 0
     for _ in range(100):
         sys_ = random_system(rnd, r)
         width = sys_.n + L - 1
-        offset = rnd.randint(1, 100)
+        offset = rnd.randint(1, 200)
         end = offset + width
-        size = end + rnd.randint(0, 100)
-        before = [bytearray(rnd.randbytes(size)) for _ in range(r)]
+        nwords = (end + rnd.randint(0, 100) + 63) // 64
         want = reference_rows(L, r, sys_)
-        if want is not None:
-            for z in before:
-                z[offset:end] = bytes(width)
-        planes = [bytearray(z) for z in before]
-        got = solve_both(sys_.n, L, sys_.lead, sys_.retry, *arrays(sys_.words, r), planes, offset)
+        keep = -1 if want is None else ~(((1 << width) - 1) << offset)
+        runs = [rnd.getrandbits(64 * nwords) & keep for _ in range(r)]
+        before = np.array([[x >> 64 * w & MASK64 for w in range(nwords)] for x in runs], "<u8")
+        planes = before.copy()
+        got = solve_both(sys_.n, L, sys_.lead, sys_.retry, *arrays(sys_.words, r), planes, r,
+                         offset)
         assert got == (want is not None)
         if want is None:
-            assert planes == before
+            assert np.array_equal(planes, before)
             failed += 1
             continue
         for z, old, plane in zip(planes, before, want):
+            z, old = bits_in(z), bits_in(old)
             assert z[:offset] == old[:offset] and z[end:] == old[end:]
-            assert list(z[offset:end]) == bits_of(plane)
+            assert z[offset:end] == bits_of(plane)
         solved += 1
     assert solved >= 10 and failed >= 5
 
@@ -176,8 +202,7 @@ def test_solve_leaves_its_inputs_alone():
     sys_ = random_system(rnd, 2)
     s, lo, rhs = arrays(sys_.words, 2)
     copies = (s.copy(), lo.copy(), rhs.copy())
-    size = sys_.n + 15
-    solve_both(sys_.n, 16, sys_.lead, 1, s, lo, rhs, [bytearray(size), bytearray(size)], 0)
+    solve_both(sys_.n, 16, sys_.lead, 1, s, lo, rhs, word_planes(2, sys_.n + 15), 2, 0)
     for got, want in zip((s, lo, rhs), copies):
         assert np.array_equal(got, want)
 
@@ -194,13 +219,13 @@ def test_chunk_sized_system_matches_sorted_elimination(L, r, backend):
     rhs = rnd.integers(0, 1 << r, m, dtype=np.uint64)
     n = positions_for(m, 0.03)
     for retry in range(8):
-        planes = [bytearray(n + L - 1) for _ in range(r)]
-        got = solve(n, L, False, retry, s, lo, rhs, planes, 0)
+        planes = word_planes(r, n + L - 1)
+        got = solve(n, L, False, retry, s, lo, rhs, planes, r, 0)
         sys_ = System(n, False, retry, list(zip(s.tolist(), lo.tolist(), rhs.tolist())))
         want = reference_rows(L, r, sys_)
         assert got == (want is not None)
         if got:
-            assert [list(z) for z in planes] == [bits_of(plane) for plane in want]
+            assert bitvecs(planes, n + L - 1) == want
             break
     else:
         pytest.fail("no retry solved")
@@ -211,7 +236,15 @@ def test_failed_allocation_raises_memory_error(backend):
     # as a dependent system (a build would burn every retry on it)
     empty = np.zeros(0, np.uint64)
     with pytest.raises(MemoryError):
-        solve(1 << 59, 64, False, 0, empty, empty, empty, [bytearray(64)], 0)
+        solve(1 << 59, 64, False, 0, empty, empty, empty, word_planes(1, 64), 1, 0)
+
+
+def test_empty_system_solves_at_any_offset(backend):
+    # no row reaches a column, so no offset is past the planes
+    empty = np.zeros(0, np.uint64)
+    planes = word_planes(1, 64)
+    assert solve(5, 8, False, 0, empty, empty, empty, planes, 1, 200)
+    assert not planes.any()
 
 
 def _two_rows(bad: str):
@@ -227,30 +260,35 @@ def _two_rows(bad: str):
     return s, lo, rhs
 
 
-@pytest.mark.parametrize("bad", ["short plane", "short lo", "short rhs"])
+@pytest.mark.parametrize("bad", ["short plane", "short lo", "short rhs", "part word"])
 def test_solve_rejects_rows_outside_its_table(bad, backend):
+    # the rows' n + L - 1 = 59 columns fit one word from offset 0, and
+    # reach past it from offset 6
     n, L = 20, 40
-    size = n + L - 1 - (bad == "short plane")
-    planes = [bytearray(size)]
+    offset = 6 if bad == "short plane" else 0
+    planes = np.zeros(12 if bad == "part word" else 8, np.uint8)
     with pytest.raises(ValueError):
-        solve(n, L, False, 0, *_two_rows(bad), planes, 0)
-    assert planes == [bytearray(size)]
+        solve(n, L, False, 0, *_two_rows(bad), planes, 1, offset)
+    assert not planes.any()
 
 
-@pytest.mark.parametrize(
-    "bad", ["short plane", "short lo", "short rhs", "negative offset", "65 planes"]
-)
+@pytest.mark.parametrize("bad", ["short plane", "short lo", "short rhs", "negative offset",
+                                 "r = 0", "r = 65", "part word", "misaligned"])
 def test_native_solve_checks_its_own_bounds(bad, native):
     # the module function is callable without solve's checks in front of
-    # it; it must still write nothing outside its buffers (it holds at most
-    # 64 plane views)
+    # it; it must still write nothing outside its buffer (it ORs whole
+    # 64-bit words in place, so that buffer must be aligned to them). The
+    # highest pivot is column 20: in the first word from offset 0, past
+    # one word from offset 50
     n, L = 20, 100
-    size = 19 if bad == "short plane" else n + L - 1  # the highest pivot is column 20
-    planes = [bytearray(size) for _ in range(65 if bad == "65 planes" else 1)]
-    offset = -1 if bad == "negative offset" else 0
+    r = {"r = 0": 0, "r = 65": 65}.get(bad, 1)
+    memory = np.zeros(8 * 2 * 65 + 8, np.uint8)  # 8-byte aligned, as numpy aligns
+    planes = {"short plane": memory[:8], "part word": memory[:12], "misaligned": memory[1:17],
+              "r = 65": memory[: 8 * 2 * 65]}.get(bad, memory[:16])
+    offset = {"short plane": 50, "negative offset": -1}.get(bad, 0)
     with pytest.raises(ValueError):
-        native.solve(n, L, False, 0, *_two_rows(bad), planes, offset)
-    assert planes == [bytearray(size)] * len(planes)
+        native.solve(n, L, False, 0, *_two_rows(bad), planes, r, offset)
+    assert not memory.any()
 
 
 @st.composite
