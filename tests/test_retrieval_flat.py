@@ -250,9 +250,9 @@ def test_empty_system_solves_at_any_offset(backend):
 def _two_rows(bad: str):
     """Two rows with pivots at column 1 and column n (s = 0 and
     s = 2^64 - 1 give the first and the last start; bit 0 of lo puts each
-    pivot at its start), with ``lo`` or ``rhs`` a row short when ``bad``
-    says so."""
-    s, lo, rhs = arrays([(0, 1, 1), (MASK64, 3, 0)], 1)
+    pivot at its start) and a 1 in both pivots' bits, with ``lo`` or
+    ``rhs`` a row short when ``bad`` says so."""
+    s, lo, rhs = arrays([(0, 1, 1), (MASK64, 3, 1)], 1)
     if bad == "short lo":
         lo = lo[:1]
     elif bad == "short rhs":
@@ -278,17 +278,48 @@ def test_native_solve_checks_its_own_bounds(bad, native):
     # the module function is callable without solve's checks in front of
     # it; it must still write nothing outside its buffer (it ORs whole
     # 64-bit words in place, so that buffer must be aligned to them). The
-    # highest pivot is column 20: in the first word from offset 0, past
-    # one word from offset 50
+    # highest pivot is column 20: in the first word from offset 0, one bit
+    # past it from offset 45
     n, L = 20, 100
     r = {"r = 0": 0, "r = 65": 65}.get(bad, 1)
     memory = np.zeros(8 * 2 * 65 + 8, np.uint8)  # 8-byte aligned, as numpy aligns
     planes = {"short plane": memory[:8], "part word": memory[:12], "misaligned": memory[1:17],
               "r = 65": memory[: 8 * 2 * 65]}.get(bad, memory[:16])
-    offset = {"short plane": 50, "negative offset": -1}.get(bad, 0)
+    offset = {"short plane": 45, "negative offset": -1}.get(bad, 0)
     with pytest.raises(ValueError):
         native.solve(n, L, False, 0, *_two_rows(bad), planes, r, offset)
     assert not memory.any()
+
+
+def test_native_solve_fills_its_buffer_to_the_last_bit(native):
+    # from offset 44 the highest pivot, column 20, is the last bit of the
+    # one word: it is written, and nothing past the word
+    memory = np.zeros(16, np.uint8)
+    assert native.solve(20, 100, False, 0, *_two_rows(""), memory[:8], 1, 44)
+    assert memory[:8].view("<u8")[0] == 1 << 44 | 1 << 63
+    assert not memory[8:].any()
+
+
+def test_python_branch_writes_its_words_under_the_planes_lock(monkeypatch):
+    # neighbouring chunks share their boundary words and solve at once, so
+    # the Python branch changes its words only while it holds the module's
+    # planes lock, all in one step; from offset 50 the two pivots' bits
+    # fall in two words
+    planes = word_planes(1, 128)
+    seen = []
+
+    class SpyLock:
+        def __enter__(self):
+            seen.append(planes.copy())
+
+        def __exit__(self, *exc):
+            seen.append(planes.copy())
+
+    monkeypatch.setattr(retrieval_flat, "_planes_lock", SpyLock())
+    with python_branch():
+        assert solve(20, 40, False, 0, *_two_rows(""), planes, 1, 50)
+    assert bits_in(planes[0]).count(1) == 2 and planes.all()
+    assert len(seen) == 2 and not seen[0].any() and np.array_equal(seen[1], planes)
 
 
 @st.composite
