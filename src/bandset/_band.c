@@ -2,9 +2,10 @@
 
    * ``solve(n, L, lead, retry, s, lo, rhs, planes, r, offset)``: pivot
      insertion (the Ribbon construction of Dillinger & Walzer, 2021) and
-     per-plane back-substitution of one band system over GF(2), for
-     L <= 128 and at most 64 value bits, straight into the file's packed
-     plane words. It derives each key's row from its digest words (the
+     back-substitution of one band system over GF(2), for L <= 128 and at
+     most 64 value bits, straight into the file's packed plane words. One
+     pass over the columns fills all r planes, each with its own sliding
+     window. It derives each key's row from its digest words (the
      start word s and lo) with ``row_of``, as the query does, and walks
      and adds rows exactly as the Python branch of
      ``retrieval_flat.solve`` does, so both write the same bits. It ORs
@@ -168,29 +169,39 @@ static int band_solve(int64_t n, int64_t L, int lead, uint64_t retry, int64_t m,
     }
     if (solved == 1 && top && top > 64 * nwords - offset)
         solved = -2;
-    /* The window slides one column per step, so no shift reaches 128 bits;
-       bits above L never meet a stored row, so they need no mask. The bits
-       of one word are collected in bits and ORed in when a bit of the next
-       word comes, and after the last. */
-    for (int64_t t = 0; t < r && solved == 1; t++) {
-        uint64_t *z = planes + t * nwords, bits = 0;
-        int64_t word = 0;
-        u128 window = 0; /* bit j is column c + j */
+    /* Back-substitution of all r planes in one pass from the top pivot
+       down, which loads each column's row and right-hand side once. Plane t
+       slides its own window[t], bit j for column c + j, one column per
+       step, so no shift reaches 128 bits; bits above L never meet a stored
+       row, so they need no mask. A column without a pivot has row 0 and
+       right-hand side 0, so it gets a 0. The window is also plane t's
+       output: when the pass reaches the next word, its low 64 bits are the
+       whole word just left, and after column 1 they are the last word's
+       bits from bit offset % 64 up. */
+    if (solved == 1 && top) {
+        u128 window[64];
+        int64_t word = (offset + top - 1) >> 6;
+        memset(window, 0, sizeof window);
         for (int64_t c = top; c >= 1; c--) {
-            window <<= 1;
-            if (rows[c] && (parity128(window & rows[c]) ^ (int)(bs[c] >> t & 1))) {
-                int64_t p = offset + c - 1;
-                window |= 1;
-                if (p >> 6 != word && bits) {
-                    or64(z + word, bits);
-                    bits = 0;
-                }
+            int64_t p = offset + c - 1;
+            if (p >> 6 != word) {
+                for (int64_t t = 0; t < r; t++)
+                    if ((uint64_t)window[t])
+                        or64(planes + t * nwords + word, (uint64_t)window[t]);
                 word = p >> 6;
-                bits |= 1ULL << (p & 63);
+            }
+            u128 row = rows[c];
+            uint64_t b = bs[c];
+            for (int64_t t = 0; t < r; t++, b >>= 1) {
+                u128 w = window[t] << 1;
+                window[t] = w | (parity128(w & row) ^ (b & 1));
             }
         }
-        if (bits)
-            or64(z + word, bits);
+        for (int64_t t = 0; t < r; t++) {
+            uint64_t bits = (uint64_t)window[t] << (offset & 63);
+            if (bits)
+                or64(planes + t * nwords + word, bits);
+        }
     }
     free(rows);
     free(bs);

@@ -174,8 +174,10 @@ def solve(n: int, L: int, lead: bool, retry: int, s, lo, rhs, planes, r: int,
     in the order given, each on the fly: it walks to its lowest 1, and if
     a pivot row already sits in that column it XORs that row and its
     right-hand side in and walks on. A row that reaches 0 is dependent.
-    Back-substitution then fills each plane from the highest pivot down,
-    sliding one L-bit window.
+    Back-substitution then fills the planes from the highest pivot down:
+    the native kernel all r in one pass over the columns, with one sliding
+    window per plane, and the Python branch below one plane at a time,
+    sliding one L-bit window; both write the same bits.
 
     ``planes`` is one writable buffer in the file's form: r runs of nwords
     little-endian 64-bit words, plane t from word t * nwords on, with bit

@@ -299,17 +299,22 @@ def test_input_order_never_changes_serialized_output():
 
 # L = 1 takes force_leading_one (a 1-bit pattern is otherwise 0 half the
 # time) and small, sparse chunks (its starts must all differ); C = 37 gives
-# chunks of about 1.6 words, so most plane words hold the ends of two chunks
+# chunks of about 1.6 words, so most plane words hold the ends of two
+# chunks, also at r = 8 and r = 64, where the native kernel fills every
+# plane in one pass
 @pytest.mark.parametrize("shape", [dict(L=64), dict(L=80), dict(L=128), dict(L=130),
                                    dict(L=1, force_leading_one=True, epsilon=0.9, C=20),
-                                   dict(C=37)],
-                         ids=["64", "80", "128", "130", "1-lead", "37"])
+                                   dict(C=37), dict(C=37, r=8), dict(C=37, r=64)],
+                         ids=["64", "80", "128", "130", "1-lead", "37", "37-r8", "37-r64"])
 def test_backends_and_thread_counts_write_the_same_file(shape):
     # the file is a function of the pairs and the seed alone; neighbouring
     # chunks, solved at once, share the plane word at their boundary, and
     # an update lost there changes the file
+    params = ChunkedParams(**{"epsilon": 0.1, "C": 500, "r": 3, **shape}, base_seed=90)
     pairs = make_pairs(6_000, r=3)
-    params = ChunkedParams(**{"epsilon": 0.1, "C": 500, **shape}, r=3, base_seed=90)
+    if params.r != 3:  # values that fill every plane
+        rnd = random.Random(params.r)
+        pairs = [(key, rnd.getrandbits(params.r)) for key, _ in pairs]
     ds = construct_chunked(pairs, params)
     offsets = ds.directory.offsets
     assert sum(offset % 64 != 0 for offset in offsets) > len(offsets) / 2

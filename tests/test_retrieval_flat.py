@@ -162,7 +162,8 @@ def test_row_order_does_not_change_the_planes(L, r):
     assert solved >= 10
 
 
-@pytest.mark.parametrize("L,r", [(1, 1), (8, 2), (64, 1), (65, 3), (127, 64), (128, 8), (130, 2)])
+@pytest.mark.parametrize("L,r", [(1, 1), (8, 2), (64, 1), (64, 8), (64, 64), (65, 3), (127, 64),
+                                 (128, 8), (130, 2)])
 def test_solve_writes_only_its_slice(L, r):
     # planes full of random words around the slice, which mostly starts
     # and ends inside a word: a dependent system changes no bit, even
@@ -207,7 +208,7 @@ def test_solve_leaves_its_inputs_alone():
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("L,r", [(64, 8), (80, 2), (128, 3)])
+@pytest.mark.parametrize("L,r", [(64, 8), (64, 33), (64, 64), (80, 2), (128, 3)])
 def test_chunk_sized_system_matches_sorted_elimination(L, r, backend):
     # a build's chunk: 10k keys at eps 3%, retried until it solves (at
     # L = 64 about half of first tries fail); every attempt agrees. Its
@@ -298,6 +299,18 @@ def test_native_solve_fills_its_buffer_to_the_last_bit(native):
     assert native.solve(20, 100, False, 0, *_two_rows(""), memory[:8], 1, 44)
     assert memory[:8].view("<u8")[0] == 1 << 44 | 1 << 63
     assert not memory[8:].any()
+
+
+def test_native_solve_fills_each_plane_to_its_last_bit(native):
+    # the same two pivots at r = 2, with right-hand sides 0b11 at column 1
+    # and 0b10 at column 20: plane 0 gets only the bit of column 1, plane 1
+    # both, up to the last bit of its one word, and nothing past the runs
+    memory = np.zeros(24, np.uint8)
+    s, lo, _ = _two_rows("")
+    rhs = np.array([0b11, 0b10], np.uint64)
+    assert native.solve(20, 100, False, 0, s, lo, rhs, memory[:16], 2, 44)
+    assert memory[:16].view("<u8").tolist() == [1 << 44, 1 << 44 | 1 << 63]
+    assert not memory[16:].any()
 
 
 def test_python_branch_writes_its_words_under_the_planes_lock(monkeypatch):
