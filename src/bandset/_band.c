@@ -1,4 +1,4 @@
-/* Native backend of bandset, a CPython extension module with five parts:
+/* Native backend of bandset, a CPython extension module with six parts:
 
    * ``solve(n, L, lead, retry, s, lo, rhs, planes, r, offset)``: pivot
      insertion (the Ribbon construction of Dillinger & Walzer, 2021) and
@@ -18,7 +18,16 @@
      pairs (exact 2-tuples and 2-lists of a byte-string key and an integer
      value in [0, 2^r)), hashes each key and keeps each value as a uint64,
      and returns None at the first other pair: the Python pass owns every
-     ingest error. Repeated keys are left to the caller.
+     ingest error. Repeated keys are left to the caller. An exact bytes
+     key with an exact int value is read without touching a reference
+     count, since no user code can run there, and the loop prefetches the
+     pairs a few steps ahead.
+   * ``order_rows(digests, values, num_chunks)``: a build's rows in chunk
+     order, each chunk by start word, in one counting pass, one scatter
+     and a radix sort of each chunk in cache; the order that
+     ``construct_chunked``'s reference path (an argsort of hi, gathers and
+     ``row_gen.chunk_bounds``) gives. It returns None when two keys share
+     hi, and that path then drops repeats or names the collision.
    * ``bind(seed, L, r, lead, directory, planes)``: one structure's
      lookup, for L <= 128 and at most 64 planes, a ``Lookup`` that holds
      the structure's words: the ints base_seed, L, r and lead
@@ -338,55 +347,98 @@ static void store64(uint8_t *p, uint64_t x)
     memcpy(p, &x, 8);
 }
 
+/* 1, with its value in *v, when the int index lies in [0, 2^r); else 0. */
+static int value_fits(PyObject *index, int r, uint64_t *v)
+{
+    int overflow;
+    long long small = PyLong_AsLongLongAndOverflow(index, &overflow);
+    if (!overflow) {
+        *v = (uint64_t)small;
+        return small >= 0 && (r == 64 || *v >> r == 0);
+    }
+    if (overflow < 0 || r < 64 || _PyLong_NumBits(index) > 64)
+        return 0;
+    *v = PyLong_AsUnsignedLongLongMask(index);
+    return 1;
+}
+
+/* The key's digest into d: lo, then hi, little-endian. */
+static void store_digest(uint64_t seed, const char *key, Py_ssize_t size, uint8_t *d)
+{
+    uint64_t hi, lo;
+    digest(seed, (const uint8_t *)key, (size_t)size, &hi, &lo);
+    store64(d, lo);
+    store64(d + 8, hi);
+}
+
 /* One pair as row_gen.digest_pairs takes it without a second look: an
    exact 2-tuple or 2-list of a byte-string key and an integer value in
    [0, 2^r). Writes the key's digest (lo, then hi, little-endian) to d and
    the value to *v and returns 0. Returns 1 for any other pair, and for a
    value whose __index__ raises TypeError, so that the Python pass raises
-   its error or takes the pair; -1 when __index__ raises anything else. */
+   its error or takes the pair; -1 when __index__ raises anything else.
+   The pair is read only before any user code runs, so the caller need not
+   hold it. */
 static int pair_words(uint64_t seed, PyObject *pair, int r, uint8_t *d, uint64_t *v)
 {
     if (!(PyTuple_CheckExact(pair) || PyList_CheckExact(pair)) || Py_SIZE(pair) != 2)
         return 1;
     PyObject *key = PySequence_Fast_ITEMS(pair)[0], *value = PySequence_Fast_ITEMS(pair)[1];
+    /* the common pair: no user code runs while it is read, so no reference
+       is held */
+    if (PyBytes_CheckExact(key) && PyLong_CheckExact(value)) {
+        if (!value_fits(value, r, v))
+            return 1;
+        store_digest(seed, PyBytes_AS_STRING(key), PyBytes_GET_SIZE(key), d);
+        return 0;
+    }
     if (!PyBytes_Check(key) && !PyByteArray_Check(key))
         return 1;
     /* held: __index__ may edit a 2-list pair */
     Py_INCREF(key);
     Py_INCREF(value);
     PyObject *index = PyNumber_Index(value);
-    int ret = 1, overflow, fits;
+    int ret = 1;
     if (!index) {
         if (PyErr_ExceptionMatches(PyExc_TypeError))
             PyErr_Clear();
         else
             ret = -1;
-        goto done;
+    } else if (value_fits(index, r, v)) {
+        /* the key is read only now: __index__ above may have resized a
+           bytearray key */
+        if (PyBytes_Check(key))
+            store_digest(seed, PyBytes_AS_STRING(key), PyBytes_GET_SIZE(key), d);
+        else
+            store_digest(seed, PyByteArray_AS_STRING(key), PyByteArray_GET_SIZE(key), d);
+        ret = 0;
     }
-    long long small = PyLong_AsLongLongAndOverflow(index, &overflow);
-    if (overflow)
-        fits = overflow > 0 && r == 64 && _PyLong_NumBits(index) <= 64;
-    else
-        fits = small >= 0 && (r == 64 || (uint64_t)small >> r == 0);
-    if (!fits)
-        goto done;
-    *v = PyLong_AsUnsignedLongLongMask(index);
-    /* the key is read only now: __index__ above may have resized a
-       bytearray key */
-    uint64_t hi, lo;
-    if (PyBytes_Check(key))
-        digest(seed, (const uint8_t *)PyBytes_AS_STRING(key), (size_t)PyBytes_GET_SIZE(key), &hi, &lo);
-    else
-        digest(seed, (const uint8_t *)PyByteArray_AS_STRING(key), (size_t)PyByteArray_GET_SIZE(key),
-               &hi, &lo);
-    store64(d, lo);
-    store64(d + 8, hi);
-    ret = 0;
-done:
     Py_DECREF(key);
     Py_DECREF(value);
     Py_XDECREF(index);
     return ret;
+}
+
+/* Pairs that the digest_pairs loop prefetches ahead: the pair object
+   itself PREFETCH_PAIRS ahead, its key and value objects half as far. */
+#define PREFETCH_PAIRS 16
+
+/* Prefetch what pair_words will read of the pairs ahead of item n. Only
+   items still in the list are read, so each is alive. */
+static void prefetch_ahead(PyObject *items, Py_ssize_t n)
+{
+    Py_ssize_t size = PySequence_Fast_GET_SIZE(items);
+    if (n + PREFETCH_PAIRS < size)
+        __builtin_prefetch(PySequence_Fast_GET_ITEM(items, n + PREFETCH_PAIRS));
+    if (n + PREFETCH_PAIRS / 2 < size) {
+        PyObject *pair = PySequence_Fast_GET_ITEM(items, n + PREFETCH_PAIRS / 2);
+        if (PyTuple_CheckExact(pair) && PyTuple_GET_SIZE(pair) == 2) {
+            const char *key = (const char *)PyTuple_GET_ITEM(pair, 0);
+            __builtin_prefetch(key);
+            __builtin_prefetch(key + 64);
+            __builtin_prefetch(PyTuple_GET_ITEM(pair, 1));
+        }
+    }
 }
 
 /* digest_pairs(items, seed, r) -> (digests, values) or None, for a list
@@ -421,11 +473,10 @@ static PyObject *py_digest_pairs(PyObject *self, PyObject *const *args, Py_ssize
         if (n == cap && (PyByteArray_Resize(digests, 16 * (cap = 2 * cap + 16)) < 0
                          || PyByteArray_Resize(values, 8 * cap) < 0))
             goto done;
-        PyObject *pair = Py_NewRef(PySequence_Fast_GET_ITEM(items, n));
+        prefetch_ahead(items, n);
         uint64_t v;
-        int got = pair_words(seed, pair, (int)r, (uint8_t *)PyByteArray_AS_STRING(digests) + 16 * n, &v);
-        Py_DECREF(pair);
-        if (got)
+        if (pair_words(seed, PySequence_Fast_GET_ITEM(items, n), (int)r,
+                       (uint8_t *)PyByteArray_AS_STRING(digests) + 16 * n, &v))
             goto done;
         memcpy(PyByteArray_AS_STRING(values) + 8 * n, &v, 8);
     }
@@ -437,6 +488,223 @@ done:
     Py_XDECREF(digests);
     Py_XDECREF(values);
     Py_DECREF(items);
+    return out;
+}
+
+/* ------------------------------------------------------------------------
+   order
+
+   A build's rows in chunk order, each chunk by ascending start word s:
+   the order that construct_chunked's argsort of hi gives when no two keys
+   share hi, since within a chunk s = hi * num_chunks mod 2^64 grows with
+   hi. One counting pass and one scatter put the rows in chunk order; each
+   chunk is then sorted in cache, by two 8-bit radix passes on the top 16
+   bits of s and a finishing sort of each run that shares them. */
+
+struct row {
+    uint64_t s, lo, v;
+};
+
+/* Runs up to this long are finished by insertion sort, longer ones by
+   heapsort, so keys crafted into one run cost O(n log n), not O(n^2). */
+#define INSERTION_MAX 32
+
+static void sift_down(struct row *rows, size_t i, size_t n)
+{
+    struct row x = rows[i];
+    for (size_t child; (child = 2 * i + 1) < n; i = child) {
+        if (child + 1 < n && rows[child + 1].s > rows[child].s)
+            child++;
+        if (rows[child].s <= x.s)
+            break;
+        rows[i] = rows[child];
+    }
+    rows[i] = x;
+}
+
+/* Sorts rows[0:n] by s. */
+static void sort_rows(struct row *rows, size_t n)
+{
+    if (n <= INSERTION_MAX) {
+        for (size_t i = 1; i < n; i++) {
+            struct row x = rows[i];
+            size_t j = i;
+            for (; j && rows[j - 1].s > x.s; j--)
+                rows[j] = rows[j - 1];
+            rows[j] = x;
+        }
+        return;
+    }
+    for (size_t i = n / 2; i-- > 0;)
+        sift_down(rows, i, n);
+    for (size_t end = n - 1; end > 0; end--) {
+        struct row top = rows[0];
+        rows[0] = rows[end];
+        rows[end] = top;
+        sift_down(rows, 0, end);
+    }
+}
+
+/* Sorts the n rows s[i], lo[i], v[i] by s through scratch, room for n
+   rows. Returns 1 when two of them share s, else 0. */
+static int sort_run(uint64_t *s, uint64_t *lo, uint64_t *v, size_t n, struct row *scratch)
+{
+    for (size_t i = 0; i < n; i++)
+        scratch[i] = (struct row){s[i], lo[i], v[i]};
+    sort_rows(scratch, n);
+    for (size_t i = 0; i < n; i++) {
+        s[i] = scratch[i].s;
+        lo[i] = scratch[i].lo;
+        v[i] = scratch[i].v;
+        if (i && s[i] == s[i - 1])
+            return 1;
+    }
+    return 0;
+}
+
+/* sort_run for one chunk: radix passes on bits 48-55, then 56-63 (stable,
+   so the rows end up ordered by their top 16 bits), then sort_run on each
+   run of rows that share those bits. */
+static int sort_chunk(uint64_t *s, uint64_t *lo, uint64_t *v, size_t n, struct row *scratch)
+{
+    if (n <= INSERTION_MAX)
+        return sort_run(s, lo, v, n, scratch);
+    size_t low[256] = {0}, high[256] = {0}, a = 0, b = 0;
+    for (size_t i = 0; i < n; i++) {
+        low[s[i] >> 48 & 255]++;
+        high[s[i] >> 56]++;
+    }
+    for (int d = 0; d < 256; d++) {
+        size_t x = low[d], y = high[d];
+        low[d] = a;
+        high[d] = b;
+        a += x;
+        b += y;
+    }
+    for (size_t i = 0; i < n; i++)
+        scratch[low[s[i] >> 48 & 255]++] = (struct row){s[i], lo[i], v[i]};
+    for (size_t i = 0; i < n; i++) {
+        struct row x = scratch[i];
+        size_t j = high[x.s >> 56]++;
+        s[j] = x.s;
+        lo[j] = x.lo;
+        v[j] = x.v;
+    }
+    for (a = 0; a < n; a = b) {
+        for (b = a + 1; b < n && s[b] >> 48 == s[a] >> 48; b++)
+            ;
+        if (b - a > 1 && sort_run(s + a, lo + a, v + a, b - a, scratch))
+            return 1;
+    }
+    return 0;
+}
+
+/* The m rows of digests (16 bytes each, lo then hi, little-endian) and
+   values (native-endian uint64) into s, lo and v, in chunk order, each
+   chunk by s; chunk c is rows bounds[c] to bounds[c + 1]. Returns 0 when
+   done, 1 when two rows of a chunk share s (so share hi), -1 when out of
+   memory. */
+static int order_rows(const uint8_t *digests, const uint8_t *values, size_t m, size_t num_chunks,
+                      int64_t *bounds, uint64_t *s, uint64_t *lo, uint64_t *v)
+{
+    size_t *next = calloc(num_chunks, sizeof *next), largest = 0;
+    if (!next)
+        return -1;
+    for (size_t i = 0; i < m; i++)
+        next[mulhi(load64(digests + 16 * i + 8), num_chunks)]++;
+    bounds[0] = 0;
+    for (size_t c = 0; c < num_chunks; c++) {
+        if (next[c] > largest)
+            largest = next[c];
+        bounds[c + 1] = bounds[c] + (int64_t)next[c];
+        next[c] = (size_t)bounds[c];
+    }
+    for (size_t i = 0; i < m; i++) {
+        uint64_t hi = load64(digests + 16 * i + 8);
+        size_t j = next[mulhi(hi, num_chunks)]++;
+        s[j] = hi * num_chunks;
+        lo[j] = load64(digests + 16 * i);
+        memcpy(v + j, values + 8 * i, 8);
+    }
+    free(next);
+    struct row *scratch = malloc((largest ? largest : 1) * sizeof *scratch);
+    int status = scratch ? 0 : -1;
+    for (size_t c = 0; c < num_chunks && status == 0; c++) {
+        size_t a = (size_t)bounds[c];
+        status = sort_chunk(s + a, lo + a, v + a, (size_t)bounds[c + 1] - a, scratch);
+    }
+    free(scratch);
+    return status;
+}
+
+/* order_rows(digests, values, num_chunks) -> (bounds, s, lo, values) or
+   None: the rows of digests (16 bytes per key, as digest_pairs gives
+   them) and values (one native-endian uint64 per key) in the order of
+   construct_chunked's reference path, for 1 <= num_chunks <= max(m, 1).
+   bounds is a list of num_chunks + 1 ints, chunk c rows bounds[c] to
+   bounds[c + 1]; s (the start words), lo and values are bytearrays of one
+   native-endian uint64 per row. None when two keys share hi: the
+   reference path then drops repeats or names the collision. The GIL is
+   released while the rows are ordered. */
+static PyObject *py_order_rows(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_nargs("order_rows", nargs, 3) < 0)
+        return NULL;
+    Py_ssize_t num_chunks = PyLong_AsSsize_t(args[2]);
+    if (num_chunks == -1 && PyErr_Occurred())
+        return NULL;
+    Py_buffer digests, values = {.obj = NULL};
+    if (PyObject_GetBuffer(args[0], &digests, PyBUF_SIMPLE) < 0)
+        return NULL;
+    PyObject *s = NULL, *lo = NULL, *v = NULL, *out = NULL;
+    int64_t *bounds = NULL;
+    Py_ssize_t m = digests.len / 16;
+    int status;
+    if (PyObject_GetBuffer(args[1], &values, PyBUF_SIMPLE) < 0)
+        goto done;
+    if (digests.len % 16 || values.len != 8 * m || num_chunks < 1 || num_chunks > (m > 1 ? m : 1)) {
+        PyErr_SetString(PyExc_ValueError, "order_rows takes 16 digest bytes and one uint64 value "
+                        "per key and 1 <= num_chunks <= max(m, 1)");
+        goto done;
+    }
+    if (!(bounds = PyMem_Malloc(((size_t)num_chunks + 1) * sizeof *bounds))) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (!(s = PyByteArray_FromStringAndSize(NULL, 8 * m))
+        || !(lo = PyByteArray_FromStringAndSize(NULL, 8 * m))
+        || !(v = PyByteArray_FromStringAndSize(NULL, 8 * m)))
+        goto done;
+    /* bytearray memory comes from the Python allocator, 16-byte aligned */
+    Py_BEGIN_ALLOW_THREADS
+    status = order_rows(digests.buf, values.buf, (size_t)m, (size_t)num_chunks, bounds,
+                        (uint64_t *)PyByteArray_AS_STRING(s), (uint64_t *)PyByteArray_AS_STRING(lo),
+                        (uint64_t *)PyByteArray_AS_STRING(v));
+    Py_END_ALLOW_THREADS
+    if (status == -1)
+        PyErr_NoMemory();
+    else if (status == 1)
+        out = Py_NewRef(Py_None);
+    else {
+        PyObject *list = PyList_New(num_chunks + 1);
+        for (Py_ssize_t c = 0; list && c <= num_chunks; c++) {
+            PyObject *bound = PyLong_FromLongLong(bounds[c]);
+            if (!bound)
+                Py_CLEAR(list);
+            else
+                PyList_SET_ITEM(list, c, bound);
+        }
+        if (list)
+            out = PyTuple_Pack(4, list, s, lo, v);
+        Py_XDECREF(list);
+    }
+done:
+    PyMem_Free(bounds);
+    Py_XDECREF(s);
+    Py_XDECREF(lo);
+    Py_XDECREF(v);
+    PyBuffer_Release(&values);
+    PyBuffer_Release(&digests);
     return out;
 }
 
@@ -910,6 +1178,9 @@ static PyMethodDef methods[] = {
     {"solve", py_solve, METH_VARARGS, "Solve one band system into r runs of packed plane words."},
     {"digest_pairs", (PyCFunction)(void (*)(void))py_digest_pairs, METH_FASTCALL,
      "Check (key, value) pairs, hash each key and keep each value."},
+    {"order_rows", (PyCFunction)(void (*)(void))py_order_rows, METH_FASTCALL,
+     "order_rows(digests, values, num_chunks): the rows in chunk order, each chunk by start "
+     "word, or None."},
     {"bind", (PyCFunction)(void (*)(void))py_bind, METH_FASTCALL,
      "bind(seed, L, r, lead, directory, planes): one structure's lookup."},
     {"read_tsv", (PyCFunction)(void (*)(void))py_read_tsv, METH_FASTCALL,

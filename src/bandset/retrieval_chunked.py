@@ -144,9 +144,9 @@ def num_chunks_for(m: int, C: int) -> int:
 
 
 def construct_chunked(pairs, params: ChunkedParams, threads: int = 1) -> ChunkedRetrieval:
-    """Check and hash every pair in one pass, drop repeated pairs by
-    sorting the digests, partition, lay out the chunk tables, solve each
-    chunk into its slice.
+    """Check and hash every pair in one pass, put the rows in chunk order
+    (dropping repeated pairs), lay out the chunk tables, solve each chunk
+    into its slice.
 
     ``pairs`` is an iterable of (key, value) pairs: bytes or bytearray
     keys, integer values in [0, 2^r). A key may repeat with the same
@@ -163,29 +163,43 @@ def construct_chunked(pairs, params: ChunkedParams, threads: int = 1) -> Chunked
     import numpy as np
 
     digests, values, items = digest_pairs(pairs, params.base_seed, params.r)
-    words = np.frombuffer(digests, "<u8").reshape(-1, 2)
-    # The chunk (hi * num_chunks) >> 64 only grows with hi, so one sort by
-    # hi gives the chunk bounds for any chunk count and puts repeated
-    # digests side by side. Within a chunk the start word, the low 64 bits
-    # of hi * num_chunks, grows with hi too, so the first solve gets its
-    # rows in start order, which keeps its walks short; the planes do not
-    # depend on row order.
-    order = np.argsort(words[:, 1])
-    hi, lo, values = words[:, 1][order], words[:, 0][order], values[order]
-    del digests, words
-    collided = None
-    if np.any(hi[1:] == hi[:-1]):
-        keep, collided = _drop_repeats(hi, lo, values, order, items)
-        hi, lo, values = hi[keep], lo[keep], values[keep]
-    del order, items
-    m = len(hi)
-    num_chunks = num_chunks_for(m, params.C)
-    if collided is not None:
-        raise ConstructError(f"two keys share one digest in chunk "
-                             f"{chunk_and_word(collided, num_chunks)[0]}; "
-                             "build with another base seed")
-    bounds, s = chunk_bounds(hi, num_chunks)
-    del hi
+    # The rows go to the solves in chunk order, each chunk by its start
+    # word. The chunk (hi * num_chunks) >> 64 only grows with hi, and so
+    # does the start word, its low 64 bits, within a chunk, so this is the
+    # order of hi. The first solve thus gets its rows in start order, which
+    # keeps its walks short; the planes do not depend on row order. The
+    # native order_rows gives that order in one partition pass with a radix
+    # sort of each chunk in cache, and None when two keys share hi. The
+    # reference path, one argsort of hi, the gathers and chunk_bounds, runs
+    # then, and without the native module or for r > 64: it puts repeated
+    # digests side by side, so repeats are dropped and collisions named.
+    native = retrieval_flat._kernel()
+    ordered = None
+    if native is not None and values.dtype == np.uint64:
+        ordered = native.order_rows(digests, np.ascontiguousarray(values),
+                                    num_chunks_for(len(values), params.C))
+    if ordered is not None:
+        del digests, items
+        bounds, *columns = ordered
+        s, lo, values = (np.frombuffer(column, np.uint64) for column in columns)
+    else:
+        words = np.frombuffer(digests, "<u8").reshape(-1, 2)
+        order = np.argsort(words[:, 1])
+        hi, lo, values = words[:, 1][order], words[:, 0][order], values[order]
+        del digests, words
+        collided = None
+        if np.any(hi[1:] == hi[:-1]):
+            keep, collided = _drop_repeats(hi, lo, values, order, items)
+            hi, lo, values = hi[keep], lo[keep], values[keep]
+        del order, items
+        num_chunks = num_chunks_for(len(hi), params.C)
+        if collided is not None:
+            raise ConstructError(f"two keys share one digest in chunk "
+                                 f"{chunk_and_word(collided, num_chunks)[0]}; "
+                                 "build with another base seed")
+        bounds, s = chunk_bounds(hi, num_chunks)
+        del hi
+    m, num_chunks = bounds[-1], len(bounds) - 1
 
     sizes = (positions_for(b - a, params.epsilon) + params.L - 1
              for a, b in zip(bounds, bounds[1:]))

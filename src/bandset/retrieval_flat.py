@@ -16,9 +16,10 @@ This module also loads the native backend, the CPython extension module
 ``_band.c``: the pivot-insertion kernel that ``solve`` runs, the one
 pass over a build's pairs with the key hash that
 ``row_gen.digest_pairs`` runs (over a list of pairs, or over the keys of
-one buffer where they lie), the TSV and binary record scans that
-``cli.read_tsv_pairs`` and ``cli._binary_records`` run, and ``bind``,
-which makes a structure's lookup: a ``Lookup`` object that
+one buffer where they lie), ``order_rows``, which puts a build's rows in
+chunk order for ``construct_chunked``, the TSV and binary record scans
+that ``cli.read_tsv_pairs`` and ``cli._binary_records`` run, and
+``bind``, which makes a structure's lookup: a ``Lookup`` object that
 ``query_chunked`` calls once per key, whose ``query_many`` method
 ``query_many`` runs, and whose ``query_block`` method ``bandset query``
 runs on each block of its input (``retrieval_chunked.block_lookup``).

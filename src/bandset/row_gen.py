@@ -27,12 +27,13 @@ bit-exact everywhere:
 These scalar functions are the one Python copy of the row formula: the
 pure-Python query runs them, and so does the pure-Python branch of
 ``retrieval_flat.solve``, which derives every row of a build from its
-digest words. The only array work here is the partition,
-``chunk_bounds``, which a build runs once over its sorted ``hi`` words.
-A build hashes its keys in ``digest_pairs``, the one pass over its input
-that also checks every pair and keeps its value; its input is a list of
-pairs or a ``PackedPairs``, the keys and values of one buffer, which
-``bandset build`` reads. Where the native module
+digest words. The only array work here is ``chunk_bounds``, the
+partition of the build's reference path, which runs once over the sorted
+``hi`` words where the native ``order_rows`` does not (see
+``construct_chunked``). A build hashes its keys in ``digest_pairs``, the
+one pass over its input that also checks every pair and keeps its value;
+its input is a list of pairs or a ``PackedPairs``, the keys and values
+of one buffer, which ``bandset build`` reads. Where the native module
 loaded (see ``retrieval_flat``), its C twins of the hash, of that pass
 and of the row formula (one helper that its solve and its query share)
 run instead, while ``key_digest`` stays the fallback and the reference

@@ -7,6 +7,7 @@ import struct
 import sys
 import threading
 import time
+import types
 from dataclasses import FrozenInstanceError, fields, replace
 from unittest import mock
 
@@ -849,3 +850,216 @@ def test_format_v4_golden_digest(eps, L, base_seed, retries, digest, planes_dige
     assert blob == header + ds.directory.packed + ds.planes
     assert serialize(deserialize(blob)) == blob
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the build's order: the native order_rows against the reference path (the
+# argsort of hi, the gathers and chunk_bounds)
+
+
+@pytest.fixture
+def chunk_rows(monkeypatch):
+    """Per chunk, the rows that ``construct_chunked`` hands to
+    ``construct_flat``, as (s, lo, values) lists; one-thread builds only."""
+    rows = []
+    real = retrieval_chunked.construct_flat
+
+    def recorded(s, lo, values, *args):
+        rows.append((s.tolist(), lo.tolist(), values.tolist()))
+        return real(s, lo, values, *args)
+
+    monkeypatch.setattr(retrieval_chunked, "construct_flat", recorded)
+    return rows
+
+
+@pytest.fixture
+def order_calls(native, monkeypatch):
+    """The native ``order_rows`` spied on: ``.results`` holds what each
+    call returned (None, or True for an order); ``.decline`` set makes
+    every call return None, so the build takes the reference path on the
+    native digests."""
+    calls = types.SimpleNamespace(results=[], decline=False)
+    real = native.order_rows
+
+    def order_rows(*args):
+        got = None if calls.decline else real(*args)
+        calls.results.append(got if got is None else True)
+        return got
+
+    monkeypatch.setattr(native, "order_rows", order_rows)
+    return calls
+
+
+def _both_orders(pairs, params, chunk_rows, order_calls):
+    """The file and the per-chunk rows of a build with the native order,
+    then of one with the reference order, on the same native digests."""
+    out = []
+    for decline in (False, True):
+        order_calls.decline = decline
+        chunk_rows.clear()
+        out.append((serialize(construct_chunked(pairs, params)), list(chunk_rows)))
+    return out
+
+
+@pytest.mark.parametrize("m, kw", [
+    (0, {}), (1, {}),
+    (3_000, dict(C=10_000)),  # C >= m: one chunk
+    (300, dict(C=1)),  # a chunk per key: about a third of them empty
+    (3_000, dict(C=500)),
+    (2_000, dict(C=300, r=64)),
+    (2_000, dict(C=300, r=72)),  # r > 64: the reference path alone
+], ids=["m0", "m1", "one-chunk", "C1", "C500", "r64", "r72"])
+def test_native_order_matches_the_reference_order(m, kw, chunk_rows, order_calls):
+    params = ChunkedParams(**{"epsilon": 0.2, "r": 3, **kw}, base_seed=31)
+    rnd = random.Random(m)
+    pairs = [(key, rnd.getrandbits(params.r)) for key, _ in make_pairs(m, tag="order")]
+    (native_file, native_rows), (reference_file, reference_rows) = _both_orders(
+        pairs, params, chunk_rows, order_calls)
+    # the same bounds and, chunk by chunk, the same s, lo and values
+    assert native_rows == reference_rows
+    assert len(native_rows) == retrieval_chunked.num_chunks_for(m, params.C)
+    assert native_file == reference_file
+    with python_branch():
+        assert serialize(construct_chunked(pairs, params)) == native_file
+    if params.r > 64:
+        assert order_calls.results == []
+    else:
+        assert order_calls.results == [True, None]
+        # in each chunk the start words ascend, so no two are equal
+        assert all(s == sorted(set(s)) for s, _, _ in native_rows)
+    if kw.get("C") == 1:
+        assert [] in (s for s, _, _ in native_rows)
+
+
+@pytest.mark.parametrize("case", ["same value", "conflict", "collision"])
+def test_repeats_take_the_reference_order(case, hash_spy, solve_calls, order_calls):
+    # two keys that share hi make order_rows give up; the reference path
+    # then drops, rejects or names them as it does without the native order
+    pairs = make_pairs(3_000, tag="repeat")
+    params = ChunkedParams(epsilon=0.1, C=1_000, base_seed=12)
+    given = {
+        "same value": pairs + [pairs[100], pairs[2_000]],
+        "conflict": pairs + [(pairs[100][0], pairs[100][1] ^ 1)],
+        "collision": pairs,
+    }[case]
+    if case == "collision":
+        hash_spy.collide = {pairs[10][0], pairs[20][0]}
+
+    def outcome():
+        try:
+            return serialize(construct_chunked(given, params))
+        except ConstructError as exc:
+            assert solve_calls.chunks == []
+            return type(exc), str(exc)
+
+    got = outcome()
+    assert order_calls.results == [None]
+    with python_branch():
+        assert outcome() == got
+    if case == "same value":
+        assert got == serialize(construct_chunked(pairs, params))
+    elif case == "conflict":
+        assert got[0] is DuplicateKey
+    else:  # the all-ones digest lies in the last chunk
+        assert got[0] is ConstructError and "in chunk 2;" in got[1]
+
+
+def test_keys_crafted_into_one_radix_run_write_the_reference_file(hash_spy):
+    # The base seed is in the file, so keys can be chosen whose hi share
+    # their top 16 bits: one run of the chunk's radix passes, which the
+    # finishing sort must take in O(n log n). Their starts crowd at retry 0,
+    # so the build retries.
+    pairs = make_pairs(3_000, r=2, tag="crafted")
+    rnd = random.Random(16)
+    for key, _ in pairs:
+        hi = 0xB5E7 << 48 | rnd.getrandbits(48)
+        hash_spy.forced[key] = (hi << 64 | rnd.getrandbits(64)).to_bytes(16, "little")
+    params = ChunkedParams(epsilon=0.1, r=2, C=10_000, base_seed=17)
+    ds = construct_chunked(pairs, params)
+    assert ds.m == len(pairs) and ds.directory.seeds[0] >= 1
+    with python_branch():
+        assert serialize(construct_chunked(pairs, params)) == serialize(ds)
+
+
+def _order_reference(digests, values, num_chunks):
+    """order_rows' answer by the reference path's numpy calls."""
+    import numpy as np
+
+    from bandset.row_gen import chunk_bounds
+
+    words = np.frombuffer(digests, "<u8").reshape(-1, 2)
+    order = np.argsort(words[:, 1], kind="stable")
+    hi = words[:, 1][order]
+    bounds, s = chunk_bounds(hi, num_chunks)
+    return bounds, s.tolist(), words[:, 0][order].tolist(), values[order].tolist()
+
+
+def _order_native(native, digests, values, num_chunks):
+    import numpy as np
+
+    got = native.order_rows(digests, values, num_chunks)
+    if got is None:
+        return None
+    bounds, *columns = got
+    return bounds, *(np.frombuffer(column, np.uint64).tolist() for column in columns)
+
+
+@pytest.mark.parametrize("top_bits", [0, 8, 16, 24])
+@pytest.mark.parametrize("m, num_chunks", [(0, 1), (1, 1), (40, 1), (5_000, 1), (5_000, 7),
+                                           (5_000, 5_000), (60_000, 3)])
+def test_order_rows_equals_argsort(m, num_chunks, top_bits, native):
+    # hi words that share their top bits (of the start word too, for one
+    # chunk) fill few radix buckets, which the finishing sort then orders
+    import numpy as np
+
+    rnd = np.random.default_rng(m + top_bits)
+    words = rnd.integers(0, 2**64, size=(m, 2), dtype=np.uint64)
+    if top_bits:
+        shift = np.uint64(64 - top_bits)
+        prefix = np.uint64(0xA5C3F00F96E1D22B) >> shift << shift
+        words[:, 1] = words[:, 1] >> np.uint64(top_bits) | prefix
+    digests = words.tobytes()
+    values = rnd.integers(0, 2**64, size=m, dtype=np.uint64)
+    want = _order_reference(digests, values, num_chunks)
+    assert _order_native(native, digests, values, num_chunks) == want
+    if m >= 2:  # a second key with the hi of another: None
+        words[m // 2, 1] = words[m - 1, 1]
+        assert native.order_rows(words.tobytes(), values, num_chunks) is None
+
+
+def test_order_rows_checks_its_arguments(native):
+    import numpy as np
+
+    digests, values = bytes(32), np.zeros(2, np.uint64)
+    for bad in [(bytes(31), values, 1), (digests, values[:1], 1), (digests, values, 0),
+                (digests, values, 3), (bytes(0), values[:0], 2)]:
+        with pytest.raises(ValueError, match="order_rows takes"):
+            native.order_rows(*bad)
+    with pytest.raises(TypeError):
+        native.order_rows(digests, values)
+    assert native.order_rows(b"", values[:0], 1) == ([0, 0], bytearray(), bytearray(),
+                                                     bytearray())
+
+
+def test_order_rows_is_not_quadratic_in_one_run(native):
+    # 100k hi words in one chunk and one run of the radix passes: heapsort
+    # takes them in a few times the time of random words in chunks of 1,000,
+    # insertion sort would take hundreds of times as long
+    import numpy as np
+
+    m = 100_000
+    words = np.random.default_rng(3).integers(0, 2**64, size=(m, 2), dtype=np.uint64)
+    values = np.zeros(m, np.uint64)
+    crafted = words.copy()
+    crafted[:, 1] = crafted[:, 1] >> np.uint64(16) | np.uint64(0xB5E7 << 48)
+
+    def seconds(w, num_chunks):
+        data = w.tobytes()
+        best = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            assert native.order_rows(data, values, num_chunks) is not None
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    assert seconds(crafted, 1) < 50 * seconds(words, m // 1_000)

@@ -332,12 +332,42 @@ class _Index:
         return f"_Index({self.value})"
 
 
+class _Int(int):
+    pass
+
+
+class _Bytes(bytes):
+    pass
+
+
+class _EditsItsPair:
+    """An ``__index__`` object that empties the 2-list pair it sits in."""
+
+    def __init__(self, pair, value):
+        self.pair, self.value = pair, value
+
+    def __index__(self):
+        self.pair.clear()
+        return self.value
+
+    def __repr__(self):
+        return f"_EditsItsPair({self.value})"
+
+
+def _edited_pairs(base):
+    pairs = [[k, v] for k, v in base]
+    for pair in pairs[::7]:
+        pair[1] = _EditsItsPair(pair, pair[1])
+    return pairs
+
+
 @pytest.mark.parametrize("r", [1, 8, 64, 65])
 @pytest.mark.parametrize("case", [
     "ok", "str key", "float value", "bool values", "np.int64 values", "top value",
     "2**r", "negative", "np.int64 negative", "lists", "3-tuple", "1-tuple", "not iterable",
     "bytearray keys", "iterator", "generator pairs", "__index__", "bad after good",
-    "repeats", "conflict", "odd after good",
+    "repeats", "conflict", "odd after good", "int subclass values", "np.uint64 values",
+    "__index__ edits its pair", "bytes subclass keys", "2**r first", "2**r middle",
 ])
 def test_digest_pairs_native_and_python_agree(case, r, native):
     top = (1 << r) - 1
@@ -364,12 +394,19 @@ def test_digest_pairs_native_and_python_agree(case, r, native):
         "repeats": lambda: base + base[::3] + base[:5],
         "conflict": lambda: base + [(base[40][0], base[40][1] ^ 1)],
         "odd after good": lambda: base + [iter((b"late", 1))],
+        "int subclass values": lambda: [(k, _Int(v)) for k, v in base],
+        "np.uint64 values": lambda: [(k, np.uint64(v & MASK64)) for k, v in base],
+        "__index__ edits its pair": lambda: _edited_pairs(base),
+        "bytes subclass keys": lambda: [(_Bytes(k), v) for k, v in base],
+        "2**r first": lambda: [(b"over", 1 << r)] + base,
+        "2**r middle": lambda: base[:50] + [(b"over", 1 << r)] + base[50:],
     }[case]
     got = _both_backends(make, r)
     expect_error = {"str key": TypeError, "float value": TypeError, "2**r": ValueError,
                     "negative": ValueError, "np.int64 negative": ValueError,
                     "3-tuple": ValueError, "1-tuple": ValueError, "not iterable": TypeError,
-                    "__index__": ValueError, "bad after good": TypeError}
+                    "__index__": ValueError, "bad after good": TypeError,
+                    "2**r first": ValueError, "2**r middle": ValueError}
     if case in expect_error:
         assert got[0] is expect_error[case]
     elif case == "conflict":
@@ -395,3 +432,4 @@ def test_digest_pairs_property_with_repeats(pairs, r):
     else:
         assert got[2] == len(first)
         assert got[3] == _ingest(lambda: list(first.items()), r)[3]
+
