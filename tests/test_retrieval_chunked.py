@@ -890,17 +890,6 @@ def order_calls(native, monkeypatch):
     return calls
 
 
-def _both_orders(pairs, params, chunk_rows, order_calls):
-    """The file and the per-chunk rows of a build with the native order,
-    then of one with the reference order, on the same native digests."""
-    out = []
-    for decline in (False, True):
-        order_calls.decline = decline
-        chunk_rows.clear()
-        out.append((serialize(construct_chunked(pairs, params)), list(chunk_rows)))
-    return out
-
-
 @pytest.mark.parametrize("m, kw", [
     (0, {}), (1, {}),
     (3_000, dict(C=10_000)),  # C >= m: one chunk
@@ -913,8 +902,12 @@ def test_native_order_matches_the_reference_order(m, kw, chunk_rows, order_calls
     params = ChunkedParams(**{"epsilon": 0.2, "r": 3, **kw}, base_seed=31)
     rnd = random.Random(m)
     pairs = [(key, rnd.getrandbits(params.r)) for key, _ in make_pairs(m, tag="order")]
-    (native_file, native_rows), (reference_file, reference_rows) = _both_orders(
-        pairs, params, chunk_rows, order_calls)
+    built = []
+    for decline in (False, True):  # the native order, then the reference one
+        order_calls.decline = decline
+        chunk_rows.clear()
+        built.append((serialize(construct_chunked(pairs, params)), list(chunk_rows)))
+    (native_file, native_rows), (reference_file, reference_rows) = built
     # the same bounds and, chunk by chunk, the same s, lo and values
     assert native_rows == reference_rows
     assert len(native_rows) == retrieval_chunked.num_chunks_for(m, params.C)
