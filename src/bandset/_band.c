@@ -3,14 +3,19 @@
    * ``solve(n, L, lead, retry, s, lo, rhs, planes, r, offset)``: pivot
      insertion (the Ribbon construction of Dillinger & Walzer, 2021) and
      back-substitution of one band system over GF(2), for L <= 128 and at
-     most 64 value bits, straight into the file's packed plane words. One
-     pass over the columns fills all r planes, each with its own sliding
-     window. It derives each key's row from its digest words (the
-     start word s and lo) with ``row_of``, as the query does, and walks
-     and adds rows exactly as the Python branch of
-     ``retrieval_flat.solve`` does, so both write the same bits. It ORs
-     each word's bits in atomically, so threads may solve neighbouring
-     chunks that share a word at once.
+     most 64 value bits, straight into the file's packed plane words. It
+     derives each key's row from its digest words (the start word s and
+     lo) with ``row_of``, as the query does, and walks and adds rows as
+     the Python branch of ``retrieval_flat.solve`` does, but two at a
+     time: one lane walks the rows of the first half, one those of the
+     second, a table probe of each in turn, so that one walk's probe
+     overlaps the other's. The pivot table is one array of slots, each a
+     row and its right-hand side: 16 bytes per column with one-word rows
+     (L <= 64), 24 with two-word rows. Any order of insertion gives the
+     same pivots and solution, so both write the same bits. One pass over
+     the columns fills all r planes, each with its own sliding window. It
+     ORs each word's bits in atomically, so threads may solve
+     neighbouring chunks that share a word at once.
    * the key hash, a seeded 128-bit multiply-fold hash that gives the
      same (hi, lo) words as its Python twin ``row_gen.key_digest``.
    * ``digest_pairs(items, seed, r)``: a build's one pass over its input,
@@ -111,8 +116,12 @@ static inline __attribute__((always_inline)) uint64_t row_of(uint64_t s, uint64_
 
    A walking or stored row never spans more than L bits from its current
    column: each of its source rows starts at or before that column, since
-   walks only move right. So one unsigned __int128 holds any row, in any
-   row order, with bit 0 at the row's current column. */
+   walks only move right. This holds in any row order and any interleaving
+   of walks, so a row fits `words` 64-bit words, bit 0 at its current
+   column: one word for L <= 64, two up to 128. The pivot table is one
+   array of slots by column, each a stored row's words and then its
+   right-hand side: 16 bytes per column for one word, 24 for two. A
+   stored row has bit 0 set, so a slot is empty iff its first word is 0. */
 
 static unsigned ctz128(u128 x) /* x != 0 */
 {
@@ -137,47 +146,133 @@ static void or64(uint64_t *p, uint64_t x)
     __atomic_fetch_or(p, x, __ATOMIC_RELAXED);
 }
 
-/* Row i is row_of(s[i], lo[i], retry, n, L, lead) with right-hand side
-   rhs[i], inserted in the order given. planes holds r runs of nwords
-   little-endian words, and column c of plane t is bit offset + c - 1 of
-   run t; only 1 bits are ORed in, a word at a time. Returns 1 when
-   solved, 0 when the rows are dependent, -1 when out of memory, -2 when a
-   pivot column lies past the planes; nothing is written unless it
-   returns 1. */
-static int band_solve(int64_t n, int64_t L, int lead, uint64_t retry, int64_t m, const uint64_t *s,
-                      const uint64_t *lo, const uint64_t *rhs, int64_t r, uint64_t *planes,
-                      int64_t nwords, int64_t offset)
-{
-    int64_t width = n + L - 1, top = 0;
-    u128 *rows = calloc((size_t)width + 1, sizeof *rows); /* by pivot column */
-    uint64_t *bs = calloc((size_t)width + 1, sizeof *bs);
-    int solved = rows && bs ? 1 : -1;
+/* The rows of one solve: row i is row_of(s[i], lo[i], retry, n, L, lead)
+   with right-hand side rhs[i]. */
+struct rows {
+    const uint64_t *s, *lo, *rhs;
+    uint64_t retry, n, L;
+    int lead;
+};
 
-    for (int64_t i = 0; i < m && solved == 1; i++) {
-        u128 c;
-        uint64_t col = row_of(s[i], lo[i], retry, (uint64_t)n, (uint64_t)L, lead, &c);
-        uint64_t b = rhs[i];
-        for (;;) {
-            if (!c) {
-                solved = 0;
-                break;
-            }
-            unsigned t = ctz128(c); /* < 128, so the shift is defined */
-            col += t;
-            c >>= t;
-            if (!rows[col]) {
-                rows[col] = c;
-                bs[col] = b;
-                if ((int64_t)col > top)
-                    top = (int64_t)col;
-                break;
-            }
-            c ^= rows[col];
-            b ^= bs[col];
-        }
+/* One walk of pivot insertion: rows [i, end) are left to insert, and
+   the row of i - 1 walks at column col, with words c0 and c1 (c1 only
+   when two words) and right-hand side b. */
+struct lane {
+    int64_t i, end;
+    uint64_t col, c0, c1, b;
+};
+
+enum { DEPENDENT, WALKING, DONE };
+
+/* Moves a lane's row to its lowest 1; DEPENDENT when the row is 0, which
+   is checked first, since a ctz of 0 is undefined. */
+static inline __attribute__((always_inline)) int lane_align(int words, struct lane *w)
+{
+    if (words == 1) {
+        if (!w->c0)
+            return DEPENDENT;
+        unsigned t = (unsigned)__builtin_ctzll(w->c0);
+        w->col += t;
+        w->c0 >>= t;
+    } else {
+        u128 c = (u128)w->c1 << 64 | w->c0;
+        if (!c)
+            return DEPENDENT;
+        unsigned t = ctz128(c); /* < 128, so the shift is defined */
+        w->col += t;
+        c >>= t;
+        w->c0 = (uint64_t)c;
+        w->c1 = (uint64_t)(c >> 64);
     }
-    if (solved == 1 && top && top > 64 * nwords - offset)
-        solved = -2;
+    return WALKING;
+}
+
+/* Starts a lane's next row, or reports it DONE when none is left. */
+static inline __attribute__((always_inline)) int lane_next(int words, struct lane *w,
+                                                           const struct rows *in)
+{
+    if (w->i == w->end)
+        return DONE;
+    u128 pattern;
+    int64_t i = w->i++;
+    w->col = row_of(in->s[i], in->lo[i], in->retry, in->n, in->L, in->lead, &pattern);
+    w->c0 = (uint64_t)pattern;
+    w->c1 = (uint64_t)(pattern >> 64);
+    w->b = in->rhs[i];
+    return lane_align(words, w);
+}
+
+/* One step of a walk, one probe of the table: an empty slot takes the
+   row and the lane starts its next one; a full slot's row and right-hand
+   side are added, and the row walks on to its lowest 1. */
+static inline __attribute__((always_inline)) int lane_step(int words, struct lane *w,
+                                                           uint64_t *table, const struct rows *in)
+{
+    uint64_t *slot = table + w->col * (words + 1);
+    if (!slot[0]) {
+        slot[0] = w->c0;
+        if (words > 1)
+            slot[1] = w->c1;
+        slot[words] = w->b;
+        return lane_next(words, w, in);
+    }
+    w->c0 ^= slot[0];
+    if (words > 1)
+        w->c1 ^= slot[1];
+    w->b ^= slot[words];
+    return lane_align(words, w);
+}
+
+/* Pivot insertion of all rows into table, slots of `words` row words and
+   a right-hand side by column, zero on entry; 1 when every row found a
+   pivot, 0 when some row reached 0. Two lanes walk rows [0, m/2) and
+   [m/2, m), one step of each per turn, so that one walk's table probe
+   overlaps the other's; when one lane is done the other walks on alone.
+   Each step completes before the next begins, so each row is inserted
+   against a table that rows of either lane have filled so far, and the
+   pivots and solution are those of any one-at-a-time order. */
+static inline __attribute__((always_inline)) int insert_rows(int words, uint64_t *table,
+                                                             const struct rows *in, int64_t m)
+{
+    struct lane a = {.i = 0, .end = m / 2}, b = {.i = m / 2, .end = m};
+    int sa = lane_next(words, &a, in), sb = lane_next(words, &b, in);
+    while (sa == WALKING && sb == WALKING) {
+        sa = lane_step(words, &a, table, in);
+        sb = lane_step(words, &b, table, in);
+    }
+    while (sa == WALKING && sb == DONE)
+        sa = lane_step(words, &a, table, in);
+    while (sb == WALKING && sa == DONE)
+        sb = lane_step(words, &b, table, in);
+    return sa == DONE && sb == DONE;
+}
+
+/* Solves m rows, row_of(s[i], lo[i], retry, n, L, lead) with right-hand
+   side rhs[i], through a table of slots of `words` row words, 1 when
+   L <= 64 and 2 otherwise. planes holds r runs of nwords little-endian
+   words, and column c of plane t is bit offset + c - 1 of run t; only 1
+   bits are ORed in, a word at a time. Returns 1 when solved, 0 when the
+   rows are dependent, -1 when out of memory, -2 when a pivot column lies
+   past the planes; nothing is written unless it returns 1. */
+static inline __attribute__((always_inline)) int band_solve(int words, int64_t n, int64_t L,
+                                                            int lead, uint64_t retry, int64_t m,
+                                                            const uint64_t *s, const uint64_t *lo,
+                                                            const uint64_t *rhs, int64_t r,
+                                                            uint64_t *planes, int64_t nwords,
+                                                            int64_t offset)
+{
+    int64_t top = n + L - 1; /* the last column */
+    uint64_t *table = calloc((size_t)top + 1, (words + 1) * sizeof *table);
+    if (!table)
+        return -1;
+    struct rows in = {s, lo, rhs, retry, (uint64_t)n, (uint64_t)L, lead};
+    int solved = insert_rows(words, table, &in, m);
+    if (solved) {
+        while (top && !table[top * (words + 1)])
+            top--;
+        if (top && top > 64 * nwords - offset)
+            solved = -2;
+    }
     /* Back-substitution of all r planes in one pass from the top pivot
        down, which loads each column's row and right-hand side once. Plane t
        slides its own window[t], bit j for column c + j, one column per
@@ -199,8 +294,11 @@ static int band_solve(int64_t n, int64_t L, int lead, uint64_t retry, int64_t m,
                         or64(planes + t * nwords + word, (uint64_t)window[t]);
                 word = p >> 6;
             }
-            u128 row = rows[c];
-            uint64_t b = bs[c];
+            const uint64_t *slot = table + c * (words + 1);
+            u128 row = slot[0];
+            if (words > 1)
+                row |= (u128)slot[1] << 64;
+            uint64_t b = slot[words];
             for (int64_t t = 0; t < r; t++, b >>= 1) {
                 u128 w = window[t] << 1;
                 window[t] = w | (parity128(w & row) ^ (b & 1));
@@ -212,8 +310,7 @@ static int band_solve(int64_t n, int64_t L, int lead, uint64_t retry, int64_t m,
                 or64(planes + t * nwords + word, bits);
         }
     }
-    free(rows);
-    free(bs);
+    free(table);
     return solved;
 }
 
@@ -243,8 +340,11 @@ static PyObject *py_solve(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "planes are not 8-byte aligned");
     else {
         Py_BEGIN_ALLOW_THREADS
-        status = band_solve(n, L, lead, (uint64_t)retry, m, s.buf, lo.buf, rhs.buf, r, planes.buf,
-                            planes.len / 8 / r, offset);
+        int64_t nwords = planes.len / 8 / r;
+        status = L <= 64 ? band_solve(1, n, L, lead, (uint64_t)retry, m, s.buf, lo.buf, rhs.buf, r,
+                                      planes.buf, nwords, offset)
+                         : band_solve(2, n, L, lead, (uint64_t)retry, m, s.buf, lo.buf, rhs.buf, r,
+                                      planes.buf, nwords, offset);
         Py_END_ALLOW_THREADS
         if (status == -1)
             PyErr_Format(PyExc_MemoryError, "no memory for the pivot table of %lld columns", n + L - 1);

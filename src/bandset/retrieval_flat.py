@@ -172,9 +172,15 @@ def solve(n: int, L: int, lead: bool, retry: int, s, lo, rhs, planes, r: int,
     here from the key's start word and low digest word (uint64 arrays, see
     ``row_gen``), with right-hand side ``rhs[i]`` (bit t belongs to plane
     t; uint64, or object ints for more than 64 planes). Rows are inserted
-    in the order given, each on the fly: it walks to its lowest 1, and if
-    a pivot row already sits in that column it XORs that row and its
-    right-hand side in and walks on. A row that reaches 0 is dependent.
+    on the fly: each walks to its lowest 1, and if a pivot row already
+    sits in that column it XORs that row and its right-hand side in and
+    walks on. A row that reaches 0 is dependent. The Python branch below
+    inserts one row at a time, in the order given. The native kernel
+    walks two rows at once, one of rows [0, m/2) and one of [m/2, m), a
+    table probe of each in turn, so that one walk's probe overlaps the
+    other's, and keeps its pivots in one table of slots, each a row and
+    its right-hand side: 16 bytes per column for L <= 64, whose rows fit
+    one 64-bit word, and 24 for two-word rows up to L = 128.
     Back-substitution then fills the planes from the highest pivot down:
     the native kernel all r in one pass over the columns, with one sliding
     window per plane, and the Python branch below one plane at a time,
@@ -208,7 +214,11 @@ def solve(n: int, L: int, lead: bool, retry: int, s, lo, rhs, planes, r: int,
     elimination (``band_solver``) reaches the same set. A full-rank system
     has exactly one solution that is 0 off those columns. So every order
     gives the same planes, and the same verdict: some row reaches 0 iff
-    the rank is below the row count.
+    the rank is below the row count. The native kernel's interleaving is
+    such an order too: each probe completes before the other walk's next
+    one, so the stored rows are always an echelon basis of the rows
+    inserted so far, and a stored row at pivot p has bits only in
+    [p, p + L), whichever walk stored it.
     """
     m = len(s)
     if len(lo) != m or len(rhs) != m:

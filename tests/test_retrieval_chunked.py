@@ -333,6 +333,24 @@ def test_backends_and_thread_counts_write_the_same_file(shape):
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("L", [64, 80])
+def test_retried_chunks_take_the_same_seeds_on_every_backend(L):
+    # at eps 3% a chunk of 2,500 keys sometimes needs a second seed; which
+    # retry wins must not depend on the backend or the thread count, and
+    # base seed 0 makes a chunk retry at both widths
+    params = ChunkedParams(epsilon=0.03, C=2_500, L=L, r=3, base_seed=0)
+    pairs = make_pairs(10_000, r=3)
+    ds = construct_chunked(pairs, params)
+    assert any(ds.directory.seeds)
+    blob = serialize(ds)
+    builds = [construct_chunked(pairs, params, threads=threads) for threads in (1, 2)]
+    with python_branch():
+        builds += [construct_chunked(pairs, params, threads=threads) for threads in (1, 2)]
+    for other in builds:
+        assert other.directory.packed == ds.directory.packed
+        assert serialize(other) == blob
+
+
 @pytest.mark.parametrize("threads", [0, -1])
 def test_threads_below_1_rejected(threads):
     with pytest.raises(ValueError, match="threads"):

@@ -198,6 +198,68 @@ def test_solve_writes_only_its_slice(L, r):
     assert solved >= 10 and failed >= 5
 
 
+# The native kernel walks rows [0, m/2) and [m/2, m) as two interleaved
+# lanes, with one 64-bit word per row for L <= 64 and two above: at L = 64
+# and L = 65 each lane edge runs on both row widths.
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("L", [64, 65])
+def test_lanes_of_one_row_match_sorted_elimination(L, m):
+    # m = 2 gives each lane one row, m = 3 the first lane one row and the
+    # second two
+    rnd = random.Random(10 * L + m)
+    solved = 0
+    for _ in range(60):
+        n = rnd.randint(1, 6)
+        words = [(rnd.getrandbits(64), rnd.getrandbits(64), rnd.getrandbits(2)) for _ in range(m)]
+        sys_ = System(n, rnd.random() < 0.5, rnd.randrange(4), words)
+        got = solve_rows(L, 2, sys_)
+        assert got == reference_rows(L, 2, sys_)
+        solved += got is not None
+    assert solved >= 10
+
+
+def _independent_rows(L: int, m: int) -> list[tuple[int, int, int]]:
+    """m (s, lo, rhs) triples whose rows at L and n = 64 m solve, and
+    would not if any row were repeated or zero: starts 64 columns apart,
+    each with a 1 in bit 0 of lo."""
+    rnd = random.Random(L)
+    return [((64 * i << 58) // m, rnd.getrandbits(64) | 1, rnd.getrandbits(3)) for i in range(m)]
+
+
+@pytest.mark.parametrize("rows", ["first half", "second half", "across halves"])
+@pytest.mark.parametrize("L", [64, 65])
+def test_a_repeated_row_in_either_lane_is_dependent(L, rows):
+    # m = 8 splits into lanes of rows 0-3 and 4-7; one digest pair
+    # repeated, with another right-hand side, within a lane or across
+    m = 8
+    words = _independent_rows(L, m)
+    sys_ = System(64 * m, False, 0, words)
+    assert solve_rows(L, 3, sys_) is not None
+    src, dst = {"first half": (0, 2), "second half": (5, 7), "across halves": (1, 6)}[rows]
+    words[dst] = (*words[src][:2], words[src][2] ^ 1)
+    planes = word_planes(3, 64 * m + L - 1)
+    assert not solve_both(64 * m, L, False, 0, *arrays(words, 3), planes, 3, 0)
+    assert not planes.any()
+
+
+@pytest.mark.parametrize("at", [0, 2, 3, 5])
+@pytest.mark.parametrize("L", [1, 64])
+def test_a_zero_row_in_either_lane_is_dependent(L, at):
+    # with lead off, lo = 0 gives a row with no 1 at L = 1 and, at retry 0,
+    # at L = 64 too; m = 6 puts rows 0-2 in the first lane and 3-5 in the
+    # second. Such a row is dependent before it walks a column
+    m = 6
+    words = _independent_rows(L, m)
+    sys_ = System(64 * m, False, 0, words)
+    assert solve_rows(L, 1, sys_) is not None
+    words[at] = (words[at][0], 0, 1)
+    planes = word_planes(1, 64 * m + L - 1)
+    assert not solve_both(64 * m, L, False, 0, *arrays(words, 1), planes, 1, 0)
+    assert not planes.any()
+
+
 def test_solve_leaves_its_inputs_alone():
     rnd = random.Random(5)
     sys_ = random_system(rnd, 2)
