@@ -3,11 +3,17 @@
 Batch only. Exit codes: 0 success, 1 construction failure, 2 input error,
 3 format error. The base seed comes from --seed, falling back to the
 BANDSET_SEED environment variable, then 0.
+
+``main(argv)`` may be called many times in one process. It builds its
+argument parser once, at its first call, and keeps nothing else between
+calls: each call parses its own argv into a new namespace and reads
+BANDSET_SEED and the terminal width (for help) afresh.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -487,7 +493,10 @@ def _add_param_args(p: argparse.ArgumentParser) -> None:
                    help="pin the first pattern bit of every row to 1")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call, built at the first call. Its
+    defaults are immutable, so no parse can change a later one's."""
     parser = argparse.ArgumentParser(
         prog="bandset",
         description="Build, query and benchmark band-system retrieval structures.",
@@ -520,8 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--m", type=int, default=1000)
     p_sim.add_argument("--trials", type=int, default=100)
     p_sim.add_argument("--block-len", type=int, default=64)
-    p_sim.add_argument("--eps-list", type=lambda s: [float(x) for x in s.split(",")],
-                       default=[0.05, 0.1, 0.2])
+    p_sim.add_argument("--eps-list", type=lambda s: tuple(float(x) for x in s.split(",")),
+                       default=(0.05, 0.1, 0.2))
     p_sim.add_argument("--seed", type=int, default=None)
     return parser
 

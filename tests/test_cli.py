@@ -1,3 +1,4 @@
+import argparse
 import functools
 import hashlib
 import io
@@ -962,3 +963,106 @@ def test_simulate_sweep_rejects_bad_eps_list(eps_list, capsys):
     assert code == 2
     assert stdout == ""
     assert "--eps-list" in stderr
+
+
+# ---------------------------------------------------------------------------
+# one parser per process: `main` reuses it, and no parse leaks into the next
+
+
+def test_sweep_without_eps_list_after_one_with_it_prints_the_default_rows(capsys):
+    args = ["simulate", "sweep", "--n", "200", "--seed", "3"]
+    code, out, _ = run([*args, "--eps-list", "0.3,0.4"], capsys)
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["0.3", "0.4"]
+    code, out, _ = run(args, capsys)
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["0.05", "0.1", "0.2"]
+    parser = cli.build_parser()
+    assert parser.parse_args(args).eps_list == (0.05, 0.1, 0.2)
+    assert parser.parse_args([*args, "--eps-list", "0.3"]).eps_list == (0.3,)
+
+
+def test_build_without_force_leading_one_after_one_with_it_writes_a_fresh_file(tmp_path, capsys):
+    inp = tmp_path / "in.tsv"
+    write_tsv(inp, [(f"k{i}", "1") for i in range(200)])
+    forced, reused, fresh = (tmp_path / n for n in ("forced.bin", "reused.bin", "fresh.bin"))
+    build = ["build", str(inp)]
+    assert run([*build, str(forced), "--seed", "5", "--force-leading-one"], capsys)[0] == 0
+    assert run([*build, str(reused), "--seed", "5"], capsys)[0] == 0
+    cli.build_parser.cache_clear()
+    assert run([*build, str(fresh), "--seed", "5"], capsys)[0] == 0
+    assert reused.read_bytes() == fresh.read_bytes() != forced.read_bytes()
+
+
+def test_each_call_reads_bandset_seed_afresh(tmp_path, capsys, monkeypatch):
+    inp = tmp_path / "in.tsv"
+    write_tsv(inp, [("a", "1"), ("b", "0")])
+    seeds = []
+    for seed in ("11", "22"):
+        monkeypatch.setenv("BANDSET_SEED", seed)
+        code, stdout, _ = run(["build", str(inp), str(tmp_path / f"{seed}.bin")], capsys)
+        assert code == 0
+        seeds.append(json.loads(stdout)["params"]["base_seed"])
+    assert seeds == [11, 22]
+
+
+def test_text_query_after_a_binary_one_answers_the_text_keys(tmp_path, capsys, monkeypatch):
+    keys, values = [b"apple", b"banana", b"cherry"], [3, 9, 12]
+    inp = tmp_path / "in.tsv"
+    write_tsv(inp, [(k.decode(), format(v, "x")) for k, v in zip(keys, values)])
+    out = tmp_path / "ds.bin"
+    assert run(["build", str(inp), str(out), "--value-bits", "4", "--seed", "2"], capsys)[0] == 0
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(binary_records(keys))))
+    code, stdout, _ = run(["query", str(out), "--binary-keys"], capsys)
+    assert code == 0
+    assert stdout.splitlines() == ["3", "9", "c"]
+    monkeypatch.setattr("sys.stdin", io.StringIO("cherry\napple\n"))
+    code, stdout, _ = run(["query", str(out)], capsys)
+    assert code == 0
+    assert stdout.splitlines() == ["c", "3"]
+
+
+def test_main_builds_the_argparse_tree_once(capsys, monkeypatch):
+    init = argparse.ArgumentParser.__init__
+    made = []
+
+    @functools.wraps(init)
+    def counted(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    per_call = []
+    for argv in (["bench", "--m", "0"], ["simulate", "cfrh", "--n", "100"], ["bench", "--m", "0"]):
+        before = len(made)
+        assert run(argv, capsys)[0] == 0
+        per_call.append(len(made) - before)
+    assert per_call == [5, 0, 0]  # the top parser and its four subcommands
+
+
+def _help_of_a_fresh_parser(command):
+    """``format_help()`` of ``command``'s parser (the top one for None) in
+    a parser built just now."""
+    parser = cli.build_parser.__wrapped__()
+    if command is None:
+        return parser.format_help()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return subparsers.choices[command].format_help()
+
+
+def test_help_follows_the_terminal_width_at_each_call(capsys, monkeypatch):
+    helps = {}
+    for columns in ("40", "140"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for command in (None, "build"):
+            argv = ["--help"] if command is None else [command, "--help"]
+            with pytest.raises(SystemExit) as exit_:
+                main(argv)
+            assert exit_.value.code == 0
+            helps[columns, command] = capsys.readouterr().out
+            assert helps[columns, command] == _help_of_a_fresh_parser(command)
+    for command in (None, "build"):
+        narrow, wide = helps["40", command].splitlines(), helps["140", command].splitlines()
+        assert len(narrow) > len(wide)
+        assert max(map(len, narrow)) < max(map(len, wide))
