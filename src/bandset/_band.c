@@ -45,6 +45,8 @@
      as uint64, which is how ``bandset query`` answers a block. Every
      per-key bound is still checked on every call. All three share one
      lookup of a key's digest words, ``query_digest``.
+     ``retrieval_chunked.PythonLookup`` answers the same three calls for
+     the structures this lookup does not serve.
    * ``read_tsv(data, r)``, ``scan_records(data, value_bytes)`` and
      ``digest_packed(data, bounds, seed)``: an input as one buffer.
      ``read_tsv`` scans the bytes of a TSV file once for each key's
@@ -1173,13 +1175,13 @@ done:
 /* lookup.query_block(data, bounds) -> answers: the value of each key of
    the buffer data, as a call of the lookup gives it, in a bytearray of
    one native-endian uint64 per key. With bounds None the keys are the
-   lines of data, the keys of cli._key_blocks: data is split at \n, a
-   last line without one counts (so empty data has no key), and each line
-   loses its trailing run of \r. Otherwise bounds holds native-endian
-   int64 (start, end) pairs, as digest_packed takes them, and key i is
-   data[start:end]; ValueError, before any lookup, for a pair that does
-   not lie within data. Each key is hashed where it lies; the first key
-   whose lookup fails raises the call's error. */
+   lines of data, split as retrieval_chunked.PythonLookup splits them:
+   data is split at \n, a last line without one counts (so empty data has
+   no key), and each line loses its trailing run of \r. Otherwise bounds
+   holds native-endian int64 (start, end) pairs, as digest_packed takes
+   them, and key i is data[start:end]; ValueError, before any lookup, for
+   a pair that does not lie within data. Each key is hashed where it lies;
+   the first key whose lookup fails raises the call's error. */
 static PyObject *lookup_query_block(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     if (check_nargs("query_block", nargs, 2) < 0)

@@ -38,12 +38,11 @@ from .retrieval_chunked import (
     ChunkedParams,
     ChunkedRetrieval,
     FormatError,
-    block_lookup,
+    _bind,
     construct_chunked,
     deserialize,
     overhead,
     query_chunked,
-    query_many,
     serialize,
 )
 from .retrieval_flat import ConstructError, DuplicateKey
@@ -236,11 +235,11 @@ _HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 
 
 def _blocks(in_stream, binary_keys: bool):
-    """The keys of ``in_stream`` a block at a time, as the bytes they lie
-    in and their bounds: ``QUERY_BLOCK`` records of a binary stream, with
-    their int64 (start, end) pairs in all its bytes, or the lines of
-    ``QUERY_BLOCK`` characters of text and the rest of the last one,
-    encoded as UTF-8, with bounds None (the keys are the lines)."""
+    """The keys of ``in_stream`` a block at a time, as the (data, bounds)
+    of a lookup's ``query_block``: ``QUERY_BLOCK`` records of a binary
+    stream, with their int64 (start, end) pairs in all its bytes, or the
+    lines of ``QUERY_BLOCK`` characters of text and the rest of the last
+    one, encoded as UTF-8, with bounds None (the keys are the lines)."""
     if binary_keys:
         data = in_stream.read()
         bounds = _binary_records(data, 0)[0]
@@ -252,27 +251,15 @@ def _blocks(in_stream, binary_keys: bool):
         yield (text + in_stream.readline()).encode("utf-8"), None
 
 
-def _key_blocks(in_stream, binary_keys: bool):
-    """The keys of each block of ``_blocks`` as a list: a binary block's
-    key slices, or a text block's lines without their ``\\n`` and trailing
-    ``\\r``s (the keys of iterating the text by lines)."""
-    for data, bounds in _blocks(in_stream, binary_keys):
-        if bounds is not None:
-            yield [data[a:b] for a, b in bounds.tolist()]
-        else:
-            keys = data.removesuffix(b"\n").split(b"\n")
-            yield [key.rstrip(b"\r") for key in keys] if b"\r" in data else keys
-
-
 def _hex_lines(values, width: int) -> str:
-    """The lines ``f"{value:0{width}x}\\n"`` of ``values`` (a sequence of
-    ints or a uint64 array, taken as it is), joined: each value's digits
-    through ``_HEX_DIGITS``, one pass over all values per digit, all in
-    uint64 arithmetic. Up to 16 digits a value is one word; wider values
-    (r > 64, the Python lookup's ints) are split into 64-bit words, low
-    word first, and each digit is read from the word that holds it."""
+    """The lines ``f"{value:0{width}x}\\n"`` of ``values`` (``query_block``
+    answers: a buffer of native uint64 up to 16 digits, else ints), joined:
+    each value's digits through ``_HEX_DIGITS``, one pass over all values
+    per digit, all in uint64 arithmetic. Up to 16 digits a value is one
+    word; wider values (r > 64) are split into 64-bit words, low word
+    first, and each digit is read from the word that holds it."""
     if width <= 16:
-        words = np.asarray(values, np.uint64).reshape(-1, 1)
+        words = np.frombuffer(values, np.uint64).reshape(-1, 1)
     else:
         size = 8 * -(-width // 16)
         data = b"".join(v.to_bytes(size, "little") for v in values)
@@ -288,25 +275,19 @@ def _hex_lines(values, width: int) -> str:
 def cmd_query(path: str, in_stream=None, out_stream=None, binary_keys: bool = False) -> int:
     """Answer keys, one per line of text or, with ``binary_keys``, one per
     length-prefixed record of a binary stream; one hex line each. Each
-    block of ``_blocks`` is one lookup call and one write: where the
-    structure's lookup is native, one call of its ``query_block`` over
-    the block's bytes (``block_lookup``), which hashes each key where it
-    lies and answers in a uint64 array, so no Python object is made per
-    key; otherwise one ``query_many`` call over the block's keys from
-    ``_key_blocks``."""
+    block of ``_blocks`` is one ``query_block`` call of the structure's
+    lookup over the block's bytes and one write. The native lookup hashes
+    each key where it lies and answers in a buffer of uint64, so no Python
+    object is made per key."""
     if in_stream is None:
         in_stream = sys.stdin.buffer if binary_keys else sys.stdin
     out_stream = out_stream if out_stream is not None else sys.stdout
     with open(path, "rb") as fh:
         ds = deserialize(fh.read())
     width = _hex_width(ds.params.r)
-    answer = block_lookup(ds)
-    if answer is None:
-        for keys in _key_blocks(in_stream, binary_keys):
-            out_stream.write(_hex_lines(query_many(ds, keys), width))
-        return EXIT_OK
+    lookup = _bind(ds)
     for data, bounds in _blocks(in_stream, binary_keys):
-        out_stream.write(_hex_lines(np.frombuffer(answer(data, bounds), np.uint64), width))
+        out_stream.write(_hex_lines(lookup.query_block(data, bounds), width))
     return EXIT_OK
 
 

@@ -22,10 +22,8 @@ from __future__ import annotations
 
 import math
 import struct
-from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import accumulate, repeat
 
 from . import retrieval_flat
@@ -117,19 +115,19 @@ class ChunkedRetrieval:
     t * ceil(plane_bits / 64) on, each the concatenation over chunks with
     bit j in bit j % 64 of word j // 64 and zero padding.
 
-    Frozen, like its params and directory: ``_lookup`` is filled at the
-    first query (``_bind``) from the buffers held then, so an edit is a new
-    structure, ``dataclasses.replace(ds, ...)``, which starts unbound. A
-    copy (``copy``, ``copy.deepcopy``, ``pickle``) starts unbound too: it
-    holds the four fields alone, and its first query binds the backend of
-    the process it is in."""
+    Frozen, like its params and directory: ``_lookup`` (a native ``Lookup``
+    or a ``PythonLookup``) is filled at the first query (``_bind``) from
+    the buffers held then, so an edit is a new structure,
+    ``dataclasses.replace(ds, ...)``, which starts unbound. A copy
+    (``copy``, ``copy.deepcopy``, ``pickle``) starts unbound too: it holds
+    the four fields alone, and its first query binds the backend of the
+    process it is in."""
 
     params: ChunkedParams
     directory: ChunkDirectory
     planes: bytes
     m: int
-    _lookup: Callable[[bytes], int] | None = field(init=False, default=None, repr=False,
-                                                   compare=False)
+    _lookup: PythonLookup | None = field(init=False, default=None, repr=False, compare=False)
 
     def __reduce__(self):
         return ChunkedRetrieval, (self.params, self.directory, self.planes, self.m)
@@ -266,42 +264,76 @@ def query_chunked(ds: ChunkedRetrieval, key: bytes) -> int:
 
     One call of the structure's lookup, which its first query binds (see
     ``_bind``): a native ``Lookup`` where the native module loaded
-    (``retrieval_flat._kernel()``), L <= 128 and r <= 64, else
-    ``_query_words`` with the structure's words bound before the key. The
-    backend is fixed then for the structure's life; a structure made by
-    ``dataclasses.replace`` or copied starts unbound. Both lookups check
-    the same bounds (see ``_query_words``): the native one checks the
-    structure's words once, when it is bound, and each key's on every
-    call.
+    (``retrieval_flat._kernel()``), L <= 128 and r <= 64, else a
+    ``PythonLookup``. The backend is fixed then for the structure's life;
+    a structure made by ``dataclasses.replace`` or copied starts unbound.
+    Both lookups check the same bounds (see ``_query_words``): the native
+    one checks the structure's words once, when it is bound, and each
+    key's on every call.
     """
     return (ds._lookup or _bind(ds))(key)
 
 
-def _bind(ds: ChunkedRetrieval) -> Callable[[bytes], int]:
-    """Make, store and return the lookup of ``ds``: the native
-    ``bind(base_seed, L, r, force_leading_one, directory, planes)``, a
-    ``Lookup`` that checks those words once and holds views of the two
-    buffers, or ``_query_words`` with the same words bound before the key.
-    A native bind that fails (the ValueError that ``_query_words`` raises
-    for a directory or planes of the wrong length) stores nothing, so
-    every later query raises again.
+def _bind(ds: ChunkedRetrieval) -> PythonLookup:
+    """Make, store and return the lookup of ``ds`` from the words
+    ``(base_seed, L, r, force_leading_one, directory, planes)``: the
+    native ``bind`` of them, a ``Lookup`` that checks them once and holds
+    views of the two buffers, or a ``PythonLookup`` of them. Both answer
+    the same three calls. A native bind that fails (the ValueError that
+    ``_query_words`` raises for a directory or planes of the wrong length)
+    stores nothing, so every later query raises again.
     Threads that race to bind one structure make equal lookups, so the
     lost store does no harm."""
     params = ds.params
     native = retrieval_flat._kernel()
     words = (params.base_seed, params.L, params.r, params.force_leading_one,
              ds.directory.packed, ds.planes)
-    if native is not None and params.L <= 128 and params.r <= 64:
-        lookup = native.bind(*words)
-    else:
-        lookup = partial(_query_words, *words)
+    native_fits = native is not None and params.L <= 128 and params.r <= 64
+    lookup = (native.bind if native_fits else PythonLookup)(*words)
     object.__setattr__(ds, "_lookup", lookup)  # the one field a frozen structure fills late
     return lookup
 
 
+class PythonLookup:
+    """The native ``Lookup``'s Python twin, for any L and r: made from
+    ``bind``'s words, it answers ``lookup(key)``, ``query_many(keys)`` and
+    ``query_block(data, bounds)`` by the native calls' rules, each key
+    through ``_query_words``; only ``query_block`` of r > 64 values, which
+    no uint64 holds, answers in a list of ints."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, *words):
+        self.words = words
+
+    def __call__(self, key) -> int:
+        return _query_words(*self.words, key)
+
+    def query_many(self, keys) -> list[int]:
+        return [_query_words(*self.words, key) for key in keys]
+
+    def query_block(self, data, bounds):
+        data = bytes(data)
+        if bounds is None:
+            keys = data.split(b"\n")
+            if not keys[-1]:  # the empty piece after a final \n, or empty data
+                keys.pop()
+            keys = [key.rstrip(b"\r") for key in keys]
+        else:
+            pairs = list(struct.iter_unpack("qq", bytes(bounds)))
+            for i, (start, end) in enumerate(pairs):
+                if not 0 <= start <= end <= len(data):
+                    raise ValueError(f"key {i} lies outside the data")
+            keys = [data[start:end] for start, end in pairs]
+        answers = self.query_many(keys)
+        if self.words[2] > 64:  # r > 64: values that no uint64 holds
+            return answers
+        return struct.pack(f"{len(answers)}Q", *answers)
+
+
 def _query_words(seed: int, L: int, r: int, lead: bool, directory, planes, key) -> int:
-    """The lookup in Python, the fallback and the reference the tests check
-    the native ``Lookup`` against: ``bind``'s arguments, then the key.
+    """The lookup in Python, which ``PythonLookup`` runs and the tests
+    check the native ``Lookup`` against: ``bind``'s arguments, then the key.
     ``directory`` and ``planes`` are ``ds.directory.packed`` and
     ``ds.planes``. It takes the chunk count from the length of
     ``directory`` (ValueError unless it is two or more whole 64-bit words),
@@ -345,25 +377,9 @@ def _query_words(seed: int, L: int, r: int, lead: bool, directory, planes, key) 
 
 
 def query_many(ds: ChunkedRetrieval, keys) -> list[int]:
-    """``query_chunked`` of every key of the iterable ``keys``, in order,
-    through the structure's bound lookup: one call of its ``query_many``
-    where that lookup is native, one call of the Python lookup per key
-    otherwise."""
-    lookup = ds._lookup or _bind(ds)
-    if isinstance(lookup, partial):  # the Python lookup
-        return list(map(lookup, keys))
-    return lookup.query_many(keys)
-
-
-def block_lookup(ds: ChunkedRetrieval) -> Callable | None:
-    """The ``query_block`` method of the structure's native lookup, so that
-    ``block_lookup(ds)(data, bounds)`` answers every key of the buffer
-    ``data`` (its lines with ``bounds`` None, else the int64 (start, end)
-    pairs of ``bounds``) as a bytearray of native uint64, one call a
-    block; None where the structure's lookup is the Python one (no native
-    module, L > 128 or r > 64)."""
-    lookup = ds._lookup or _bind(ds)
-    return None if isinstance(lookup, partial) else lookup.query_block
+    """``query_chunked`` of every key of the iterable ``keys``, in order:
+    one ``query_many`` call of the structure's bound lookup."""
+    return (ds._lookup or _bind(ds)).query_many(keys)
 
 
 def serialize(ds: ChunkedRetrieval) -> bytes:

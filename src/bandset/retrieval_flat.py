@@ -22,7 +22,8 @@ that ``cli.read_tsv_pairs`` and ``cli._binary_records`` run, and
 ``bind``, which makes a structure's lookup: a ``Lookup`` object that
 ``query_chunked`` calls once per key, whose ``query_many`` method
 ``query_many`` runs, and whose ``query_block`` method ``bandset query``
-runs on each block of its input (``retrieval_chunked.block_lookup``).
+runs on each block of its input (``retrieval_chunked.PythonLookup``
+answers the same calls in Python).
 ``_kernel()`` is the one switch for all of them; a build asks it on
 every solve and pass (and ``bandset`` at each read of its input), but a
 structure asks it once, at its first query, and keeps that backend for

@@ -4,7 +4,6 @@ import hashlib
 import io
 import itertools
 import json
-import math
 import os
 import random
 import struct
@@ -25,13 +24,13 @@ from bandset.analysis_sim import make_rng
 from bandset.cli import main
 from bandset.retrieval_chunked import (
     ChunkedParams,
+    PythonLookup,
+    _bind,
     _query_words,
-    block_lookup,
     construct_chunked,
     deserialize,
     overhead,
     query_chunked,
-    query_many,
     serialize,
 )
 from bandset.row_gen import MASK64, PackedPairs
@@ -450,10 +449,11 @@ def test_query_unknown_keys_and_empty_stdin(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("binary_keys", [False, True])
 @pytest.mark.parametrize("count", [0, 1, 5, 6, 7, 13])
-def test_query_answers_in_blocks_with_unchanged_output(count, binary_keys, tmp_path, capsys,
-                                                       monkeypatch):
+def test_query_answers_in_blocks_with_unchanged_output(count, binary_keys, backend, tmp_path,
+                                                       capsys, monkeypatch):
     # blocks of 3 keys: an empty input, a part block, block edges and a
-    # block plus one; the text input's last line has no newline
+    # block plus one; the text input's last line has no newline; on the
+    # lookup of either backend
     inp = tmp_path / "in.tsv"
     write_tsv(inp, [(f"k{i}", format(i % 16, "x")) for i in range(20)])
     out = tmp_path / "ds.bin"
@@ -470,20 +470,6 @@ def test_query_answers_in_blocks_with_unchanged_output(count, binary_keys, tmp_p
     code, stdout, _ = run(["query", str(out)] + ["--binary-keys"] * binary_keys, capsys)
     assert code == 0
     assert stdout == want
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(st.lists(st.sampled_from(["a", "é", "😀", "\r", "\n", "\r\n", ""]), max_size=12),
-       st.booleans())
-def test_text_key_blocks_give_the_keys_of_iterating_lines(pieces, final_newline):
-    # every block size up to a few lines' length, so that blocks end inside
-    # lines, between a \r and its \n, and inside a run of \r
-    text = "".join(pieces) + "\n" * final_newline
-    want = [line.rstrip("\n").rstrip("\r").encode() for line in io.StringIO(text)]
-    for block in [*range(1, 9), cli.QUERY_BLOCK]:
-        with mock.patch.object(cli, "QUERY_BLOCK", block):
-            got = [key for keys in cli._key_blocks(io.StringIO(text), False) for key in keys]
-        assert got == want, block
 
 
 # Keys over the alphabet of the line tests, so that generated lines often
@@ -507,8 +493,17 @@ def _line_key_args(L: int, r: int) -> tuple:
     return p.base_seed, p.L, p.r, p.force_leading_one, ds.directory.packed, ds.planes
 
 
-def _answers(native, args, data, bounds) -> list[int]:
-    return np.frombuffer(native.bind(*args).query_block(data, bounds), np.uint64).tolist()
+@pytest.fixture(scope="module", params=["python", "native"])
+def bind(request):
+    """What makes a lookup of ``bind``'s words: ``PythonLookup``, then the
+    native ``bind`` (skipped where the native module did not load)."""
+    if request.param == "python":
+        return PythonLookup
+    return request.getfixturevalue("native").bind
+
+
+def _answers(lookup, data, bounds) -> list[int]:
+    return np.frombuffer(lookup.query_block(data, bounds), np.uint64).tolist()
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -516,40 +511,45 @@ def _answers(native, args, data, bounds) -> list[int]:
                                         "\n\n"]), max_size=16),
        final_newline=st.booleans(), L=st.sampled_from([64, 65, 128]),
        r=st.sampled_from([1, 4, 64]))
-def test_block_query_answers_the_keys_of_the_lines(pieces, final_newline, L, r, native):
-    # every block size up to a few lines' length and the default: the
-    # native block query of each text block gives the Python lookup's
-    # answers for that block's keys, present and absent
+def test_block_query_answers_the_keys_of_the_lines(pieces, final_newline, L, r, bind):
+    # every block size up to a few lines' length, so that blocks end inside
+    # lines, between a \r and its \n and inside a run of \r, and the
+    # default: the block queries of the text's blocks and query_many give,
+    # in order, _query_words' answers for the keys of iterating its lines,
+    # present and absent (at r = 64 no wrong key goes unseen)
     text = "".join(pieces) + "\n" * final_newline
     args = _line_key_args(L, r)
+    keys = [line.rstrip("\n").rstrip("\r").encode() for line in io.StringIO(text)]
+    want = [_query_words(*args, key) for key in keys]
+    lookup = bind(*args)
+    assert lookup.query_many(keys) == want
     for block in [*range(1, 9), cli.QUERY_BLOCK]:
         with mock.patch.object(cli, "QUERY_BLOCK", block):
             blocks = list(cli._blocks(io.StringIO(text), False))
-            key_blocks = list(cli._key_blocks(io.StringIO(text), False))
-        assert len(blocks) == len(key_blocks), block
-        for (data, bounds), keys in zip(blocks, key_blocks):
-            assert bounds is None
-            assert _answers(native, args, data, None) == [_query_words(*args, k) for k in keys]
+        assert all(bounds is None for _, bounds in blocks)
+        assert [v for data, _ in blocks for v in _answers(lookup, data, None)] == want, block
 
 
 @pytest.mark.parametrize("r", [1, 4, 64])
 @pytest.mark.parametrize("L", [64, 65, 128])
-def test_block_query_answers_the_keys_of_binary_records(L, r, native):
+def test_block_query_answers_the_keys_of_binary_records(L, r, bind):
     # keys holding \n, \r and NUL, present and absent, in blocks of 1 to 8
-    # records and the default
+    # records and the default, and through query_many
     args = _line_key_args(L, r)
     rng = random.Random(L + r)
     keys = [key.encode() for key in _LINE_KEYS] + [b"\n", b"a\nb", b"\x00", b"\r\n", b"absent"]
     rng.shuffle(keys)
     data = binary_records(keys)
     want = [_query_words(*args, key) for key in keys]
+    lookup = bind(*args)
+    assert lookup.query_many(keys) == want
     for block in [*range(1, 9), cli.QUERY_BLOCK]:
         with mock.patch.object(cli, "QUERY_BLOCK", block):
             got = [v for data_, bounds in cli._blocks(io.BytesIO(data), True)
-                   for v in _answers(native, args, data_, bounds)]
+                   for v in _answers(lookup, data_, bounds)]
         assert got == want, block
-    assert _answers(native, args, b"", None) == []
-    assert _answers(native, args, data, np.empty((0, 2), np.int64)) == []
+    assert _answers(lookup, b"", None) == []
+    assert _answers(lookup, data, np.empty((0, 2), np.int64)) == []
 
 
 def _error(call) -> tuple[type, str]:
@@ -567,7 +567,7 @@ def _raises(func, *args) -> bool:
 
 
 @pytest.mark.parametrize("edit", ["short chunk", "short planes"])
-def test_block_query_raises_the_errors_of_query(edit, native):
+def test_block_query_raises_the_errors_of_query(edit, bind):
     # a directory entry that gives a chunk fewer than L bits, and planes
     # that each lose their last word: for the first key that reaches the
     # damage, the block query in both modes, a call of the lookup, its
@@ -583,7 +583,7 @@ def test_block_query_raises_the_errors_of_query(edit, native):
         size = len(planes) // 2
         planes = planes[: size - 8] + planes[size:-8]
     args = p.base_seed, p.L, p.r, p.force_leading_one, directory, planes
-    lookup = native.bind(*args)
+    lookup = bind(*args)
     keys = [key for key, _ in pairs]
     bad = next(i for i, key in enumerate(keys) if _raises(lookup, key))
     want = _error(lambda: lookup(keys[bad]))
@@ -596,7 +596,7 @@ def test_block_query_raises_the_errors_of_query(edit, native):
     assert _error(lambda: lookup.query_block(data, None)) == want
     assert _error(lambda: lookup.query_block(data, bounds)) == want
     assert _error(lambda: _query_words(*args, keys[bad])) == want
-    assert _answers(native, args, data, bounds[:-1]) == lookup.query_many(keys[:bad])
+    assert _answers(lookup, data, bounds[:-1]) == lookup.query_many(keys[:bad])
 
 
 @pytest.mark.parametrize("bounds", [[(0, 4)], [(-1, 0)], [(2, 1)], [(0, 1), (3, 5)]])
@@ -657,15 +657,21 @@ def test_native_record_scan_matches_the_python_loop(records, value_bytes, native
 
 @pytest.mark.parametrize("r", [1, 3, 4, 5, 8, 63, 64, 65, 100])
 def test_hex_lines_match_the_per_value_format(r):
+    # the answers in each form query_block gives them: up to r = 64 a
+    # buffer of native uint64 (the native lookup's bytearray, the Python
+    # lookup's bytes), above that a list of ints
     width = cli._hex_width(r)
     rng = random.Random(r)
     values = [0, (1 << r) - 1] + [rng.getrandbits(r) for _ in range(200)]
     want = "".join(f"{v:0{width}x}\n" for v in values)
-    assert cli._hex_lines(values, width) == want
-    assert cli._hex_lines([], width) == ""
-    if r <= 64:  # the native block query's answers, as they come
-        assert cli._hex_lines(np.array(values, np.uint64), width) == want
-        assert cli._hex_lines(np.array([], np.uint64), width) == ""
+    if r <= 64:
+        packed = struct.pack(f"{len(values)}Q", *values)
+        forms, empty = [bytearray(packed), packed], [bytearray(), b""]
+    else:
+        forms, empty = [values], [[]]
+    for got, none in zip(forms, empty):
+        assert cli._hex_lines(got, width) == want
+        assert cli._hex_lines(none, width) == ""
 
 
 def test_query_of_72_bit_values_matches_the_per_key_format(tmp_path, capsys, monkeypatch):
@@ -711,53 +717,97 @@ def test_query_of_real_stdin_with_lf_and_crlf_lines(tmp_path, capsys):
 @pytest.mark.parametrize("binary_keys", [False, True])
 def test_query_makes_one_lookup_call_per_block(binary_keys, backend, tmp_path, capsys,
                                                monkeypatch):
-    # the native lookup answers a block with one query_block call (the
-    # method block_lookup returns), the Python one with one query_many
-    # call; neither calls the library once per key
+    # the lookup of either backend answers each block of _blocks with one
+    # query_block call, and nothing calls the library once per key
     inp = tmp_path / "in.tsv"
     write_tsv(inp, [(f"k{i}", "1") for i in range(50)])
     out = tmp_path / "ds.bin"
     assert run(["build", str(inp), str(out), "--seed", "2"], capsys)[0] == 0
     keys = [f"k{i}".encode() for i in range(200)]
     calls = []
-    kinds = set()
 
-    def counted(ds, block):
-        calls.append(len(block))
-        kinds.add("query_many")
-        return query_many(ds, block)
+    class Counted:
+        """A structure's lookup, with each call it takes recorded."""
 
-    def counted_block_lookup(ds):
-        answer = block_lookup(ds)
-        if answer is None:
-            return None
+        def __init__(self, lookup):
+            self.lookup = lookup
+            calls.append(type(lookup))
 
-        def counted_answer(data, bounds):
-            answers = answer(data, bounds)
-            calls.append(len(answers) // 8)
-            kinds.add("query_block")
+        def __call__(self, key):
+            calls.append("lookup")
+            return self.lookup(key)
+
+        def query_many(self, keys):
+            calls.append("query_many")
+            return self.lookup.query_many(keys)
+
+        def query_block(self, data, bounds):
+            answers = self.lookup.query_block(data, bounds)
+            calls.append(("query_block", len(np.frombuffer(answers, np.uint64))))
             return answers
-
-        return counted_answer
 
     def per_key(ds, key):
         raise AssertionError("query answers keys in blocks")
 
-    monkeypatch.setattr("bandset.cli.query_many", counted)
-    monkeypatch.setattr("bandset.cli.block_lookup", counted_block_lookup)
+    monkeypatch.setattr("bandset.cli._bind", lambda ds: Counted(_bind(ds)))
     monkeypatch.setattr("bandset.cli.query_chunked", per_key)
     monkeypatch.setattr("bandset.cli.QUERY_BLOCK", 16)
     if binary_keys:
-        stdin, bound = io.TextIOWrapper(io.BytesIO(binary_records(keys))), math.ceil(200 / 16)
+        data = binary_records(keys)
+        blocks = [len(bounds) for _, bounds in cli._blocks(io.BytesIO(data), True)]
+        stdin = io.TextIOWrapper(io.BytesIO(data))
     else:
         text = "\n".join(key.decode() for key in keys)
-        stdin, bound = io.StringIO(text), math.ceil(len(text) / 16) + 1
+        blocks = [len(block.splitlines()) for block, _ in cli._blocks(io.StringIO(text), False)]
+        stdin = io.StringIO(text)
     monkeypatch.setattr("sys.stdin", stdin)
     code, stdout, _ = run(["query", str(out)] + ["--binary-keys"] * binary_keys, capsys)
     assert code == 0
-    assert sum(calls) == len(keys) == len(stdout.splitlines())
-    assert len(calls) <= bound
-    assert kinds == {"query_block" if backend == "native" else "query_many"}
+    assert len(stdout.splitlines()) == sum(blocks) == len(keys)
+    assert len(blocks) >= 10
+    lookup_type = PythonLookup if backend == "python" else bandset.retrieval_flat._kernel().Lookup
+    assert calls == [lookup_type] + [("query_block", n) for n in blocks]
+
+
+@pytest.mark.parametrize("binary_keys", [False, True])
+def test_query_of_130_bit_blocks_answers_through_the_python_lookup(binary_keys, native, tmp_path,
+                                                                   capsys, monkeypatch):
+    # L = 130 is past the native lookup's 128, so with the native module
+    # loaded bandset query still answers through PythonLookup.query_block
+    rng = random.Random(130)
+    keys = [f"long-{i}".encode() for i in range(300)]
+    values = [rng.getrandbits(8) for _ in keys]
+    inp = tmp_path / "in"
+    if binary_keys:
+        inp.write_bytes(binary_records(keys, values))
+    else:
+        write_tsv(inp, [(key.decode(), format(v, "x")) for key, v in zip(keys, values)])
+    out = tmp_path / "ds.bin"
+    flags = ["--binary-keys"] * binary_keys
+    build = ["build", str(inp), str(out), "--block-len", "130", "--value-bits", "8", "--seed", "5"]
+    assert run(build + flags, capsys)[0] == 0
+    ds = deserialize(out.read_bytes())
+    queries = [b""] + keys + [b"stranger"]
+    want = "".join(f"{query_chunked(ds, key):02x}\n" for key in queries)
+    assert type(ds._lookup) is PythonLookup
+    assert want.split()[1:6] == [format(v, "02x") for v in values[:5]]
+    blocks = []
+    query_block = PythonLookup.query_block
+
+    def spied(lookup, data, bounds):
+        blocks.append(data)
+        return query_block(lookup, data, bounds)
+
+    monkeypatch.setattr(PythonLookup, "query_block", spied)
+    if binary_keys:
+        stdin = io.TextIOWrapper(io.BytesIO(binary_records(queries)))
+    else:
+        stdin = io.StringIO("\n".join(key.decode() for key in queries))
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, stdout, _ = run(["query", str(out)] + flags, capsys)
+    assert code == 0
+    assert stdout == want
+    assert len(blocks) == 1
 
 
 def test_query_unencodable_line_exits_2(tmp_path, capsys, monkeypatch):

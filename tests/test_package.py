@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -49,6 +50,31 @@ def test_readme_file_format_names_the_current_version_and_header_size():
     section = readme.split("\n## File format\n", 1)[1].split("\n## ", 1)[0]
     assert f"Header ({HEADER_BYTES} bytes)" in section
     assert re.search(rf"^\| version +\| u16 +\| {VERSION} +\|$", section, re.MULTILINE)
+
+
+def test_readme_names_of_bandset_code_resolve():
+    # every backticked dotted name in README.md that starts at a bandset
+    # module (``row_gen.digest_pairs``, ``bandset.bitkit``): the module
+    # imports and getattr reaches the rest, so code that is renamed or
+    # deleted under the README's text fails here
+    package = Path(bandset.__file__).parent
+    modules = {path.stem for path in [*package.glob("*.py"), *package.glob("*.c")]}
+    readme = (package.parents[1] / "README.md").read_text(encoding="utf-8")
+    pattern = rf"`((?:{'|'.join(['bandset', *sorted(modules)])})(?:\.\w+)+)`"
+    names = sorted(set(re.findall(pattern, readme)))
+    assert len(names) >= 10, names
+    unresolved = []
+    for name in names:
+        module, *attrs = name.removeprefix("bandset.").split(".")
+        if module == "_band" and retrieval_flat._kernel() is None:
+            continue  # the native module, which only a compiler makes
+        obj = importlib.import_module(f"bandset.{module}")
+        try:
+            for attr in attrs:
+                obj = getattr(obj, attr)
+        except AttributeError:
+            unresolved.append(name)
+    assert unresolved == []
 
 
 def _loaded_by(code: str, names: tuple[str, ...]) -> list[str]:
